@@ -7,6 +7,11 @@ gap-weighted subsequence recursion. SPTK is PTK with the exact-label
 gate replaced by a node similarity score, so lexically different but
 related nodes can still match.
 
+Each tree is indexed in postorder once, on its first kernel call, and
+keeps that index. The SST and PTK programs visit only the node pairs
+whose productions or labels match (the fast tree kernel of Moschitti,
+EACL 2006); SPTK scores every pair, since any two nodes may be similar.
+
 brute_force_kernel enumerates fragments explicitly and exists only to
 check tree_kernel on tiny trees; the two share no code.
 """
@@ -69,36 +74,13 @@ class DeltaMatrix:
         return "\n".join(lines) + "\n"
 
 
-class _Indexed:
-    """Postorder view of a tree; children come before their parents."""
-
-    __slots__ = ("nodes", "children", "labels", "prods", "atomic")
-
-    def __init__(self, tree: LabeledTree):
-        order = []
-        stack = [(tree, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                order.append(node)
-                continue
-            stack.append((node, True))
-            for child in reversed(node.children):
-                stack.append((child, False))
-        index = {id(n): i for i, n in enumerate(order)}
-        self.nodes = order
-        self.children = [tuple(index[id(c)] for c in n.children) for n in order]
-        self.labels = [n.label for n in order]
-        self.prods = [(n.label, tuple(c.label for c in n.children)) for n in order]
-        self.atomic = [all(not c.children for c in n.children) for n in order]
-
-
-def _sst_matrix(ix1: _Indexed, ix2: _Indexed, lam: float) -> np.ndarray:
-    delta = np.zeros((len(ix1.nodes), len(ix2.nodes)))
+def _sst_matrix(t1: LabeledTree, t2: LabeledTree, lam: float) -> np.ndarray:
+    ix1, ix2 = t1.production_index, t2.production_index
+    delta = np.zeros((len(ix1.prods), len(ix2.prods)))
+    # only node pairs with equal productions can share a fragment; i runs
+    # in postorder, so child pairs are final before their parents read them
     for i, prod in enumerate(ix1.prods):
-        for j in range(len(ix2.nodes)):
-            if prod != ix2.prods[j]:
-                continue
+        for j in ix2.buckets.get(prod, ()):
             # a node whose production bottoms out in leaves matches as a
             # single unit, the production itself admits no sub-choices
             if ix1.atomic[i] or ix2.atomic[j]:
@@ -153,33 +135,43 @@ def _subseq_sum(delta: np.ndarray, ch1: tuple, ch2: tuple, lam: float) -> float:
     return float(total)
 
 
-def _pt_matrix(
-    ix1: _Indexed, ix2: _Indexed, lam: float, mu: float, sigma: Callable | None
-) -> np.ndarray:
-    delta = np.zeros((len(ix1.nodes), len(ix2.nodes)))
+def _pt_matrix(children1: tuple, children2: tuple, gates, lam: float, mu: float) -> np.ndarray:
+    """Partial-tree deltas over the (i, j, gate) node pairs with a nonzero
+    gate, given with i in postorder and j ascending for each i."""
+    delta = np.zeros((len(children1), len(children2)))
     lam2 = lam * lam
-    for i in range(len(ix1.nodes)):
-        for j in range(len(ix2.nodes)):
-            if sigma is None:
-                gate = 1.0 if ix1.labels[i] == ix2.labels[j] else 0.0
-            else:
-                gate = float(sigma(ix1.nodes[i], ix2.nodes[j]))
-            if gate == 0.0:
-                continue
-            ch1, ch2 = ix1.children[i], ix2.children[j]
-            total = lam2
-            if ch1 and ch2:
-                total += _subseq_sum(delta, ch1, ch2, lam)
-            delta[i, j] = mu * gate * total
+    for i, j, gate in gates:
+        ch1, ch2 = children1[i], children2[j]
+        total = lam2
+        if ch1 and ch2:
+            total += _subseq_sum(delta, ch1, ch2, lam)
+        delta[i, j] = mu * gate * total
     return delta
 
 
 def _matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> np.ndarray:
-    ix1, ix2 = _Indexed(t1), _Indexed(t2)
     if params.kind == "SST":
-        return _sst_matrix(ix1, ix2, params.lam)
-    sigma = params.sigma if params.kind == "SPTK" else None
-    return _pt_matrix(ix1, ix2, params.lam, params.mu, sigma)
+        return _sst_matrix(t1, t2, params.lam)
+    if params.kind == "PTK":
+        ix1, ix2 = t1.label_index, t2.label_index
+        # the exact-label gate is 1 on equal labels and 0 elsewhere
+        gates = (
+            (i, j, 1.0)
+            for i, label in enumerate(ix1.labels)
+            for j in ix2.buckets.get(label, ())
+        )
+        return _pt_matrix(ix1.children, ix2.children, gates, params.lam, params.mu)
+    # sigma is opaque, so every node pair is scored
+    ix1, ix2 = t1.node_index, t2.node_index
+    nodes2 = ix2.nodes(t2)
+    sigma = params.sigma
+    gates = (
+        (i, j, gate)
+        for i, n1 in enumerate(ix1.nodes(t1))
+        for j, n2 in enumerate(nodes2)
+        if (gate := float(sigma(n1, n2))) != 0.0
+    )
+    return _pt_matrix(ix1.children, ix2.children, gates, params.lam, params.mu)
 
 
 def _raw_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> float:
@@ -187,13 +179,8 @@ def _raw_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> f
 
 
 def delta_matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> DeltaMatrix:
-    ix1, ix2 = _Indexed(t1), _Indexed(t2)
-    if params.kind == "SST":
-        values = _sst_matrix(ix1, ix2, params.lam)
-    else:
-        sigma = params.sigma if params.kind == "SPTK" else None
-        values = _pt_matrix(ix1, ix2, params.lam, params.mu, sigma)
-    return DeltaMatrix(tuple(ix1.labels), tuple(ix2.labels), values)
+    values = _matrix(t1, t2, params)
+    return DeltaMatrix(t1.label_index.labels, t2.label_index.labels, values)
 
 
 def tree_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> float:

@@ -113,17 +113,37 @@ def translate(dictionary: BilingualDictionary, word: str, lowercase: bool = True
     return targets[0] if targets else None
 
 
+# Norms inside this range are computed from squares that neither underflow
+# nor overflow, so dividing by them gives a unit vector to rounding.
+_NORM_MIN = 1e-150
+_NORM_MAX = 1e150
+
+
+def _unit(x: np.ndarray):
+    """x scaled to unit length, None when x is all zeros."""
+    n = float(np.linalg.norm(x))
+    if _NORM_MIN < n < _NORM_MAX:
+        return x / n
+    # the squares of tiny components go subnormal (or of huge ones infinite),
+    # which skews the norm: scale by the largest magnitude first
+    m = float(np.max(np.abs(x))) if x.size else 0.0
+    if m == 0.0:
+        return None
+    x = x / m
+    return x / float(np.linalg.norm(x))
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape:
         raise ValueError(f"vector shapes differ: {u.shape} vs {v.shape}")
     if u is v:
-        return 1.0 if float(np.linalg.norm(u)) > 0.0 else 0.0
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+        return 1.0 if u.size and float(np.max(np.abs(u))) > 0.0 else 0.0
+    a = _unit(u)
+    b = _unit(v)
+    if a is None or b is None:
         return 0.0
     # normalize before the dot so near-zero norms cannot overflow
-    return float(np.dot(u / nu, v / nv))
+    return float(np.dot(a, b))
 
 
 def resolve_vector(

@@ -253,11 +253,19 @@ def read_gram(path) -> GramMatrix:
     if tuple(r[0] for r in rows) != ids:
         raise DataError(f"{path}: row ids do not match column ids")
     values = np.array([r[1] for r in rows], dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(f"{path}: non-finite gram entry at {ids[i]} x {ids[j]}")
+    if not np.array_equal(values, values.T):
+        i, j = np.argwhere(values != values.T)[0]
+        raise DataError(f"{path}: gram matrix is not symmetric at {ids[i]} x {ids[j]}")
     return GramMatrix(values=values, instance_ids=ids, fingerprint=fingerprint)
 
 
 def _check_fingerprint(expected: str, found: str, what: str):
-    if found and expected and found != expected:
+    if not found:
+        raise DataError(f"{what} carries no kernel fingerprint; recompute it")
+    if found != expected:
         raise DataError(
             f"{what} was produced under kernel {found}, run configures {expected}; "
             "recompute it or fix the config"
@@ -336,7 +344,7 @@ def run_predict(
     if model.task != cfg.task:
         raise ConfigError(f"model solves task {model.task!r}, config says {cfg.task!r}")
     _check_fingerprint(
-        kernel_fingerprint(model.kernel_spec), spec_fingerprint(cfg.kernel_spec),
+        spec_fingerprint(cfg.kernel_spec), kernel_fingerprint(model.kernel_spec),
         "model file",
     )
     resources = load_resources(cfg)

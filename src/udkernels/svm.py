@@ -33,6 +33,21 @@ class GramMatrix:
         return len(self.instance_ids)
 
 
+def _name_pair(exc: Exception, pair: str) -> Exception:
+    """exc's type carrying a message that names the failing pair.
+
+    A type whose constructor does not take one message gets the message
+    written into the original exception's args instead, so reporting a
+    failure never raises an error of its own.
+    """
+    message = f"kernel failed on pair {pair}: {exc}"
+    try:
+        return type(exc)(message)
+    except Exception:
+        exc.args = (message,)
+        return exc
+
+
 def compute_gram(items, kernel, instance_ids=None, fingerprint: str = "", threads: int = 1) -> GramMatrix:
     """Symmetric Gram matrix over items under a kernel callable.
 
@@ -53,9 +68,10 @@ def compute_gram(items, kernel, instance_ids=None, fingerprint: str = "", thread
             try:
                 values[i, j] = kernel(items[i], items[j])
             except Exception as exc:
-                raise type(exc)(
-                    f"kernel failed on pair {instance_ids[i]} x {instance_ids[j]}: {exc}"
-                ) from exc
+                named = _name_pair(exc, f"{instance_ids[i]} x {instance_ids[j]}")
+                if named is exc:
+                    raise
+                raise named from exc
 
     rows = range(n)
     if threads > 1:

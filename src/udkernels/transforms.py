@@ -10,6 +10,7 @@ can be reduced to the smallest subtree enclosing two entity spans.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .conllu import DepTree, Token
 from .errors import BracketError
@@ -39,6 +40,96 @@ class LabeledTree:
             node = stack.pop()
             yield node
             stack.extend(node.children)
+
+    # Postorder views for the kernels. Each is built on first use and
+    # kept with the tree, so every kernel call on a tree reuses it.
+
+    @cached_property
+    def label_index(self) -> "LabelIndex":
+        return LabelIndex(self)
+
+    @cached_property
+    def production_index(self) -> "ProductionIndex":
+        return ProductionIndex(self)
+
+    @cached_property
+    def node_index(self) -> "NodeIndex":
+        return NodeIndex(self)
+
+
+def _postorder(tree: LabeledTree) -> tuple:
+    """Nodes in postorder (children before their parents) and, per node,
+    the postorder positions of its children."""
+    order = []
+    stack = [(tree, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+            continue
+        stack.append((node, True))
+        for child in reversed(node.children):
+            stack.append((child, False))
+    index = {id(n): i for i, n in enumerate(order)}
+    return order, tuple(tuple(index[id(c)] for c in n.children) for n in order)
+
+
+def _buckets(keys) -> dict:
+    """Each key mapped to the ascending positions that carry it."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return {key: tuple(ids) for key, ids in groups.items()}
+
+
+class LabelIndex:
+    """Postorder labels, child positions and label buckets (PTK)."""
+
+    __slots__ = ("labels", "children", "buckets")
+
+    def __init__(self, tree: LabeledTree):
+        order, self.children = _postorder(tree)
+        self.labels = tuple(n.label for n in order)
+        self.buckets = _buckets(self.labels)
+
+
+class ProductionIndex:
+    """Postorder productions, child positions, production buckets and
+    whether each node's children are all leaves (SST).
+
+    Equal productions share one key object, so the memo holds each
+    distinct production once.
+    """
+
+    __slots__ = ("prods", "children", "atomic", "buckets")
+
+    def __init__(self, tree: LabeledTree):
+        order, self.children = _postorder(tree)
+        canonical: dict = {}
+        self.prods = tuple(
+            canonical.setdefault(p, p)
+            for p in ((n.label, tuple(c.label for c in n.children)) for n in order)
+        )
+        self.atomic = tuple(all(not c.children for c in n.children) for n in order)
+        self.buckets = _buckets(self.prods)
+
+
+class NodeIndex:
+    """Postorder nodes and child positions (SPTK, whose node similarity
+    sees whole nodes).
+
+    The root, last in postorder, is left out of `below` so the memo on a
+    tree never refers back to that tree; nodes(tree) puts it back.
+    """
+
+    __slots__ = ("below", "children")
+
+    def __init__(self, tree: LabeledTree):
+        order, self.children = _postorder(tree)
+        self.below = tuple(order[:-1])
+
+    def nodes(self, tree: LabeledTree) -> tuple:
+        return (*self.below, tree)
 
 
 def syn(label: str, *children) -> LabeledTree:

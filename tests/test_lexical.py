@@ -102,6 +102,15 @@ def test_cosine_bounded(u, v):
     assert cosine(u, v) == cosine(v, u)
 
 
+def test_cosine_exact_for_tiny_and_huge_magnitudes():
+    # squares of these components underflow or overflow; the result must not
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    assert cosine(u, np.array([9.42762753e-160, 0.0, 0.0, 0.0])) == 1.0
+    assert cosine(u, np.array([1e-170, 0.0, 0.0, 0.0])) == 1.0
+    assert cosine(np.array([1e200, 1e200]), np.array([1.0, 1.0])) == pytest.approx(1.0)
+    assert cosine(np.array([1e-170, 0.0]), np.array([0.0, 1e-170])) == 0.0
+
+
 def small_store():
     from udkernels.lexical import EmbeddingStore
 

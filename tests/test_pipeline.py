@@ -5,6 +5,7 @@ without slowing the suite down.
 """
 
 import filecmp
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +163,23 @@ def test_read_gram_input_errors(tmp_path):
         read_gram(bad)
 
 
+def test_read_gram_rejects_non_finite(tmp_path):
+    bad = tmp_path / "bad.gram"
+    bad.write_text("# fingerprint = abc\nid\ta\tb\na\t1.0\tnan\nb\tnan\t1.0\n")
+    with pytest.raises(DataError, match="non-finite gram entry at a x b"):
+        read_gram(bad)
+    bad.write_text("# fingerprint = abc\nid\ta\na\tinf\n")
+    with pytest.raises(DataError, match="non-finite"):
+        read_gram(bad)
+
+
+def test_read_gram_rejects_non_symmetric(tmp_path):
+    bad = tmp_path / "bad.gram"
+    bad.write_text("# fingerprint = abc\nid\ta\tb\na\t1.0\t0.5\nb\t0.25\t1.0\n")
+    with pytest.raises(DataError, match="not symmetric at a x b"):
+        read_gram(bad)
+
+
 def test_write_gram_values_survive_exactly(tmp_path):
     values = np.array([[1.0, 0.1234567890123456789], [0.1234567890123456789, 4.0]])
     gram = GramMatrix(values=values, instance_ids=("x", "y"), fingerprint="abc")
@@ -207,6 +225,19 @@ def test_train_refuses_foreign_gram(pi_paths, tmp_path):
     other = pi_config(pi_paths, m=50.0)
     with pytest.raises(DataError, match="produced under kernel"):
         run_train(other, None, gram_path=gram_path)
+
+
+def test_train_refuses_unfingerprinted_gram(pi_paths, tmp_path):
+    cfg = pi_config(pi_paths)
+    gram_path = tmp_path / "train.gram"
+    gram = run_gram(cfg, None, split="train")
+    write_gram(gram_path, replace(gram, fingerprint=""))
+    with pytest.raises(DataError, match="no kernel fingerprint"):
+        run_train(cfg, None, gram_path=gram_path)
+    lines = gram_path.read_text().splitlines(keepends=True)
+    gram_path.write_text("".join(lines[1:]))
+    with pytest.raises(DataError, match="no kernel fingerprint"):
+        run_train(cfg, None, gram_path=gram_path)
 
 
 def test_train_refuses_wrong_split_gram(pi_paths, tmp_path):

@@ -70,6 +70,25 @@ def test_compute_gram_names_failing_pair():
         compute_gram(VECS, bad)
 
 
+class PairFailure(Exception):
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+        self.code = code
+
+
+def test_compute_gram_names_pair_for_any_exception_type():
+    # the type's constructor takes two arguments, so it cannot be rebuilt
+    # from a message; the original is re-raised with the pair named
+    def bad(u, v):
+        if v is VECS[2]:
+            raise PairFailure(7, "boom")
+        return float(np.dot(u, v))
+
+    with pytest.raises(PairFailure, match=r"0 x 2.*boom") as info:
+        compute_gram(VECS, bad)
+    assert info.value.code == 7
+
+
 def test_compute_gram_rejects_non_finite():
     def nan_kernel(u, v):
         return float("nan") if (u is VECS[0] and v is VECS[1]) else 1.0
