@@ -196,60 +196,3 @@ def build_vud(
         _mean_of_words(context_words(dep2), store, dictionary, cfg),
     ]
     return np.concatenate(blocks)
-
-
-@dataclass(frozen=True)
-class EntityFeatureVocab:
-    """Category inventories collected from a training set."""
-
-    entity_types: tuple
-    mention_types: tuple
-    upos_tags: tuple
-
-
-def build_entity_vocab(instances) -> EntityFeatureVocab:
-    etypes, mtypes, tags = {"none"}, {"none"}, {"none"}
-    for inst in instances:
-        for head in (inst.e1, inst.e2):
-            token = inst.dep_tree.token(head)
-            etypes.add(token.misc.get("EntityType", "none"))
-            mtypes.add(token.misc.get("MentionType", "none"))
-            tags.add(token.upos)
-    return EntityFeatureVocab(
-        entity_types=tuple(sorted(etypes)),
-        mention_types=tuple(sorted(mtypes)),
-        upos_tags=tuple(sorted(tags)),
-    )
-
-
-def _one_hot(value: str, vocab: tuple) -> np.ndarray:
-    out = np.zeros(len(vocab))
-    idx = vocab.index(value) if value in vocab else vocab.index("none")
-    out[idx] = 1.0
-    return out
-
-
-def build_entity_features(
-    inst: REInstance,
-    store: EmbeddingStore,
-    vocab: EntityFeatureVocab,
-    cfg: FeatureConfig,
-    dictionary: BilingualDictionary | None = None,
-) -> np.ndarray:
-    """Per-entity categorical and lexical features, concatenated for e1
-    then e2: entity type, mention type, headword embedding, POS."""
-    blocks = []
-    for head in (inst.e1, inst.e2):
-        token = inst.dep_tree.token(head)
-        vec = resolve_vector(
-            cfg.word_of(token), store, dictionary, cfg.translate, cfg.lowercase
-        )
-        blocks.extend(
-            [
-                _one_hot(token.misc.get("EntityType", "none"), vocab.entity_types),
-                _one_hot(token.misc.get("MentionType", "none"), vocab.mention_types),
-                vec if vec is not None else np.zeros(store.dim),
-                _one_hot(token.upos, vocab.upos_tags),
-            ]
-        )
-    return np.concatenate(blocks)

@@ -102,33 +102,49 @@ def _subseq_sum(delta: np.ndarray, ch1: tuple, ch2: tuple, lam: float) -> float:
     """
     a, b = len(ch1), len(ch2)
     lam2 = lam * lam
-    # T[x, y]: current-length terms whose subsequences end exactly at
-    # child x of the first node and child y of the second (1-based).
-    T = np.zeros((a + 1, b + 1))
-    for x in range(1, a + 1):
-        row = delta[ch1[x - 1]]
-        for y in range(1, b + 1):
-            T[x, y] = lam2 * row[ch2[y - 1]]
-    total = T.sum()
+    # The tables are lists of Python floats, since per-cell numpy scalar
+    # indexing and arithmetic cost more than the arithmetic itself. Every
+    # float operation keeps the order of the numpy-table formulation, so
+    # results match it bit for bit.
+    # D[x - 1][y - 1]: delta of child x of the first node and child y of
+    # the second. T[x][y]: current-length terms whose subsequences end
+    # exactly at those children (1-based); row 0 and column 0 stay zero.
+    item = delta.item
+    zeros = [0.0] * (b + 1)
+    D, T = [], [zeros]
+    for c1 in ch1:
+        row, t = [], [0.0]
+        for c2 in ch2:
+            d = item(c1, c2)
+            row.append(d)
+            t.append(lam2 * d)
+        D.append(row)
+        T.append(t)
+    # numpy sums the zero-padded table, so its pairwise order is unchanged
+    total = np.array(T).sum()
     for _ in range(2, min(a, b) + 1):
         # R: lam-discounted 2d prefix sums of T, so extending both
-        # subsequences by one picked child costs lam^(gap+1) per side
-        R = np.zeros((a + 1, b + 1))
-        for x in range(1, a + 1):
-            for y in range(1, b + 1):
-                R[x, y] = (
-                    T[x, y] + lam * R[x - 1, y] + lam * R[x, y - 1] - lam2 * R[x - 1, y - 1]
-                )
-        T = np.zeros((a + 1, b + 1))
+        # subsequences by one picked child costs lam^(gap+1) per side;
+        # only rows < a and columns < b are ever read
+        R = [zeros]
+        for x in range(1, a):
+            t, up = T[x], R[x - 1]
+            r = [0.0] * b
+            for y in range(1, b):
+                r[y] = t[y] + lam * up[y] + lam * r[y - 1] - lam2 * up[y - 1]
+            R.append(r)
+        T = [zeros, zeros]
         level = 0.0
         for x in range(2, a + 1):
-            row = delta[ch1[x - 1]]
+            row, prev = D[x - 1], R[x - 1]
+            t = [0.0] * (b + 1)
             for y in range(2, b + 1):
-                d = row[ch2[y - 1]]
+                d = row[y - 1]
                 if d != 0.0:
-                    v = d * lam2 * R[x - 1, y - 1]
-                    T[x, y] = v
+                    v = d * lam2 * prev[y - 1]
+                    t[y] = v
                     level += v
+            T.append(t)
         if level == 0.0:
             break
         total += level

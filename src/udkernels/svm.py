@@ -415,13 +415,6 @@ def predict(model: SvmModel, kernel_row) -> tuple:
     return best_label, decisions
 
 
-def predict_binary(model: SvmModel, kernel_row) -> tuple:
-    """Decision value of the positive class for two-way tasks."""
-    label, decisions = predict(model, kernel_row)
-    positive = model.classes[-1].label if len(model.classes) > 1 else model.classes[0].label
-    return label, decisions[positive]
-
-
 def save_model(model: SvmModel, path):
     data = {
         "version": model.version,

@@ -6,8 +6,6 @@ from udkernels.features import (
     FeatureConfig,
     REInstance,
     _mean_of_words,
-    build_entity_features,
-    build_entity_vocab,
     build_vo,
     build_vud,
 )
@@ -180,15 +178,3 @@ def test_span_mean_off_uses_head_only(unit_store):
 def test_instance_rejects_equal_heads(audits_tree):
     with pytest.raises(DataError, match="must differ"):
         REInstance(dep_tree=audits_tree, e1=4, e2=4, label="x")
-
-
-# --- categorical entity features -------------------------------------------
-
-
-def test_entity_feature_vocab_and_one_hot(audits_tree, unit_store):
-    t = audits_tree
-    inst = REInstance(dep_tree=t, e1=4, e2=7, label="Message-Topic")
-    vocab = build_entity_vocab([inst])
-    vec = build_entity_features(inst, unit_store, vocab, FeatureConfig())
-    assert vec.shape[0] > 2 * unit_store.dim
-    assert np.isfinite(vec).all()

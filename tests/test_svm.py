@@ -17,7 +17,6 @@ from udkernels.svm import (
     kkt_violations,
     load_model,
     predict,
-    predict_binary,
     save_model,
     train_binary,
     train_ovr,
@@ -322,18 +321,6 @@ def test_predict_tie_goes_to_smallest_label():
     label, decisions = predict(tied, np.zeros(0))
     assert decisions == {"alpha": 0.5, "beta": 0.5}
     assert label == "alpha"
-
-
-def test_predict_binary_reports_positive_decision():
-    gram = np.eye(2)
-    labels = ["no", "yes"]
-    payloads = [pair_payload("p"), pair_payload("q")]
-    model = build_model("pi", {"task": "pi"}, train_ovr(gram, labels), labels, payloads)
-    row = pool_rows(model, payloads, gram)[1]
-    label, decision = predict_binary(model, row)
-    assert label == "yes"
-    _, decisions = predict(model, row)
-    assert decision == decisions["yes"]
 
 
 def test_model_save_load_roundtrip(tmp_path):
