@@ -44,7 +44,6 @@ def build_config(args, paths) -> dict:
                 "source_lang": "en",
             },
             "svm": {"C": args.C},
-            "threads": args.threads,
         }
     pt = {"kind": "PTK"}
     if args.soft:
@@ -68,7 +67,6 @@ def build_config(args, paths) -> dict:
         "data": data,
         "resources": resources,
         "svm": {"C": args.C},
-        "threads": args.threads,
     }
 
 
@@ -101,7 +99,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", choices=("SST", "PTK"), default="PTK", help="pair task base kernel")
     parser.add_argument("--m", type=float, default=100.0, help="soft-max sharpness for the pair task")
     parser.add_argument("--C", type=float, default=1.0, help="SVM regularization")
-    parser.add_argument("--threads", type=int, default=1, help="Gram computation threads")
     args = parser.parse_args(argv)
     if args.soft and args.task == "pi":
         parser.error("--soft applies to the relation tasks (re, xl)")

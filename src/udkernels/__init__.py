@@ -9,9 +9,9 @@ from .combine import (
     CompositeParams,
     PairKernelParams,
     REKernelInput,
-    TreeKernelCache,
     composite_kernel,
     kernel_fingerprint,
+    kernel_matrix,
     kernel_spec_from_dict,
     kernel_spec_to_dict,
     sm_tk,
@@ -58,7 +58,6 @@ from .pipeline import run_eval, run_gram, run_predict, run_train
 from .svm import (
     GramMatrix,
     SvmModel,
-    compute_gram,
     load_model,
     predict,
     save_model,

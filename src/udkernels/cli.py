@@ -24,7 +24,6 @@ from .pipeline import run_eval, run_gram, run_predict, run_train
 
 def _add_config(parser: argparse.ArgumentParser):
     parser.add_argument("--config", required=True, help="run configuration JSON")
-    parser.add_argument("--threads", type=int, default=None, help="gram worker threads")
 
 
 def _open_out(path):
@@ -83,14 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gram(args) -> int:
     cfg = load_config(args.config)
-    gram = run_gram(cfg, args.out, split=args.split, threads=args.threads)
+    gram = run_gram(cfg, args.out, split=args.split)
     print(f"wrote {len(gram)}x{len(gram)} gram to {args.out} (kernel {gram.fingerprint})")
     return 0
 
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    model = run_train(cfg, args.model, gram_path=args.gram, threads=args.threads)
+    model = run_train(cfg, args.model, gram_path=args.gram)
     counts = ", ".join(f"{c.label}:{len(c.support_idx)}" for c in model.classes)
     print(f"wrote model to {args.model} (supports per class: {counts})")
     return 0
@@ -98,9 +97,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     cfg = load_config(args.config)
-    prepared, labels, _ = run_predict(
-        cfg, args.model, args.out, split=args.split, threads=args.threads
-    )
+    prepared, labels, _ = run_predict(cfg, args.model, args.out, split=args.split)
     print(f"wrote {len(labels)} predictions to {args.out}")
     return 0
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .kernels import TreeKernelParams, poly_kernel, tree_kernel
 from .lexical import SigmaConfig
 from .transforms import LabeledTree
@@ -35,44 +35,6 @@ def softmax2(x1: float, x2: float, m: float = 100.0) -> float:
     return max(x1, x2) + math.log1p(math.exp(-m * abs(x1 - x2))) / m
 
 
-class TreeKernelCache:
-    """Caches kernel values by tree object identity.
-
-    Gram construction re-pairs the same trees many times; raw values
-    (self kernels included) are cached so each unordered tree pair is
-    evaluated once. Entries pin their trees so ids cannot be recycled.
-    Concurrent use is safe: a racing recompute stores the same value.
-    """
-
-    def __init__(self, params: TreeKernelParams):
-        self.params = params
-        self._raw_params = replace(params, normalize=False)
-        self._values: dict = {}
-        self._pinned: dict = {}
-
-    def _raw(self, t1: LabeledTree, t2: LabeledTree) -> float:
-        key = (id(t1), id(t2)) if id(t1) <= id(t2) else (id(t2), id(t1))
-        hit = self._values.get(key)
-        if hit is None:
-            hit = tree_kernel(t1, t2, self._raw_params)
-            self._values[key] = hit
-            self._pinned[id(t1)] = t1
-            self._pinned[id(t2)] = t2
-        return hit
-
-    def __call__(self, t1: LabeledTree, t2: LabeledTree) -> float:
-        k12 = self._raw(t1, t2)
-        if not self.params.normalize:
-            return k12
-        if t1 is t2:
-            return 1.0 if k12 > 0.0 else 0.0
-        s1 = self._raw(t1, t1)
-        s2 = self._raw(t2, t2)
-        if s1 <= 0.0 or s2 <= 0.0:
-            return 0.0
-        return k12 / math.sqrt(s1 * s2)
-
-
 @dataclass
 class PairKernelParams:
     base: TreeKernelParams
@@ -83,18 +45,14 @@ class PairKernelParams:
             raise ConfigError(f"softmax sharpness must be positive, got {self.m}")
 
 
-def sm_tk(pair_a, pair_b, params: PairKernelParams, cache: TreeKernelCache | None = None) -> float:
+def sm_tk(pair_a, pair_b, params: PairKernelParams) -> float:
     """Smoothed maximum over the two cross-pair kernel products.
 
-    pair_a and pair_b are (tree, tree) tuples. With a shared cache the
-    four underlying kernel values are reused across a Gram build.
+    pair_a and pair_b are (tree, tree) tuples.
     """
     a1, a2 = pair_a
     b1, b2 = pair_b
-    if cache is None:
-        tk = lambda x, y: tree_kernel(x, y, params.base)
-    else:
-        tk = cache
+    tk = lambda x, y: tree_kernel(x, y, params.base)
     straight = tk(a1, b1) * tk(a2, b2)
     crossed = tk(a1, b2) * tk(a2, b1)
     return softmax2(straight, crossed, params.m)
@@ -147,13 +105,7 @@ def _normalized_poly(u, v, degree: int, coef0: float) -> float:
     return k / math.sqrt(s1 * s2)
 
 
-def composite_kernel(
-    a: REKernelInput,
-    b: REKernelInput,
-    params: CompositeParams,
-    pt_cache: TreeKernelCache | None = None,
-    sst_cache: TreeKernelCache | None = None,
-) -> float:
+def composite_kernel(a: REKernelInput, b: REKernelInput, params: CompositeParams) -> float:
     """Composite kernel over two prepared relation instances.
 
     CK2 = (K_vec + K_pt)^2 and never evaluates a constituency kernel;
@@ -162,17 +114,171 @@ def composite_kernel(
     """
     if a.vec is None or b.vec is None:
         raise ConfigError("composite kernel requires entity context vectors")
-    pt = pt_cache if pt_cache is not None else (lambda x, y: tree_kernel(x, y, params.pt))
-    k_pt = pt(a.lct, b.lct)
+    k_pt = tree_kernel(a.lct, b.lct, params.pt)
     k_vec = _normalized_poly(a.vec, b.vec, params.vec_degree, params.vec_coef0)
-    core = (k_vec + k_pt) ** 2
     if params.variant == "CK2":
-        return core
+        return _composite_value(params, k_vec, k_pt)
     if a.pet is None or b.pet is None:
         raise ConfigError(f"{params.variant} requires constituency trees for both instances")
-    sst = sst_cache if sst_cache is not None else (lambda x, y: tree_kernel(x, y, params.sst))
-    k_sst = sst(a.pet, b.pet)
+    return _composite_value(params, k_vec, k_pt, tree_kernel(a.pet, b.pet, params.sst))
+
+
+def _composite_value(params: CompositeParams, k_vec: float, k_pt: float, k_sst=None) -> float:
+    core = (k_vec + k_pt) ** 2
+    if k_sst is None:
+        return core
     return params.alpha * k_sst + (1.0 - params.alpha) * core
+
+
+# ---------------------------------------------------------------------------
+# Kernel matrices: train evaluates kernel_matrix(X, X, spec), predict
+# kernel_matrix(test, supports, spec).
+
+
+def _raise_named(exc: Exception, pair: str):
+    """Re-raise exc, from its handler, with the failing pair named.
+
+    A type that cannot be built from one message gets the message
+    written into the original's args instead, so reporting a failure
+    never raises an error of its own.
+    """
+    message = f"kernel failed on pair {pair}: {exc}"
+    try:
+        named = type(exc)(message)
+    except Exception:
+        named = None
+    if named is None:
+        exc.args = (message,)
+        raise exc
+    raise named from exc
+
+
+def _raw(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, id1, id2) -> float:
+    try:
+        return tree_kernel(t1, t2, params)
+    except Exception as exc:
+        _raise_named(exc, f"{id1} x {id2}")
+
+
+def _mirror(values: np.ndarray):
+    """Copy a square matrix's upper triangle into its lower one, in place."""
+    for i in range(1, len(values)):
+        values[i, :i] = values[:i, i]
+
+
+def _tree_matrix(rows: list, cols: list, params: TreeKernelParams, row_ids, col_ids) -> np.ndarray:
+    """Kernel values between row and column trees, each pair evaluated once.
+
+    Raw values are tree_kernel(row, col) in row-major order, only the
+    upper triangle when cols is rows, normalized by the self-kernel
+    vectors. The ids name each tree's instance when a call fails.
+    """
+    square = cols is rows
+    raw = replace(params, normalize=False)
+    values = np.zeros((len(rows), len(cols)))
+    for i, t1 in enumerate(rows):
+        for j in range(i if square else 0, len(cols)):
+            values[i, j] = _raw(t1, cols[j], raw, row_ids[i], col_ids[j])
+    if square:
+        _mirror(values)
+    if not params.normalize:
+        return values
+    if square:
+        s_row = s_col = values.diagonal().copy()
+    else:
+        s_row = np.array([_raw(t, t, raw, k, k) for t, k in zip(rows, row_ids)])
+        s_col = np.array([_raw(t, t, raw, k, k) for t, k in zip(cols, col_ids)])
+    # in place, so a build holds at most two matrices of this size
+    denominator = np.outer(s_row, s_col)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.sqrt(denominator, out=denominator)
+        np.divide(values, denominator, out=values)
+    values[s_row <= 0.0, :] = 0.0
+    values[:, s_col <= 0.0] = 0.0
+    if square:
+        np.fill_diagonal(values, np.where(s_row > 0.0, 1.0, 0.0))
+    return values
+
+
+def _ids(ids, payloads: list, name: str) -> tuple:
+    ids = tuple(map(str, range(len(payloads)))) if ids is None else tuple(ids)
+    if len(ids) != len(payloads):
+        raise ValueError(f"{name} holds {len(ids)} ids for {len(payloads)} payloads")
+    return ids
+
+
+def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> np.ndarray:
+    """Kernel values between every row and every column payload.
+
+    Pass one list as rows and cols for a training Gram: only its upper
+    triangle is evaluated and the lower one mirrors it. Failures name
+    the instance pair by row_ids and col_ids (positions by default; a
+    square matrix's columns take the row ids), and a non-finite value
+    raises NumericError. Cells are the scalar expressions of sm_tk and
+    composite_kernel, over Python floats.
+    """
+    if not isinstance(spec, (PairKernelParams, CompositeParams)):
+        raise ConfigError(f"unsupported kernel spec {type(spec).__name__}")
+    square = cols is rows
+    row_ids = _ids(row_ids, rows, "row_ids")
+    col_ids = _ids(row_ids if square and col_ids is None else col_ids, cols, "col_ids")
+
+    if isinstance(spec, PairKernelParams):
+        def flat(payloads: list, ids: tuple):
+            # instance r holds trees 2r and 2r + 1, both named by its id
+            return [t for pair in payloads for t in pair], [i for i in ids for _ in (0, 1)]
+
+        row_trees, row_tree_ids = flat(rows, row_ids)
+        col_trees, col_tree_ids = (row_trees, row_tree_ids) if square else flat(cols, col_ids)
+        t = _tree_matrix(row_trees, col_trees, spec.base, row_tree_ids, col_tree_ids)
+
+        def row_kernel(r: int):
+            first, second = t[2 * r].tolist(), t[2 * r + 1].tolist()
+            return lambda c: softmax2(
+                first[2 * c] * second[2 * c + 1], first[2 * c + 1] * second[2 * c], spec.m
+            )
+
+    else:
+        required = {"vec": "composite kernel requires entity context vectors"}
+        if spec.variant != "CK2":
+            required["pet"] = f"{spec.variant} requires constituency trees for both instances"
+        for attr, message in required.items():
+            for iid, payload in [*zip(row_ids, rows), *zip(col_ids, cols)]:
+                if getattr(payload, attr) is None:
+                    raise ConfigError(f"{message} (instance {iid} has none)")
+
+        def slot(attr: str, params: TreeKernelParams) -> np.ndarray:
+            trees = [getattr(x, attr) for x in rows]
+            others = trees if square else [getattr(x, attr) for x in cols]
+            return _tree_matrix(trees, others, params, row_ids, col_ids)
+
+        pt = slot("lct", spec.pt)
+        sst = slot("pet", spec.sst) if "pet" in required else None
+
+        def row_kernel(r: int):
+            u, k_pt = rows[r].vec, pt[r].tolist()
+            k_sst = None if sst is None else sst[r].tolist()
+            return lambda c: _composite_value(
+                spec,
+                _normalized_poly(u, cols[c].vec, spec.vec_degree, spec.vec_coef0),
+                k_pt[c],
+                None if k_sst is None else k_sst[c],
+            )
+
+    values = np.zeros((len(rows), len(cols)))
+    try:
+        for r in range(len(rows)):
+            cell = row_kernel(r)
+            for c in range(r if square else 0, len(cols)):
+                values[r, c] = cell(c)
+    except Exception as exc:
+        _raise_named(exc, f"{row_ids[r]} x {col_ids[c]}")
+    if square:
+        _mirror(values)
+    if not np.all(np.isfinite(values)):
+        r, c = np.argwhere(~np.isfinite(values))[0]
+        raise NumericError(f"non-finite kernel value at {row_ids[r]} x {col_ids[c]}")
+    return values
 
 
 # ---------------------------------------------------------------------------

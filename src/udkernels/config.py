@@ -58,7 +58,6 @@ class RunConfig:
     features: FeatureConfig
     svm: SvmConfig
     eval: EvalConfig
-    threads: int = 1
     seed: int = 13
 
     def kernel_dict(self) -> dict:
@@ -120,7 +119,7 @@ def load_config(path) -> RunConfig:
 def parse_config(raw: dict) -> RunConfig:
     _check_keys(
         raw,
-        ("task", "kernel", "data", "resources", "features", "svm", "eval", "threads", "seed"),
+        ("task", "kernel", "data", "resources", "features", "svm", "eval", "seed"),
         "",
     )
     task = _require(raw, "task", "")
@@ -176,10 +175,6 @@ def parse_config(raw: dict) -> RunConfig:
         merge_directions=bool(eval_raw.get("merge_directions", False)),
     )
 
-    threads = raw.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
-
     cfg = RunConfig(
         task=task,
         kernel_spec=kernel_spec,
@@ -188,7 +183,6 @@ def parse_config(raw: dict) -> RunConfig:
         features=features,
         svm=svm,
         eval=eval_cfg,
-        threads=threads,
         seed=int(raw.get("seed", 13)),
     )
     _check_cross_requirements(cfg)
@@ -255,6 +249,5 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "exclude": list(cfg.eval.exclude),
             "merge_directions": cfg.eval.merge_directions,
         },
-        "threads": cfg.threads,
         "seed": cfg.seed,
     }

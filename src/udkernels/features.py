@@ -67,7 +67,6 @@ class FeatureConfig:
     translate: bool = False
     lowercase: bool = True
     use_forms: bool = False
-    span_mean: bool = True  # False averages the head token only
 
     def word_of(self, token: Token) -> str:
         if self.use_forms or token.lemma in (None, "", "_"):
@@ -95,9 +94,7 @@ def _mean_of_words(
     return total / len(words)
 
 
-def _entity_words(tree: DepTree, head: int, span: tuple, cfg: FeatureConfig):
-    if not cfg.span_mean:
-        return [cfg.word_of(tree.token(head))]
+def _entity_words(tree: DepTree, span: tuple, cfg: FeatureConfig):
     ids = [t.id for t in tree.tokens if span[0] <= t.id <= span[1]]
     return [cfg.word_of(tree.token(i)) for i in ids]
 
@@ -135,8 +132,8 @@ def build_vo(
         after = after[: cfg.window] if cfg.window else []
 
     blocks = [
-        _mean_of_words(_entity_words(tree, inst.e1, span1, cfg), store, dictionary, cfg),
-        _mean_of_words(_entity_words(tree, inst.e2, span2, cfg), store, dictionary, cfg),
+        _mean_of_words(_entity_words(tree, span1, cfg), store, dictionary, cfg),
+        _mean_of_words(_entity_words(tree, span2, cfg), store, dictionary, cfg),
         _mean_of_words([cfg.word_of(t) for t in between], store, dictionary, cfg),
         _mean_of_words([cfg.word_of(t) for t in before], store, dictionary, cfg),
         _mean_of_words([cfg.word_of(t) for t in after], store, dictionary, cfg),
@@ -189,8 +186,8 @@ def build_vud(
     e1_span = (span1[0], span1[-1]) if span1 else (e1, e1)
     e2_span = (span2[0], span2[-1]) if span2 else (e2, e2)
     blocks = [
-        _mean_of_words(_entity_words(ctree, e1, e1_span, cfg), store, dictionary, cfg),
-        _mean_of_words(_entity_words(ctree, e2, e2_span, cfg), store, dictionary, cfg),
+        _mean_of_words(_entity_words(ctree, e1_span, cfg), store, dictionary, cfg),
+        _mean_of_words(_entity_words(ctree, e2_span, cfg), store, dictionary, cfg),
         _mean_of_words(context_words(path), store, dictionary, cfg),
         _mean_of_words(context_words(dep1), store, dictionary, cfg),
         _mean_of_words(context_words(dep2), store, dictionary, cfg),

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -30,14 +29,6 @@ from .errors import ConfigError, NumericError
 from .transforms import LabeledTree, _escape
 
 KINDS = ("SST", "PTK", "SPTK")
-
-# per-kind invocation counts, used to assert which kernels a pipeline ran
-call_counts: Counter = Counter()
-
-
-def reset_call_counts():
-    call_counts.clear()
-
 
 @dataclass
 class TreeKernelParams:
@@ -205,7 +196,6 @@ def tree_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> f
     Normalization divides by the geometric mean of the self kernels and
     maps a degenerate zero self kernel to 0.
     """
-    call_counts[params.kind] += 1
     raw = _raw_kernel(t1, t2, params)
     if not math.isfinite(raw):
         raise NumericError(

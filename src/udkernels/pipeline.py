@@ -16,11 +16,9 @@ from .combine import (
     CompositeParams,
     PairKernelParams,
     REKernelInput,
-    TreeKernelCache,
-    composite_kernel,
     kernel_fingerprint,
+    kernel_matrix,
     kernel_spec_to_dict,
-    sm_tk,
 )
 from .config import RunConfig
 from .conllu import DepTree
@@ -39,7 +37,6 @@ from .svm import (
     GramMatrix,
     SvmModel,
     build_model,
-    compute_gram,
     load_model,
     predict,
     save_model,
@@ -189,18 +186,6 @@ def prepare_split(cfg: RunConfig, resources: Resources, split: str) -> PreparedS
     )
 
 
-def make_kernel(spec):
-    """Payload kernel with fresh value caches for a Gram build."""
-    if isinstance(spec, PairKernelParams):
-        cache = TreeKernelCache(spec.base)
-        return lambda a, b: sm_tk(a, b, spec, cache)
-    if isinstance(spec, CompositeParams):
-        pt_cache = TreeKernelCache(spec.pt)
-        sst_cache = None if spec.variant == "CK2" else TreeKernelCache(spec.sst)
-        return lambda a, b: composite_kernel(a, b, spec, pt_cache, sst_cache)
-    raise ConfigError(f"unsupported kernel spec {type(spec).__name__}")
-
-
 def spec_fingerprint(spec) -> str:
     return kernel_fingerprint(kernel_spec_to_dict(spec))
 
@@ -276,25 +261,22 @@ def _check_fingerprint(expected: str, found: str, what: str):
 # Run steps.
 
 
-def run_gram(cfg: RunConfig, out_path, split: str = "train", threads: int | None = None) -> GramMatrix:
+def _gram(spec, prepared: PreparedSplit, fingerprint: str) -> GramMatrix:
+    payloads, ids = prepared.payloads, prepared.instance_ids
+    return GramMatrix(kernel_matrix(payloads, payloads, spec, ids), ids, fingerprint)
+
+
+def run_gram(cfg: RunConfig, out_path, split: str = "train") -> GramMatrix:
     resources = load_resources(cfg)
     spec = bind_sigma(cfg.kernel_spec, cfg, resources)
     prepared = prepare_split(cfg, resources, split)
-    gram = compute_gram(
-        prepared.payloads,
-        make_kernel(spec),
-        instance_ids=prepared.instance_ids,
-        fingerprint=spec_fingerprint(cfg.kernel_spec),
-        threads=threads or cfg.threads,
-    )
+    gram = _gram(spec, prepared, spec_fingerprint(cfg.kernel_spec))
     if out_path is not None:
         write_gram(out_path, gram)
     return gram
 
 
-def run_train(
-    cfg: RunConfig, model_out, gram_path=None, threads: int | None = None
-) -> SvmModel:
+def run_train(cfg: RunConfig, model_out, gram_path=None) -> SvmModel:
     resources = load_resources(cfg)
     spec = bind_sigma(cfg.kernel_spec, cfg, resources)
     prepared = prepare_split(cfg, resources, "train")
@@ -305,13 +287,7 @@ def run_train(
         if gram.instance_ids != prepared.instance_ids:
             raise DataError(f"gram file {gram_path} covers different instances than data.train")
     else:
-        gram = compute_gram(
-            prepared.payloads,
-            make_kernel(spec),
-            instance_ids=prepared.instance_ids,
-            fingerprint=fingerprint,
-            threads=threads or cfg.threads,
-        )
+        gram = _gram(spec, prepared, fingerprint)
     ovr = train_ovr(
         gram.values,
         prepared.labels,
@@ -333,13 +309,7 @@ def run_train(
     return model
 
 
-def run_predict(
-    cfg: RunConfig,
-    model_path,
-    out_path,
-    split: str = "test",
-    threads: int | None = None,
-):
+def run_predict(cfg: RunConfig, model_path, out_path, split: str = "test"):
     model = load_model(model_path) if not isinstance(model_path, SvmModel) else model_path
     if model.task != cfg.task:
         raise ConfigError(f"model solves task {model.task!r}, config says {cfg.task!r}")
@@ -349,12 +319,12 @@ def run_predict(
     )
     resources = load_resources(cfg)
     spec = bind_sigma(cfg.kernel_spec, cfg, resources)
-    kernel = make_kernel(spec)
     prepared = prepare_split(cfg, resources, split)
+    # columns are named by support position: supports carry no ids
+    values = kernel_matrix(prepared.payloads, model.supports, spec, prepared.instance_ids)
     labels = []
     decisions = []
-    for payload in prepared.payloads:
-        row = np.array([kernel(payload, support) for support in model.supports])
+    for row in values:
         label, decision = predict(model, row)
         labels.append(label)
         decisions.append(decision)

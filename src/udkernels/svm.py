@@ -11,7 +11,6 @@ lexicographic tie-breaking.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,63 +30,6 @@ class GramMatrix:
 
     def __len__(self) -> int:
         return len(self.instance_ids)
-
-
-def _name_pair(exc: Exception, pair: str) -> Exception:
-    """exc's type carrying a message that names the failing pair.
-
-    A type whose constructor does not take one message gets the message
-    written into the original exception's args instead, so reporting a
-    failure never raises an error of its own.
-    """
-    message = f"kernel failed on pair {pair}: {exc}"
-    try:
-        return type(exc)(message)
-    except Exception:
-        exc.args = (message,)
-        return exc
-
-
-def compute_gram(items, kernel, instance_ids=None, fingerprint: str = "", threads: int = 1) -> GramMatrix:
-    """Symmetric Gram matrix over items under a kernel callable.
-
-    Cells of the upper triangle are independent evaluations, so the
-    result is identical for any thread count. Kernel failures are
-    re-raised with the offending instance pair named.
-    """
-    n = len(items)
-    if instance_ids is None:
-        instance_ids = tuple(str(i) for i in range(n))
-    instance_ids = tuple(instance_ids)
-    if len(instance_ids) != n:
-        raise ValueError("instance_ids length does not match items")
-    values = np.zeros((n, n))
-
-    def fill(i: int):
-        for j in range(i, n):
-            try:
-                values[i, j] = kernel(items[i], items[j])
-            except Exception as exc:
-                named = _name_pair(exc, f"{instance_ids[i]} x {instance_ids[j]}")
-                if named is exc:
-                    raise
-                raise named from exc
-
-    rows = range(n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, rows))
-    else:
-        for i in rows:
-            fill(i)
-    lower = np.tril_indices(n, -1)
-    values[lower] = values.T[lower]
-    if not np.all(np.isfinite(values)):
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise NumericError(
-            f"non-finite Gram entry at {instance_ids[i]} x {instance_ids[j]}"
-        )
-    return GramMatrix(values=values, instance_ids=instance_ids, fingerprint=fingerprint)
 
 
 @dataclass

@@ -19,6 +19,7 @@ from udkernels.combine import (
     CompositeParams,
     PairKernelParams,
     REKernelInput,
+    kernel_matrix,
     softmax2,
 )
 from udkernels.config import parse_config
@@ -26,8 +27,8 @@ from udkernels.features import FeatureConfig, REInstance, build_vo, build_vud
 from udkernels.kernels import TreeKernelParams, brute_force_kernel, tree_kernel
 from udkernels.lexical import indicator_sigma
 from udkernels.metrics import evaluate
-from udkernels.pipeline import make_kernel, run_eval, run_gram, run_predict, run_train
-from udkernels.svm import compute_gram, kkt_violations, train_binary
+from udkernels.pipeline import run_eval, run_gram, run_predict, run_train
+from udkernels.svm import kkt_violations, train_binary
 from udkernels.synthetic import write_pi_corpus, write_re_corpus
 from udkernels.transforms import (
     MweConfig,
@@ -144,8 +145,17 @@ def relabel_one(rng, tree):
     return rebuild(tree)
 
 
-def check_psd(name, items, kernel, failures):
-    gram = compute_gram(items, kernel).values
+def tree_gram(trees, params):
+    """Gram matrix of a bare tree kernel, upper triangle mirrored."""
+    n = len(trees)
+    gram = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            gram[i, j] = gram[j, i] = tree_kernel(trees[i], trees[j], params)
+    return gram
+
+
+def check_psd(name, gram, failures):
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] < -1e-8 * eigs[-1]:
         failures.append(f"{name}: min eig {eigs[0]:.3e} vs max {eigs[-1]:.3e}")
@@ -166,13 +176,15 @@ def test_criterion_2_psd_suite():
     ]
 
     failures = []
-    check_psd("SST", base, lambda a, b: tree_kernel(a, b, TreeKernelParams("SST")), failures)
-    check_psd("PTK", base, lambda a, b: tree_kernel(a, b, TreeKernelParams("PTK")), failures)
+    check_psd("SST", tree_gram(base, TreeKernelParams("SST")), failures)
+    check_psd("PTK", tree_gram(base, TreeKernelParams("PTK")), failures)
     soft = TreeKernelParams("SPTK", sigma=indicator_sigma)
-    check_psd("SPTK", base, lambda a, b: tree_kernel(a, b, soft), failures)
-    check_psd("SM_TK", pairs, make_kernel(PairKernelParams(base=TreeKernelParams("PTK"))), failures)
-    check_psd("CK2", re_inputs, make_kernel(CompositeParams("CK2")), failures)
-    check_psd("CK3", re_inputs, make_kernel(CompositeParams("CK3")), failures)
+    check_psd("SPTK", tree_gram(base, soft), failures)
+    sm = PairKernelParams(base=TreeKernelParams("PTK"))
+    check_psd("SM_TK", kernel_matrix(pairs, pairs, sm), failures)
+    ck2, ck3 = CompositeParams("CK2"), CompositeParams("CK3")
+    check_psd("CK2", kernel_matrix(re_inputs, re_inputs, ck2), failures)
+    check_psd("CK3", kernel_matrix(re_inputs, re_inputs, ck3), failures)
 
     elapsed = time.monotonic() - start
     if elapsed >= 60.0:
@@ -375,7 +387,7 @@ def test_criterion_8_end_to_end_smoke(tmp_path):
 
     pi_paths = write_pi_corpus(tmp_path / "pi", n_pairs=40, seed=13)
     cfg = pi_config(pi_paths)
-    model = run_train(cfg, None, threads=1)
+    model = run_train(cfg, None)
     _, labels, _ = run_predict(cfg, model, None)
     pi_report = run_eval(cfg, labels)
     if pi_report.accuracy < 0.9:
@@ -383,7 +395,7 @@ def test_criterion_8_end_to_end_smoke(tmp_path):
 
     re_paths = write_re_corpus(tmp_path / "re", n_per_class=20, seed=13)
     re_cfg = re_config(re_paths)
-    re_model = run_train(re_cfg, None, threads=1)
+    re_model = run_train(re_cfg, None)
     _, re_labels, _ = run_predict(re_cfg, re_model, None)
     re_report = run_eval(re_cfg, re_labels)
     if re_report.accuracy < 0.9:
@@ -431,13 +443,9 @@ def test_criterion_10_determinism(tmp_path):
 
     gram_a = tmp_path / "a.gram"
     gram_b = tmp_path / "b.gram"
-    gram_c = tmp_path / "c.gram"
-    run_gram(cfg, gram_a, threads=1)
-    run_gram(cfg, gram_b, threads=4)
-    run_gram(cfg, gram_c, threads=1)
+    run_gram(cfg, gram_a)
+    run_gram(cfg, gram_b)
     if not filecmp.cmp(gram_a, gram_b, shallow=False):
-        failures.append("gram differs between 1 and 4 threads")
-    if not filecmp.cmp(gram_a, gram_c, shallow=False):
         failures.append("gram differs between consecutive runs")
 
     model_a = tmp_path / "a.json"
@@ -458,8 +466,7 @@ def test_criterion_10_determinism(tmp_path):
     rng = random.Random(13)
     trees = [random_tree(rng, rng.randint(1, 8)) for _ in range(10)]
     params = TreeKernelParams("SST")
-    kernel = lambda a, b: tree_kernel(a, b, params)
-    if not np.array_equal(compute_gram(trees, kernel).values, compute_gram(trees, kernel).values):
+    if not np.array_equal(tree_gram(trees, params), tree_gram(trees, params)):
         failures.append("kernel evaluations differ between runs")
 
     verdict(10, "byte-identical artifacts", failures)

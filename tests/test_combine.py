@@ -1,29 +1,31 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udkernels import combine
 from udkernels.combine import (
     CompositeParams,
     PairKernelParams,
     REKernelInput,
-    TreeKernelCache,
+    _tree_matrix,
     composite_kernel,
     kernel_fingerprint,
+    kernel_matrix,
     kernel_spec_from_dict,
     kernel_spec_to_dict,
     sm_tk,
     softmax2,
 )
+from udkernels.config import parse_config
 from udkernels.errors import ConfigError
-from udkernels.kernels import (
-    TreeKernelParams,
-    call_counts,
-    reset_call_counts,
-    tree_kernel,
-)
+from udkernels.kernels import TreeKernelParams, tree_kernel
+from udkernels.lexical import indicator_sigma
+from udkernels.pipeline import bind_sigma, load_resources, prepare_split
+from udkernels.synthetic import write_crosslingual_re, write_pi_corpus, write_re_corpus
 from udkernels.transforms import lex, syn
 
 T1 = syn("a", syn("b"), syn("c"))
@@ -61,30 +63,31 @@ def test_softmax2_envelope(x1, x2, m):
     assert value == softmax2(x2, x1, m)
 
 
-# --- cached tree kernels ---------------------------------------------------
+# --- sub-kernel matrices --------------------------------------------------
 
 
 def test_cache_matches_direct_evaluation():
+    # one sub-kernel matrix per tree slot, square or rectangular, holds
+    # exactly the normalized tree kernel of each pair it covers
     params = TreeKernelParams(kind="PTK", lam=0.4, mu=0.4)
-    cache = TreeKernelCache(params)
-    for a, b in [(T1, T2), (T1, T3), (T2, T3), (T1, T1)]:
-        assert cache(a, b) == pytest.approx(tree_kernel(a, b, params), abs=1e-15)
+    trees = [T1, T2, T3]
+    ids = ("0", "1", "2")
+    square = _tree_matrix(trees, trees, params, ids, ids)
+    rect = _tree_matrix([T2, T3], trees, params, ids[1:], ids)
+    for i, a in enumerate(trees):
+        for j in range(i, 3):
+            assert square[i, j] == tree_kernel(a, trees[j], params)
+            assert square[j, i] == square[i, j]
+    for r, a in enumerate([T2, T3]):
+        for c, b in enumerate(trees):
+            assert rect[r, c] == tree_kernel(a, b, params)
 
 
 def test_cache_self_kernel_exactly_one():
-    cache = TreeKernelCache(TreeKernelParams(kind="SST", lam=0.4))
-    assert cache(T1, T1) == 1.0
-
-
-def test_cache_avoids_recomputation():
-    cache = TreeKernelCache(TreeKernelParams(kind="SST", lam=0.4))
-    reset_call_counts()
-    cache(T1, T2)
-    first = call_counts["SST"]
-    cache(T1, T2)
-    cache(T2, T1)
-    assert call_counts["SST"] == first
-    reset_call_counts()
+    trees = [T1, T2]
+    values = _tree_matrix(trees, trees, TreeKernelParams(kind="SST", lam=0.4), ("0", "1"), ("0", "1"))
+    assert values[0, 0] == 1.0
+    assert values[1, 1] == 1.0
 
 
 # --- pair kernel -----------------------------------------------------------
@@ -111,14 +114,6 @@ def test_sm_tk_self_pair_peaks():
     params = pair_params()
     value = sm_tk((T1, T2), (T1, T2), params)
     assert value == pytest.approx(softmax2(1.0, tree_kernel(T1, T2, params.base) ** 2), abs=1e-12)
-
-
-def test_sm_tk_uses_cache():
-    params = pair_params()
-    cache = TreeKernelCache(params.base)
-    direct = sm_tk((T1, T2), (T2, T3), params)
-    cached = sm_tk((T1, T2), (T2, T3), params, cache)
-    assert cached == pytest.approx(direct, abs=1e-15)
 
 
 def test_pair_params_validation():
@@ -153,14 +148,26 @@ def test_identical_instance_scores_four_under_squared_core():
     assert composite_kernel(a, a, composite("CK2")) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_ck2_never_touches_constituency_kernel():
+def count_tree_kernel_calls(monkeypatch) -> Counter:
+    """Per-kind count of the tree kernel calls made through combine."""
+    calls = Counter()
+    real = combine.tree_kernel
+
+    def counted(t1, t2, params):
+        calls[params.kind] += 1
+        return real(t1, t2, params)
+
+    monkeypatch.setattr(combine, "tree_kernel", counted)
+    return calls
+
+
+def test_ck2_never_touches_constituency_kernel(monkeypatch):
     a, b = make_inputs(with_pet=True)
-    reset_call_counts()
+    calls = count_tree_kernel_calls(monkeypatch)
     composite_kernel(a, b, composite("CK2"))
     composite_kernel(a, a, composite("CK2"))
-    assert call_counts["SST"] == 0
-    assert call_counts["PTK"] > 0
-    reset_call_counts()
+    assert calls["SST"] == 0
+    assert calls["PTK"] > 0
 
 
 def test_ck3_combines_blocks():
@@ -200,6 +207,139 @@ def test_feature_mode_follows_variant():
     assert composite("CK1").feature_mode == "V_o"
     assert composite("CK2").feature_mode == "V_ud"
     assert composite("CK3").feature_mode == "V_ud"
+
+
+# --- kernel matrices --------------------------------------------------------
+
+# pi: pair kernel over PTK; xl: CK2 with SPTK translate_then_compare on
+# pseudo-translated test data; re: CK3 (SST on PET, PTK on LCT, poly)
+RUNS = ("pi", "xl", "re")
+
+
+def prepared_run(tmp_path, run):
+    """The bound kernel spec and train/test payloads of a small run."""
+    if run == "pi":
+        paths = write_pi_corpus(tmp_path, n_pairs=12, seed=5)
+        raw = {
+            "task": "pi",
+            "kernel": {"base": {"kind": "PTK"}, "m": 100.0},
+            "data": {
+                "train": paths["bank"],
+                "pairs_train": paths["pairs_train.tsv"],
+                "pairs_test": paths["pairs_test.tsv"],
+                "source_lang": "en",
+            },
+        }
+    elif run == "xl":
+        paths = write_crosslingual_re(tmp_path, n_per_class=3, seed=5)
+        raw = {
+            "task": "re",
+            "kernel": {
+                "variant": "CK2",
+                "sst": {"kind": "SST"},
+                "pt": {"kind": "SPTK", "sigma": {"mode": "translate_then_compare"}},
+            },
+            "data": {
+                "train": paths["train.conllu"],
+                "test": paths["test.conllu"],
+                "source_lang": "en",
+                "target_lang": "xx",
+            },
+            "resources": {"embeddings": {"en": paths["vectors.txt"]}, "dictionary": paths["dict.tsv"]},
+        }
+    else:
+        paths = write_re_corpus(tmp_path, n_per_class=3, seed=5)
+        raw = {
+            "task": "re",
+            "kernel": {"variant": "CK3", "sst": {"kind": "SST"}, "pt": {"kind": "PTK"}},
+            "data": {
+                "train": paths["train.conllu"],
+                "test": paths["test.conllu"],
+                "train_const": paths["train.const"],
+                "test_const": paths["test.const"],
+                "source_lang": "en",
+            },
+            "resources": {"embeddings": {"en": paths["vectors.txt"]}},
+        }
+    cfg = parse_config(raw)
+    resources = load_resources(cfg)
+    spec = bind_sigma(cfg.kernel_spec, cfg, resources)
+    train = prepare_split(cfg, resources, "train").payloads
+    test = prepare_split(cfg, resources, "test").payloads
+    return spec, train, test
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_kernel_matrix_cells_equal_scalar_kernels(tmp_path, run):
+    spec, train, test = prepared_run(tmp_path, run)
+    scalar = sm_tk if isinstance(spec, PairKernelParams) else composite_kernel
+    gram = kernel_matrix(train, train, spec)
+    n = len(train)
+    assert gram.shape == (n, n)
+    for i in range(n):
+        for j in range(i, n):
+            assert gram[i, j] == scalar(train[i], train[j], spec)
+    # the lower triangle mirrors the upper one
+    assert np.array_equal(gram, gram.T)
+    rect = kernel_matrix(test, train, spec)
+    assert rect.shape == (len(test), n)
+    for r, payload in enumerate(test):
+        for c, support in enumerate(train):
+            assert rect[r, c] == scalar(payload, support, spec)
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_kernel_matrix_evaluates_each_tree_pair_once(tmp_path, monkeypatch, run):
+    spec, train, test = prepared_run(tmp_path, run)
+    slots = {"pi": ("PTK",), "xl": ("SPTK",), "re": ("PTK", "SST")}[run]
+    width = 2 if run == "pi" else 1  # trees per instance in each slot
+    n, r = width * len(train), width * len(test)
+    calls = count_tree_kernel_calls(monkeypatch)
+    kernel_matrix(train, train, spec)
+    assert calls == {kind: n * (n + 1) // 2 for kind in slots}
+    calls.clear()
+    kernel_matrix(test, train, spec)
+    # every cross pair once, plus each row and column tree against itself
+    assert calls == {kind: r * n + r + n for kind in slots}
+
+
+class PairFailure(Exception):
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+        self.code = code
+
+
+def test_kernel_matrix_names_instance_pair_when_sigma_fails():
+    # the exception type cannot be rebuilt from one message, so the
+    # original is re-raised with the test id and support position named
+    def sigma(n1, n2):
+        if "boom" in (n1.label, n2.label):
+            raise PairFailure(7, "boom")
+        return indicator_sigma(n1, n2)
+
+    spec = PairKernelParams(base=TreeKernelParams("SPTK", sigma=sigma))
+    supports = [(T1, T2), (T2, T3), (T3, syn("a", syn("boom")))]
+    test = [(T1, T3), (T2, T1)]
+    with pytest.raises(PairFailure, match=r"pair t0 x 2: .*boom") as info:
+        kernel_matrix(test, supports, spec, row_ids=("t0", "t1"))
+    assert info.value.code == 7
+
+
+def test_kernel_matrix_rejects_unknown_spec():
+    with pytest.raises(ConfigError, match="unsupported kernel spec str"):
+        kernel_matrix([], [], "not a spec")
+
+
+def test_kernel_matrix_requires_vectors_and_constituency_trees():
+    a, b = make_inputs()
+    no_vec = REKernelInput(lct=a.lct, vec=None, pet=a.pet)
+    with pytest.raises(ConfigError, match="vectors .instance 1 has none"):
+        kernel_matrix([a, no_vec], [a, no_vec], composite("CK2"))
+    no_pet = REKernelInput(lct=b.lct, vec=b.vec, pet=None)
+    with pytest.raises(ConfigError, match="CK3 requires constituency trees.*instance 0 has none"):
+        kernel_matrix([a], [no_pet], composite("CK3"))
+    # CK2 never reads constituency trees
+    kernel_matrix([a], [no_pet], composite("CK2"))
 
 
 # --- serialization and fingerprints ----------------------------------------

@@ -36,7 +36,6 @@ def test_minimal_pi_config():
     assert isinstance(cfg.kernel_spec, PairKernelParams)
     assert cfg.kernel_spec.base.kind == "PTK"
     assert cfg.data.train == "t.conllu"
-    assert cfg.threads == 1
     assert cfg.svm.C == 1.0
     assert cfg.features.window == 3
     assert cfg.features.mwe.relations == frozenset({"fixed"})
@@ -97,8 +96,9 @@ def test_svm_bounds():
 
 
 def test_thread_and_window_validation():
-    with pytest.raises(ConfigError, match="threads must be a positive integer"):
-        parse_config(pi_raw(threads=0))
+    # threads is no longer a config field
+    with pytest.raises(ConfigError, match="unknown field threads"):
+        parse_config(pi_raw(threads=1))
     with pytest.raises(ConfigError, match="features.window"):
         parse_config(pi_raw(features={"window": -2}))
 
@@ -187,7 +187,6 @@ def test_config_to_dict_round_trips():
         variant="CK3",
         svm={"C": 2.0, "class_weights": {"Other": 0.5}},
         eval={"exclude": ["Other"], "merge_directions": True},
-        threads=4,
         seed=7,
     )
     raw["data"]["train_const"] = "t.const"
@@ -197,4 +196,5 @@ def test_config_to_dict_round_trips():
     assert config_to_dict(again) == dumped
     assert dumped["svm"]["class_weights"] == {"Other": 0.5}
     assert dumped["eval"] == {"exclude": ["Other"], "merge_directions": True}
-    assert dumped["threads"] == 4
+    assert "threads" not in dumped
+    assert dumped["seed"] == 7

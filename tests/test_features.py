@@ -160,21 +160,6 @@ def test_entity_spans_excluded_from_contexts(unit_store):
     assert blocks[3].tolist() == [0.0, 0.0, 0.0]
 
 
-def test_span_mean_off_uses_head_only(unit_store):
-    dep = tree(
-        "spans",
-        [
-            tok(1, "audit", "audit", "NOUN", 2, "compound", {"Entity": "e1"}),
-            tok(2, "waste", "waste", "NOUN", 3, "nsubj", {"Entity": "e1"}),
-            tok(3, "about", "about", "VERB", 0, "root"),
-            tok(4, "memo", "memo", "NOUN", 3, "obj", {"Entity": "e2"}),
-        ],
-    )
-    inst = REInstance(dep_tree=dep, e1=2, e2=4, label="x", e1_span=(1, 2))
-    blocks = build_vo(inst, unit_store, FeatureConfig(span_mean=False)).reshape(5, 3)
-    assert blocks[0].tolist() == [0.0, 1.0, 0.0]
-
-
 def test_instance_rejects_equal_heads(audits_tree):
     with pytest.raises(DataError, match="must differ"):
         REInstance(dep_tree=audits_tree, e1=4, e2=4, label="x")

@@ -9,10 +9,8 @@ from udkernels.errors import ConfigError, NumericError
 from udkernels.kernels import (
     TreeKernelParams,
     brute_force_kernel,
-    call_counts,
     delta_matrix,
     poly_kernel,
-    reset_call_counts,
     tree_kernel,
 )
 from udkernels.lexical import indicator_sigma
@@ -143,17 +141,6 @@ def test_disjoint_trees_normalize_to_zero():
 
 
 # --- bookkeeping and errors ------------------------------------------------
-
-
-def test_call_counts_track_kind():
-    reset_call_counts()
-    tree_kernel(A, A, raw("SST"))
-    tree_kernel(A, A, raw("PTK"))
-    tree_kernel(A, A, raw("PTK"))
-    assert call_counts["SST"] == 1
-    assert call_counts["PTK"] == 2
-    reset_call_counts()
-    assert call_counts["SST"] == 0
 
 
 def test_non_finite_similarity_raises():

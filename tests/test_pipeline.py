@@ -10,13 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from udkernels.combine import kernel_matrix
 from udkernels.config import parse_config
 from udkernels.errors import ConfigError, DataError
 from udkernels.pipeline import (
     Resources,
     bind_sigma,
     load_resources,
-    make_kernel,
     pivot_store,
     read_gram,
     run_eval,
@@ -116,7 +116,7 @@ def test_bind_sigma_attaches_similarity(re_paths):
     bound = bind_sigma(raw.kernel_spec, cfg, load_resources(cfg))
     assert callable(bound.pt.sigma)
     with pytest.raises(ConfigError, match="unsupported kernel spec"):
-        make_kernel("not a spec")
+        kernel_matrix([], [], "not a spec")
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +133,6 @@ def test_gram_write_read_roundtrip(pi_paths, tmp_path):
     # repr-based serialization reads back to the exact same floats
     assert np.array_equal(back.values, gram.values)
     assert np.array_equal(gram.values, gram.values.T)
-
-
-def test_gram_identical_across_thread_counts(pi_paths, tmp_path):
-    cfg = pi_config(pi_paths)
-    one = tmp_path / "one.gram"
-    four = tmp_path / "four.gram"
-    run_gram(cfg, one, split="train", threads=1)
-    run_gram(cfg, four, split="train", threads=4)
-    assert filecmp.cmp(one, four, shallow=False)
 
 
 def test_read_gram_input_errors(tmp_path):

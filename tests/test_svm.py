@@ -7,13 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udkernels.combine import (
+    CompositeParams,
+    PairKernelParams,
+    REKernelInput,
+    kernel_matrix,
+    sm_tk,
+)
 from udkernels.errors import ModelError, NumericError, TrainingError
+from udkernels.kernels import TreeKernelParams
+from udkernels.lexical import indicator_sigma
 from udkernels.svm import (
     ClassModel,
     GramMatrix,
     SvmModel,
     build_model,
-    compute_gram,
     kkt_violations,
     load_model,
     predict,
@@ -21,52 +29,67 @@ from udkernels.svm import (
     train_binary,
     train_ovr,
 )
-from udkernels.transforms import labeled_from_sexpr
+from udkernels.transforms import labeled_from_sexpr, syn
 
 
 # ---------------------------------------------------------------------------
-# compute_gram
+# training Gram matrices, built by combine.kernel_matrix
 
 
-def dot_kernel(u, v):
-    return float(np.dot(u, v))
+PAIRS = [
+    (syn("a", syn("b"), syn("c")), syn("a", syn("b"), syn("d"))),
+    (syn("a", syn("b")), syn("x", syn("b", syn("c")))),
+    (syn("a", syn("c")), syn("boom", syn("b"))),
+]
 
 
-VECS = [np.array(v, dtype=float) for v in [(1.0, 0.0), (0.5, 0.5), (0.0, 2.0)]]
+def pair_spec(sigma=indicator_sigma):
+    return PairKernelParams(base=TreeKernelParams("SPTK", sigma=sigma))
+
+
+def failing_sigma(error):
+    """Indicator similarity that raises on the node labeled 'boom'."""
+
+    def sigma(n1, n2):
+        if "boom" in (n1.label, n2.label):
+            raise error
+        return indicator_sigma(n1, n2)
+
+    return sigma
 
 
 def test_compute_gram_values_and_exact_symmetry():
-    gram = compute_gram(VECS, dot_kernel, instance_ids=("a", "b", "c"), fingerprint="ff")
-    assert gram.values.shape == (3, 3)
-    assert gram.instance_ids == ("a", "b", "c")
-    assert gram.fingerprint == "ff"
+    spec = pair_spec()
+    values = kernel_matrix(PAIRS, PAIRS, spec, row_ids=("a", "b", "c"))
+    gram = GramMatrix(values=values, instance_ids=("a", "b", "c"), fingerprint="ff")
+    assert values.shape == (3, 3)
     assert len(gram) == 3
-    assert gram.values[0, 1] == 0.5
-    assert gram.values[2, 2] == 4.0
+    assert values[0, 1] == sm_tk(PAIRS[0], PAIRS[1], spec)
+    assert values[2, 2] == sm_tk(PAIRS[2], PAIRS[2], spec)
     # mirrored from the upper triangle, so symmetric to the bit
-    assert np.array_equal(gram.values, gram.values.T)
+    assert np.array_equal(values, values.T)
 
 
 def test_compute_gram_default_ids_and_thread_independence():
-    one = compute_gram(VECS, dot_kernel)
-    four = compute_gram(VECS, dot_kernel, threads=4)
-    assert one.instance_ids == ("0", "1", "2")
-    assert np.array_equal(one.values, four.values)
+    # without ids, instances are named by position; repeated builds
+    # give the same bits
+    spec = pair_spec()
+    assert np.array_equal(kernel_matrix(PAIRS, PAIRS, spec), kernel_matrix(PAIRS, PAIRS, spec))
+    with pytest.raises(ValueError, match=r"pair 0 x 2"):
+        kernel_matrix(PAIRS, PAIRS, pair_spec(failing_sigma(ValueError("boom"))))
 
 
 def test_compute_gram_id_length_mismatch():
-    with pytest.raises(ValueError, match="instance_ids"):
-        compute_gram(VECS, dot_kernel, instance_ids=("a", "b"))
+    with pytest.raises(ValueError, match="row_ids holds 2 ids for 3 payloads"):
+        kernel_matrix(PAIRS, PAIRS, pair_spec(), row_ids=("a", "b"))
+    with pytest.raises(ValueError, match="col_ids holds 1 ids for 3 payloads"):
+        kernel_matrix(PAIRS[:1], PAIRS, pair_spec(), col_ids=("a",))
 
 
 def test_compute_gram_names_failing_pair():
-    def bad(u, v):
-        if v is VECS[2]:
-            raise ValueError("boom")
-        return float(np.dot(u, v))
-
-    with pytest.raises(ValueError, match=r"0 x 2"):
-        compute_gram(VECS, bad)
+    spec = pair_spec(failing_sigma(ValueError("boom")))
+    with pytest.raises(ValueError, match=r"a x c"):
+        kernel_matrix(PAIRS, PAIRS, spec, row_ids=("a", "b", "c"))
 
 
 class PairFailure(Exception):
@@ -78,22 +101,22 @@ class PairFailure(Exception):
 def test_compute_gram_names_pair_for_any_exception_type():
     # the type's constructor takes two arguments, so it cannot be rebuilt
     # from a message; the original is re-raised with the pair named
-    def bad(u, v):
-        if v is VECS[2]:
-            raise PairFailure(7, "boom")
-        return float(np.dot(u, v))
-
+    spec = pair_spec(failing_sigma(PairFailure(7, "boom")))
     with pytest.raises(PairFailure, match=r"0 x 2.*boom") as info:
-        compute_gram(VECS, bad)
+        kernel_matrix(PAIRS, PAIRS, spec)
     assert info.value.code == 7
 
 
 def test_compute_gram_rejects_non_finite():
-    def nan_kernel(u, v):
-        return float("nan") if (u is VECS[0] and v is VECS[1]) else 1.0
-
-    with pytest.raises(NumericError, match=r"0 x 1"):
-        compute_gram(VECS, nan_kernel)
+    # an infinite context vector makes the normalized polynomial kernel
+    # inf / inf against any other instance
+    lct = syn("a", syn("b"))
+    inputs = [
+        REKernelInput(lct=lct, vec=np.array([1.0, 0.0])),
+        REKernelInput(lct=lct, vec=np.array([np.inf, 0.0])),
+    ]
+    with pytest.raises(NumericError, match=r"non-finite kernel value at 0 x 1"):
+        kernel_matrix(inputs, inputs, CompositeParams("CK2"))
 
 
 # ---------------------------------------------------------------------------
