@@ -40,13 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", help="compute and store a Gram matrix")
     _add_config(p)
-    p.add_argument("--out", required=True, help="output TSV path")
+    p.add_argument("--out", required=True, help="output Gram file path")
     p.add_argument("--split", choices=("train", "test"), default="train")
 
     p = sub.add_parser("train", help="train a classifier")
     _add_config(p)
     p.add_argument("--model", required=True, help="output model JSON path")
-    p.add_argument("--gram", default=None, help="reuse a precomputed training Gram TSV")
+    p.add_argument("--gram", default=None, help="reuse a precomputed training Gram file")
 
     p = sub.add_parser("predict", help="label a data split with a trained model")
     _add_config(p)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .kernels import TreeKernelParams, poly_kernel, tree_kernel
 from .lexical import SigmaConfig
-from .transforms import LabeledTree
+from .transforms import LabeledTree, labeled_from_sexpr, labeled_to_sexpr
 
 VARIANTS = ("CK1", "CK2", "CK3")
 
@@ -66,6 +66,34 @@ class REKernelInput:
     lct: LabeledTree
     vec: np.ndarray | None = None
     pet: LabeledTree | None = None
+
+
+def payload_to_dict(task: str, payload) -> dict:
+    """JSON-ready form of a prepared payload, as model files store it:
+    trees as s-expressions, the context vector as a list of floats."""
+    if task == "pi":
+        a, b = payload
+        return {"a": labeled_to_sexpr(a), "b": labeled_to_sexpr(b)}
+    if task == "re":
+        return {
+            "lct": labeled_to_sexpr(payload.lct),
+            "pet": labeled_to_sexpr(payload.pet) if payload.pet is not None else None,
+            "vec": [float(x) for x in payload.vec] if payload.vec is not None else None,
+        }
+    raise ValueError(f"unknown task {task!r}")
+
+
+def payload_from_dict(task: str, data: dict):
+    """Inverse of payload_to_dict."""
+    if task == "pi":
+        return (labeled_from_sexpr(data["a"]), labeled_from_sexpr(data["b"]))
+    if task == "re":
+        return REKernelInput(
+            lct=labeled_from_sexpr(data["lct"]),
+            pet=labeled_from_sexpr(data["pet"]) if data.get("pet") else None,
+            vec=np.array(data["vec"], dtype=np.float64) if data.get("vec") is not None else None,
+        )
+    raise ValueError(f"unknown task {task!r}")
 
 
 @dataclass
@@ -192,6 +220,9 @@ def _tree_matrix(rows: list, cols: list, params: TreeKernelParams, row_ids, col_
     denominator = np.outer(s_row, s_col)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.sqrt(denominator, out=denominator)
+        if not denominator.all():  # as tree_kernel: a tiny product may underflow to 0
+            i, j = np.nonzero((denominator == 0.0) & (s_row > 0.0)[:, None] & (s_col > 0.0))
+            denominator[i, j] = np.sqrt(s_row[i]) * np.sqrt(s_col[j])
         np.divide(values, denominator, out=values)
     values[s_row <= 0.0, :] = 0.0
     values[:, s_col <= 0.0] = 0.0

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .combine import kernel_spec_from_dict, kernel_spec_to_dict
+from .combine import kernel_spec_from_dict
 from .errors import ConfigError
 from .features import FeatureConfig
 from .transforms import MweConfig
@@ -58,10 +58,6 @@ class RunConfig:
     features: FeatureConfig
     svm: SvmConfig
     eval: EvalConfig
-    seed: int = 13
-
-    def kernel_dict(self) -> dict:
-        return kernel_spec_to_dict(self.kernel_spec)
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -119,7 +115,7 @@ def load_config(path) -> RunConfig:
 def parse_config(raw: dict) -> RunConfig:
     _check_keys(
         raw,
-        ("task", "kernel", "data", "resources", "features", "svm", "eval", "seed"),
+        ("task", "kernel", "data", "resources", "features", "svm", "eval"),
         "",
     )
     task = _require(raw, "task", "")
@@ -183,7 +179,6 @@ def parse_config(raw: dict) -> RunConfig:
         features=features,
         svm=svm,
         eval=eval_cfg,
-        seed=int(raw.get("seed", 13)),
     )
     _check_cross_requirements(cfg)
     return cfg
@@ -220,34 +215,3 @@ def _check_cross_requirements(cfg: RunConfig):
     if cfg.features.translate and not cfg.resources.dictionary:
         raise ConfigError("resources.dictionary is required when features.translate is on")
 
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "task": cfg.task,
-        "kernel": cfg.kernel_dict(),
-        "data": {k: v for k, v in vars(cfg.data).items() if v not in (None, "")},
-        "resources": {
-            "embeddings": dict(cfg.resources.embeddings),
-            **({"dictionary": cfg.resources.dictionary} if cfg.resources.dictionary else {}),
-        },
-        "features": {
-            "window": cfg.features.window,
-            "exclude_punct": cfg.features.exclude_punct,
-            "mwe_relations": sorted(cfg.features.mwe.relations),
-            "mwe_scope": cfg.features.mwe.scope,
-            "translate": cfg.features.translate,
-            "lowercase": cfg.features.lowercase,
-            "use_forms": cfg.features.use_forms,
-        },
-        "svm": {
-            "C": cfg.svm.C,
-            "tol": cfg.svm.tol,
-            "max_passes": cfg.svm.max_passes,
-            **({"class_weights": cfg.svm.class_weights} if cfg.svm.class_weights else {}),
-        },
-        "eval": {
-            "exclude": list(cfg.eval.exclude),
-            "merge_directions": cfg.eval.merge_directions,
-        },
-        "seed": cfg.seed,
-    }

@@ -253,14 +253,3 @@ def validate(tree: DepTree) -> list:
             state[seen] = 1
     return problems
 
-
-def subtree_tokens(tree: DepTree, node_id: int) -> tuple:
-    """Ids of the node and all its descendants, in surface order."""
-    out = []
-    stack = [node_id]
-    tree.token(node_id)
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(tree.children(node))
-    return tuple(sorted(out))

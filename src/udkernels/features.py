@@ -15,7 +15,7 @@ import numpy as np
 from .conllu import DepTree, Token
 from .errors import DataError
 from .lexical import BilingualDictionary, EmbeddingStore, resolve_vector
-from .transforms import ConstTree, MweConfig, collapse_mwe, dependents, shortest_path
+from .transforms import ConstTree, MweConfig, collapse_mwe, shortest_path
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,8 @@ def build_vo(
     )
     before = [t for t in tree.tokens if t.id < first_head and context_ok(t)]
     after = [t for t in tree.tokens if t.id > second_head and context_ok(t)]
-    if cfg.window >= 0:
-        before = before[-cfg.window :] if cfg.window else []
-        after = after[: cfg.window] if cfg.window else []
+    before = before[-cfg.window :] if cfg.window else []
+    after = after[: cfg.window] if cfg.window else []
 
     blocks = [
         _mean_of_words(_entity_words(tree, span1, cfg), store, dictionary, cfg),
@@ -156,8 +155,8 @@ def build_vud(
     surface order for a fixed dependency structure."""
     tree = inst.dep_tree
     path = shortest_path(tree, inst.e1, inst.e2)
-    dep1 = dependents(tree, inst.e1)
-    dep2 = dependents(tree, inst.e2)
+    dep1 = tree.children(inst.e1)
+    dep2 = tree.children(inst.e2)
     if cfg.mwe.scope == "whole_tree":
         targets = [t.id for t in tree.tokens]
     else:
@@ -165,8 +164,8 @@ def build_vud(
     ctree, remap = collapse_mwe(tree, cfg.mwe, targets)
     e1, e2 = remap[inst.e1], remap[inst.e2]
     path = shortest_path(ctree, e1, e2)
-    dep1 = dependents(ctree, e1)
-    dep2 = dependents(ctree, e2)
+    dep1 = ctree.children(e1)
+    dep2 = ctree.children(e2)
 
     span1 = tuple(sorted({remap[i] for i in range(inst.e1_span[0], inst.e1_span[1] + 1) if i in remap}))
     span2 = tuple(sorted({remap[i] for i in range(inst.e2_span[0], inst.e2_span[1] + 1) if i in remap}))

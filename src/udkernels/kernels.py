@@ -213,6 +213,8 @@ def tree_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> f
         )
     if s1 <= 0.0 or s2 <= 0.0:
         return 0.0
+    if s1 * s2 == 0.0:  # the product of two tiny self kernels underflows
+        return raw / (math.sqrt(s1) * math.sqrt(s2))
     return raw / math.sqrt(s1 * s2)
 
 

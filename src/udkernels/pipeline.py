@@ -8,6 +8,7 @@ refuse to mix artifacts produced under different kernels.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,11 +20,13 @@ from .combine import (
     kernel_fingerprint,
     kernel_matrix,
     kernel_spec_to_dict,
+    payload_from_dict,
+    payload_to_dict,
 )
 from .config import RunConfig
 from .conllu import DepTree
 from .datasets import load_pi_dataset, load_re_dataset, write_predictions
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ModelError
 from .features import PIInstance, REInstance, build_vo, build_vud
 from .lexical import (
     BilingualDictionary,
@@ -191,60 +194,40 @@ def spec_fingerprint(spec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Gram artifacts. TSV with ids on both axes, values via repr so reading
-# them back is exact; a metadata line pins the producing kernel.
+# Gram artifacts: one JSON header line holding the kernel fingerprint and
+# the instance ids, then the matrix in .npy format, so values read back
+# bit for bit and the same matrix always gives the same bytes.
 
 
 def write_gram(path, gram: GramMatrix):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# fingerprint = {gram.fingerprint}\n")
-        handle.write("\t".join(["id", *gram.instance_ids]) + "\n")
-        for i, iid in enumerate(gram.instance_ids):
-            row = [iid] + [repr(float(v)) for v in gram.values[i]]
-            handle.write("\t".join(row) + "\n")
+    header = {"fingerprint": gram.fingerprint, "ids": list(gram.instance_ids)}
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        np.lib.format.write_array(handle, gram.values, allow_pickle=False)
 
 
 def read_gram(path) -> GramMatrix:
-    fingerprint = ""
-    ids = None
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("fingerprint"):
-                    _, _, value = body.partition("=")
-                    fingerprint = value.strip()
-                continue
-            parts = line.split("\t")
-            if ids is None:
-                if parts[0] != "id":
-                    raise DataError(f"{path}:{lineno}: expected header starting with 'id'")
-                ids = tuple(parts[1:])
-                continue
-            if len(parts) != len(ids) + 1:
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(ids) + 1} columns, got {len(parts)}"
-                )
-            try:
-                rows.append((parts[0], [float(x) for x in parts[1:]]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    if ids is None or len(rows) != len(ids):
-        raise DataError(f"{path}: truncated gram matrix")
-    if tuple(r[0] for r in rows) != ids:
-        raise DataError(f"{path}: row ids do not match column ids")
-    values = np.array([r[1] for r in rows], dtype=np.float64)
+    try:
+        with open(path, "rb") as handle:
+            header = json.loads(handle.readline())
+            values = np.lib.format.read_array(handle, allow_pickle=False)
+        fingerprint, ids = header["fingerprint"], header["ids"]
+    except (OSError, ValueError, TypeError, KeyError, MemoryError) as exc:
+        raise DataError(f"{path}: not a readable gram file ({exc!r}); recompute it") from None
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in [fingerprint, *ids]):
+        raise DataError(f"{path}: gram header needs a string fingerprint and a list of string ids")
+    if not fingerprint:
+        raise DataError(f"gram file {path} carries no kernel fingerprint; recompute it")
+    if values.dtype != np.float64 or values.shape != (len(ids), len(ids)):
+        n = len(ids)
+        raise DataError(f"{path}: expected a float64 {n}x{n} matrix, found {values.dtype} {values.shape}")
     if not np.all(np.isfinite(values)):
         i, j = np.argwhere(~np.isfinite(values))[0]
         raise DataError(f"{path}: non-finite gram entry at {ids[i]} x {ids[j]}")
     if not np.array_equal(values, values.T):
         i, j = np.argwhere(values != values.T)[0]
         raise DataError(f"{path}: gram matrix is not symmetric at {ids[i]} x {ids[j]}")
-    return GramMatrix(values=values, instance_ids=ids, fingerprint=fingerprint)
+    return GramMatrix(values=values, instance_ids=tuple(ids), fingerprint=fingerprint)
 
 
 def _check_fingerprint(expected: str, found: str, what: str):
@@ -301,7 +284,7 @@ def run_train(cfg: RunConfig, model_out, gram_path=None) -> SvmModel:
         kernel_spec_to_dict(cfg.kernel_spec),
         ovr,
         prepared.labels,
-        prepared.payloads,
+        [payload_to_dict(cfg.task, p) for p in prepared.payloads],
         training_meta={"fingerprint": fingerprint, "C": cfg.svm.C, "tol": cfg.svm.tol},
     )
     if model_out is not None:
@@ -317,11 +300,16 @@ def run_predict(cfg: RunConfig, model_path, out_path, split: str = "test"):
         spec_fingerprint(cfg.kernel_spec), kernel_fingerprint(model.kernel_spec),
         "model file",
     )
+    try:
+        supports = [payload_from_dict(model.task, p) for p in model.supports]
+    except (DataError, KeyError, TypeError, ValueError) as exc:
+        source = "given model" if model is model_path else f"model file {model_path}"
+        raise ModelError(f"{source} holds a support payload that does not decode: {exc!r}") from None
     resources = load_resources(cfg)
     spec = bind_sigma(cfg.kernel_spec, cfg, resources)
     prepared = prepare_split(cfg, resources, split)
     # columns are named by support position: supports carry no ids
-    values = kernel_matrix(prepared.payloads, model.supports, spec, prepared.instance_ids)
+    values = kernel_matrix(prepared.payloads, supports, spec, prepared.instance_ids)
     labels = []
     decisions = []
     for row in values:

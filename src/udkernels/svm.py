@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combine import REKernelInput
 from .errors import ModelError, NumericError, TrainingError
-from .transforms import labeled_from_sexpr, labeled_to_sexpr
 
 MODEL_VERSION = "1"
 
@@ -239,8 +237,9 @@ def train_ovr(
 
 
 # ---------------------------------------------------------------------------
-# Persisted models: weights plus the serialized support instances needed
-# to evaluate kernels against new data.
+# Persisted models: weights plus the support payloads needed to evaluate
+# kernels against new data. Payloads are opaque JSON-ready dicts here
+# (combine.payload_to_dict makes them), so this layer knows no task types.
 
 
 @dataclass
@@ -256,35 +255,10 @@ class SvmModel:
     task: str  # "pi" | "re"
     kernel_spec: dict
     classes: list
-    supports: list  # deduplicated payload pool
+    supports: list  # deduplicated pool of JSON-ready payload dicts
     label_map: dict
     training_meta: dict
     version: str = MODEL_VERSION
-
-
-def _payload_to_dict(task: str, payload) -> dict:
-    if task == "pi":
-        a, b = payload
-        return {"a": labeled_to_sexpr(a), "b": labeled_to_sexpr(b)}
-    if task == "re":
-        return {
-            "lct": labeled_to_sexpr(payload.lct),
-            "pet": labeled_to_sexpr(payload.pet) if payload.pet is not None else None,
-            "vec": [float(x) for x in payload.vec] if payload.vec is not None else None,
-        }
-    raise ModelError(f"unknown task {task!r}")
-
-
-def _payload_from_dict(task: str, data: dict):
-    if task == "pi":
-        return (labeled_from_sexpr(data["a"]), labeled_from_sexpr(data["b"]))
-    if task == "re":
-        return REKernelInput(
-            lct=labeled_from_sexpr(data["lct"]),
-            pet=labeled_from_sexpr(data["pet"]) if data.get("pet") else None,
-            vec=np.array(data["vec"], dtype=np.float64) if data.get("vec") is not None else None,
-        )
-    raise ModelError(f"unknown task {task!r}")
 
 
 def build_model(
@@ -367,9 +341,7 @@ def save_model(model: SvmModel, path):
                 "label": cls.label,
                 "bias": cls.bias,
                 "coeffs": [float(c) for c in cls.coeffs],
-                "support": [
-                    _payload_to_dict(model.task, model.supports[i]) for i in cls.support_idx
-                ],
+                "support": [model.supports[i] for i in cls.support_idx],
             }
             for cls in model.classes
         ],
@@ -385,35 +357,56 @@ def load_model(path) -> SvmModel:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ModelError(f"model file {path} does not hold a JSON object")
     if data.get("version") != MODEL_VERSION:
         raise ModelError(
-            f"unsupported model version {data.get('version')!r}, expected {MODEL_VERSION}"
+            f"model file {path} has unsupported version {data.get('version')!r}, "
+            f"expected {MODEL_VERSION}"
         )
-    task = data.get("task")
+    try:
+        return _model_from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ModelError(f"malformed model file {path}: {detail}") from None
+
+
+def _model_from_dict(data: dict) -> SvmModel:
+    for key in ("kernel_spec", "label_map", "training_meta"):
+        if not isinstance(data.get(key, {}), dict):
+            raise ValueError(f"{key} is not an object")
+    if not isinstance(data["task"], str):
+        raise ValueError("task is not a string")
     pool: list = []
     pool_index: dict = {}
     classes = []
-    for cls in data.get("classes", []):
+    for cls in data["classes"]:
+        label, support = cls["label"], cls["support"]
+        coeffs = np.array(cls["coeffs"], dtype=np.float64)
+        if not isinstance(label, str) or not all(isinstance(p, dict) for p in support):
+            raise ValueError("a class needs a string label and object supports")
+        if coeffs.shape != (len(support),):
+            raise ValueError(f"class {label!r} has {coeffs.size} coeffs for {len(support)} supports")
         idx = []
-        for payload_dict in cls["support"]:
-            key = json.dumps(payload_dict, sort_keys=True)
+        for payload in support:
+            key = json.dumps(payload, sort_keys=True)
             if key not in pool_index:
                 pool_index[key] = len(pool)
-                pool.append(_payload_from_dict(task, payload_dict))
+                pool.append(payload)
             idx.append(pool_index[key])
         classes.append(
             ClassModel(
-                label=cls["label"],
+                label=label,
                 bias=float(cls["bias"]),
-                coeffs=np.array(cls["coeffs"], dtype=np.float64),
+                coeffs=coeffs,
                 support_idx=np.array(idx, dtype=int),
             )
         )
     classes.sort(key=lambda c: c.label)
     return SvmModel(
-        task=task,
+        task=data["task"],
         kernel_spec=data.get("kernel_spec", {}),
         classes=classes,
         supports=pool,

@@ -162,11 +162,6 @@ def to_lct(tree: DepTree, lowercase: bool = True) -> LabeledTree:
     return build(tree.root_id)
 
 
-def dependents(tree: DepTree, node_id: int) -> tuple:
-    """Direct dependents of a token, in surface order."""
-    return tree.children(node_id)
-
-
 def shortest_path(tree: DepTree, e1: int, e2: int) -> tuple:
     """Interior token ids on the undirected head-path from e1 to e2.
 

@@ -325,6 +325,24 @@ def test_kernel_matrix_names_instance_pair_when_sigma_fails():
     assert info.value.code == 7
 
 
+def test_normalization_survives_underflowing_self_kernel_product():
+    # each self kernel is about 1e-171, so their product underflows to 0
+    # while the normalized value stays about 1
+    params = TreeKernelParams("SPTK", sigma=lambda n1, n2: 1e-170)
+    a, b = syn("a"), syn("b")
+    value = tree_kernel(a, b, params)
+    assert math.isfinite(value) and value == pytest.approx(1.0)
+    ids = ("a", "b")
+    assert _tree_matrix([a, b], [a, b], params, ids, ids)[0, 1] == value
+    assert _tree_matrix([a], [b], params, ids[:1], ids[1:])[0, 0] == value
+    spec = PairKernelParams(base=params)
+    pairs = [(a, b), (syn("c"), syn("d"))]
+    expected = sm_tk(pairs[0], pairs[1], spec)
+    assert math.isfinite(expected)
+    assert kernel_matrix(pairs, pairs, spec)[0, 1] == expected
+    assert kernel_matrix(pairs[:1], pairs[1:], spec)[0, 0] == expected
+
+
 def test_kernel_matrix_rejects_unknown_spec():
     with pytest.raises(ConfigError, match="unsupported kernel spec str"):
         kernel_matrix([], [], "not a spec")

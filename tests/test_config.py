@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from udkernels.combine import CompositeParams, PairKernelParams
-from udkernels.config import config_to_dict, load_config, parse_config
+from udkernels.combine import CompositeParams, PairKernelParams, kernel_spec_to_dict
+from udkernels.config import load_config, parse_config
 from udkernels.errors import ConfigError
 
 
@@ -47,11 +47,20 @@ def test_minimal_re_config():
     assert cfg.kernel_spec.variant == "CK2"
     assert cfg.kernel_spec.alpha == 0.23
     assert cfg.eval.exclude == ()
+    custom = parse_config(
+        re_raw(
+            svm={"C": 2.0, "class_weights": {"Other": 0.5}},
+            eval={"exclude": ["Other"], "merge_directions": True},
+        )
+    )
+    assert custom.svm.class_weights == {"Other": 0.5}
+    assert custom.eval.exclude == ("Other",)
+    assert custom.eval.merge_directions is True
 
 
 def test_task_is_injected_into_kernel():
     cfg = parse_config(pi_raw())
-    assert cfg.kernel_dict()["task"] == "pi"
+    assert kernel_spec_to_dict(cfg.kernel_spec)["task"] == "pi"
 
 
 def test_kernel_task_conflict():
@@ -96,9 +105,11 @@ def test_svm_bounds():
 
 
 def test_thread_and_window_validation():
-    # threads is no longer a config field
+    # threads and seed are no longer config fields
     with pytest.raises(ConfigError, match="unknown field threads"):
         parse_config(pi_raw(threads=1))
+    with pytest.raises(ConfigError, match="unknown field seed"):
+        parse_config(pi_raw(seed=13))
     with pytest.raises(ConfigError, match="features.window"):
         parse_config(pi_raw(features={"window": -2}))
 
@@ -181,20 +192,3 @@ def test_load_config_from_file(tmp_path):
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(scalar)
 
-
-def test_config_to_dict_round_trips():
-    raw = re_raw(
-        variant="CK3",
-        svm={"C": 2.0, "class_weights": {"Other": 0.5}},
-        eval={"exclude": ["Other"], "merge_directions": True},
-        seed=7,
-    )
-    raw["data"]["train_const"] = "t.const"
-    cfg = parse_config(raw)
-    dumped = config_to_dict(cfg)
-    again = parse_config(json.loads(json.dumps(dumped)))
-    assert config_to_dict(again) == dumped
-    assert dumped["svm"]["class_weights"] == {"Other": 0.5}
-    assert dumped["eval"] == {"exclude": ["Other"], "merge_directions": True}
-    assert "threads" not in dumped
-    assert dumped["seed"] == 7

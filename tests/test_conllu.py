@@ -2,7 +2,6 @@ import pytest
 
 from udkernels.conllu import (
     parse_conllu,
-    subtree_tokens,
     to_conllu,
     validate,
 )
@@ -107,9 +106,3 @@ def test_validate_detects_cycle():
     (tree,) = parse_conllu(text)
     assert any("cycle" in r for r in validate(tree))
 
-
-def test_subtree_tokens(memo_tree):
-    assert subtree_tokens(memo_tree, 8) == (5, 6, 7, 8)
-    assert subtree_tokens(memo_tree, 4) == (4, 5, 6, 7, 8)
-    assert subtree_tokens(memo_tree, 1) == (1,)
-    assert subtree_tokens(memo_tree, 3) == (1, 2, 3, 4, 5, 6, 7, 8)

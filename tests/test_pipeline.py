@@ -5,6 +5,8 @@ without slowing the suite down.
 """
 
 import filecmp
+import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from udkernels.combine import kernel_matrix
 from udkernels.config import parse_config
-from udkernels.errors import ConfigError, DataError
+from udkernels.errors import ConfigError, DataError, ModelError
 from udkernels.pipeline import (
     Resources,
     bind_sigma,
@@ -135,49 +137,106 @@ def test_gram_write_read_roundtrip(pi_paths, tmp_path):
     assert np.array_equal(gram.values, gram.values.T)
 
 
-def test_read_gram_input_errors(tmp_path):
+def write_raw_gram(path, header, values, allow_pickle=False):
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(header).encode("utf-8") + b"\n")
+        np.lib.format.write_array(handle, values, allow_pickle=allow_pickle)
+
+
+def test_read_gram_input_errors(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("read_gram must never unpickle")
+
+    monkeypatch.setattr(pickle, "load", refuse)
     bad = tmp_path / "bad.gram"
-    bad.write_text("a\t1.0\n")
-    with pytest.raises(DataError, match="expected header"):
+    unreadable = "not a readable gram file"
+    # an old repr-TSV gram is refused, not misread
+    bad.write_text("# fingerprint = abc\nid\ta\tb\na\t1.0\t0.5\nb\t0.5\t1.0\n")
+    with pytest.raises(DataError, match=unreadable):
         read_gram(bad)
-    bad.write_text("id\ta\tb\na\t1.0\t0.5\n")
-    with pytest.raises(DataError, match="truncated"):
+    write_gram(bad, GramMatrix(np.eye(2), ("a", "b"), "abc"))
+    whole = bad.read_bytes()
+    newline = whole.index(b"\n")
+    for cut in (0, 10, newline, newline + 1, newline + 20, len(whole) - 1):
+        bad.write_bytes(whole[:cut])
+        with pytest.raises(DataError, match=unreadable):
+            read_gram(bad)
+    bad.write_bytes(b"fingerprint = abc" + whole[newline:])
+    with pytest.raises(DataError, match=unreadable):
         read_gram(bad)
-    bad.write_text("id\ta\tb\na\t1.0\nb\t0.5\t1.0\n")
-    with pytest.raises(DataError, match="columns"):
+    header = {"fingerprint": "abc", "ids": ["a", "b"]}
+    for missing in ("ids", "fingerprint"):
+        write_raw_gram(bad, {k: v for k, v in header.items() if k != missing}, np.eye(2))
+        with pytest.raises(DataError, match=f"{unreadable}.*{missing}"):
+            read_gram(bad)
+    write_raw_gram(bad, ["abc", ["a", "b"]], np.eye(2))
+    with pytest.raises(DataError, match=unreadable):
         read_gram(bad)
-    bad.write_text("id\ta\tb\nb\t1.0\t0.5\na\t0.5\t1.0\n")
-    with pytest.raises(DataError, match="row ids"):
+    write_raw_gram(bad, {**header, "ids": ["a", 2]}, np.eye(2))
+    with pytest.raises(DataError, match="list of string ids"):
         read_gram(bad)
-    bad.write_text("id\ta\na\tnot-a-number\n")
-    with pytest.raises(DataError, match="bad.gram:2"):
+    write_raw_gram(bad, {**header, "fingerprint": ""}, np.eye(2))
+    with pytest.raises(DataError, match="no kernel fingerprint"):
+        read_gram(bad)
+    write_raw_gram(bad, header, np.eye(2, dtype=np.int64))
+    with pytest.raises(DataError, match="float64 2x2 matrix, found int64"):
+        read_gram(bad)
+    write_raw_gram(bad, header, np.eye(3))
+    with pytest.raises(DataError, match=r"float64 2x2 matrix, found float64 \(3, 3\)"):
+        read_gram(bad)
+    write_raw_gram(bad, header, np.eye(2).astype(object), allow_pickle=True)
+    with pytest.raises(DataError, match=f"{unreadable}.*allow_pickle"):
+        read_gram(bad)
+    # a .npy header claiming 10^16 cells fails to allocate at once
+    with open(bad, "wb") as handle:
+        handle.write(json.dumps(header).encode("utf-8") + b"\n")
+        np.lib.format.write_array_header_1_0(
+            handle, {"descr": "<f8", "fortran_order": False, "shape": (10**8, 10**8)}
+        )
+    with pytest.raises(DataError, match=unreadable):
+        read_gram(bad)
+    with open(bad, "wb") as handle:
+        np.savez(handle, values=np.eye(2))
+    with pytest.raises(DataError, match=unreadable):
         read_gram(bad)
 
 
 def test_read_gram_rejects_non_finite(tmp_path):
     bad = tmp_path / "bad.gram"
-    bad.write_text("# fingerprint = abc\nid\ta\tb\na\t1.0\tnan\nb\tnan\t1.0\n")
+    nan = float("nan")
+    write_gram(bad, GramMatrix(np.array([[1.0, nan], [nan, 1.0]]), ("a", "b"), "abc"))
     with pytest.raises(DataError, match="non-finite gram entry at a x b"):
         read_gram(bad)
-    bad.write_text("# fingerprint = abc\nid\ta\na\tinf\n")
+    write_gram(bad, GramMatrix(np.array([[float("inf")]]), ("a",), "abc"))
     with pytest.raises(DataError, match="non-finite"):
         read_gram(bad)
 
 
 def test_read_gram_rejects_non_symmetric(tmp_path):
     bad = tmp_path / "bad.gram"
-    bad.write_text("# fingerprint = abc\nid\ta\tb\na\t1.0\t0.5\nb\t0.25\t1.0\n")
+    write_gram(bad, GramMatrix(np.array([[1.0, 0.5], [0.25, 1.0]]), ("a", "b"), "abc"))
     with pytest.raises(DataError, match="not symmetric at a x b"):
         read_gram(bad)
 
 
 def test_write_gram_values_survive_exactly(tmp_path):
-    values = np.array([[1.0, 0.1234567890123456789], [0.1234567890123456789, 4.0]])
-    gram = GramMatrix(values=values, instance_ids=("x", "y"), fingerprint="abc")
+    tiny = 5e-324  # the smallest subnormal
+    huge = 1.7976931348623157e308
+    values = np.array(
+        [
+            [1.0, 0.1234567890123456789, -0.0],
+            [0.1234567890123456789, 4.0, tiny],
+            [-0.0, tiny, huge],
+        ]
+    )
+    ids = ("x\ty", "with space", "n\u00e4ive \u0641\u0627\u0631\u0633\u06cc")
+    gram = GramMatrix(values=values, instance_ids=ids, fingerprint="abc")
     path = tmp_path / "g.gram"
     write_gram(path, gram)
     back = read_gram(path)
-    assert np.array_equal(back.values, values)
+    assert back.values.tobytes() == values.tobytes()
+    assert np.signbit(back.values[0, 2])
+    assert back.instance_ids == ids
     assert back.fingerprint == "abc"
 
 
@@ -225,9 +284,11 @@ def test_train_refuses_unfingerprinted_gram(pi_paths, tmp_path):
     write_gram(gram_path, replace(gram, fingerprint=""))
     with pytest.raises(DataError, match="no kernel fingerprint"):
         run_train(cfg, None, gram_path=gram_path)
-    lines = gram_path.read_text().splitlines(keepends=True)
-    gram_path.write_text("".join(lines[1:]))
-    with pytest.raises(DataError, match="no kernel fingerprint"):
+    # a header without the fingerprint key at all
+    header, newline, matrix = gram_path.read_bytes().partition(b"\n")
+    stripped = json.dumps({"ids": json.loads(header)["ids"]}).encode("utf-8")
+    gram_path.write_bytes(stripped + newline + matrix)
+    with pytest.raises(DataError, match="fingerprint"):
         run_train(cfg, None, gram_path=gram_path)
 
 
@@ -247,6 +308,21 @@ def test_predict_refuses_mismatched_model(pi_paths, re_paths, tmp_path):
         run_predict(re_config(re_paths), model_path, None)
     with pytest.raises(DataError, match="model file was produced under kernel"):
         run_predict(pi_config(pi_paths, m=50.0), model_path, None)
+
+
+def test_predict_rejects_undecodable_support(pi_paths, tmp_path):
+    cfg = pi_config(pi_paths)
+    model_path = tmp_path / "model.json"
+    run_train(cfg, model_path)
+    data = json.loads(model_path.read_text())
+    data["classes"][0]["support"][0]["a"] = "(root (unclosed)"
+    model_path.write_text(json.dumps(data))
+    with pytest.raises(ModelError, match=f"model file {model_path} holds a support payload"):
+        run_predict(cfg, model_path, None)
+    data["classes"][0]["support"][0] = {"b": "(root)"}
+    model_path.write_text(json.dumps(data))
+    with pytest.raises(ModelError, match="KeyError"):
+        run_predict(cfg, model_path, None)
 
 
 def test_re_end_to_end(re_paths, tmp_path):

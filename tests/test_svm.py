@@ -12,6 +12,7 @@ from udkernels.combine import (
     PairKernelParams,
     REKernelInput,
     kernel_matrix,
+    payload_to_dict,
     sm_tk,
 )
 from udkernels.errors import ModelError, NumericError, TrainingError
@@ -346,9 +347,13 @@ def test_predict_tie_goes_to_smallest_label():
     assert label == "alpha"
 
 
+def encoded_payloads(n):
+    return [payload_to_dict("pi", pair_payload(f"w{i}")) for i in range(n)]
+
+
 def test_model_save_load_roundtrip(tmp_path):
     gram, labels = three_class_problem()
-    payloads = [pair_payload(f"w{i}") for i in range(len(labels))]
+    payloads = encoded_payloads(len(labels))
     ovr = train_ovr(gram, labels, C=1.0)
     model = build_model("pi", {"task": "pi", "kind": "sm"}, ovr, labels, payloads)
 
@@ -374,7 +379,7 @@ def test_model_save_load_roundtrip(tmp_path):
 
 def test_model_save_is_deterministic(tmp_path):
     gram, labels = three_class_problem()
-    payloads = [pair_payload(f"w{i}") for i in range(len(labels))]
+    payloads = encoded_payloads(len(labels))
     for name in ("one.json", "two.json"):
         ovr = train_ovr(gram, labels, C=1.0)
         model = build_model("pi", {"task": "pi"}, ovr, labels, payloads)
@@ -394,3 +399,48 @@ def test_load_model_rejects_garbage(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ModelError, match="cannot read"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "does not hold a JSON object"),
+        ('{"version": "1", "classes": []}', "missing field 'task'"),
+        ('{"version": "1", "task": "pi"}', "missing field 'classes'"),
+        ('{"version": "1", "task": "pi", "classes": [{"label": "a"}]}', "missing field 'support'"),
+        ('{"version": "1", "task": "pi", "classes": ["a"]}', "malformed"),
+        ('{"version": "1", "task": 7, "classes": []}', "task is not a string"),
+        ('{"version": "1", "task": "pi", "classes": [], "label_map": []}', "label_map"),
+        (
+            '{"version": "1", "task": "pi", "classes": '
+            '[{"label": "a", "bias": 0, "coeffs": [1.0, 2.0], "support": [{}]}]}',
+            "2 coeffs for 1 supports",
+        ),
+        (
+            '{"version": "1", "task": "pi", "classes": '
+            '[{"label": "a", "bias": 0, "coeffs": [1.0], "support": ["(a)"]}]}',
+            "object supports",
+        ),
+        (
+            '{"version": "1", "task": "pi", "classes": '
+            '[{"label": 3, "bias": 0, "coeffs": [], "support": []}]}',
+            "string label",
+        ),
+        (
+            '{"version": "1", "task": "pi", "classes": '
+            '[{"label": "a", "bias": "high", "coeffs": [], "support": []}]}',
+            "high",
+        ),
+        (
+            '{"version": "1", "task": "pi", "classes": '
+            '[{"label": "a", "bias": 0, "coeffs": ["x"], "support": [{}]}]}',
+            "malformed",
+        ),
+    ],
+)
+def test_load_model_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ModelError, match=message) as info:
+        load_model(path)
+    assert str(path) in str(info.value)

@@ -8,7 +8,6 @@ from udkernels.transforms import (
     collapse_mwe,
     const_to_bracketed,
     const_to_labeled,
-    dependents,
     extract_pet,
     labeled_from_sexpr,
     labeled_to_sexpr,
@@ -76,7 +75,7 @@ def test_path_errors(memo_tree):
 
 
 def test_dependents_of_copular_root(audits_tree):
-    deps = dependents(audits_tree, 7)
+    deps = audits_tree.children(7)
     assert 5 in deps and 6 in deps  # were, about
     assert deps == (4, 5, 6, 9, 10)
 
@@ -86,7 +85,7 @@ def test_dependents_of_copular_root(audits_tree):
 
 def farsi_targets(dep):
     path = shortest_path(dep, 4, 7)
-    return set(path) | set(dependents(dep, 4)) | set(dependents(dep, 7)) | {4, 7}
+    return set(path) | set(dep.children(4)) | set(dep.children(7)) | {4, 7}
 
 
 def test_collapse_merges_fixed_chain(farsi_audits_tree):
@@ -105,7 +104,7 @@ def test_collapse_merges_fixed_chain(farsi_audits_tree):
     assert remap[4] == 4
     # entity tokens survive with structure intact
     assert collapsed.token(6).form == "حسابرسی‌ها"
-    assert dependents(collapsed, 4) == (1, 2, 5, 6)
+    assert collapsed.children(4) == (1, 2, 5, 6)
 
 
 def test_collapse_without_matches_is_identity(audits_tree):
