@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .kernels import TreeKernelParams, poly_kernel, tree_kernel
+from .kernels import TreeKernelParams, normalize, poly_kernel, tree_kernel
 from .lexical import SigmaConfig
 from .transforms import LabeledTree, labeled_from_sexpr, labeled_to_sexpr
 
@@ -122,28 +122,19 @@ class CompositeParams:
         return "V_o" if self.variant == "CK1" else "V_ud"
 
 
-def _normalized_poly(u, v, degree: int, coef0: float) -> float:
-    k = poly_kernel(u, v, degree, coef0)
-    if u is v:
-        return 1.0 if k > 0.0 else 0.0
-    s1 = poly_kernel(u, u, degree, coef0)
-    s2 = poly_kernel(v, v, degree, coef0)
-    if s1 <= 0.0 or s2 <= 0.0:
-        return 0.0
-    return k / math.sqrt(s1 * s2)
-
-
 def composite_kernel(a: REKernelInput, b: REKernelInput, params: CompositeParams) -> float:
     """Composite kernel over two prepared relation instances.
 
     CK2 = (K_vec + K_pt)^2 and never evaluates a constituency kernel;
     CK1 and CK3 add alpha * K_sst on the enclosing constituency
-    fragment. All sub-kernels are individually normalized.
+    fragment. Every sub-kernel is normalized by kernels.normalize: the
+    vector term is normalize(poly(u, v), poly(u, u), poly(v, v)).
     """
     if a.vec is None or b.vec is None:
         raise ConfigError("composite kernel requires entity context vectors")
     k_pt = tree_kernel(a.lct, b.lct, params.pt)
-    k_vec = _normalized_poly(a.vec, b.vec, params.vec_degree, params.vec_coef0)
+    poly = lambda u, v: poly_kernel(u, v, params.vec_degree, params.vec_coef0)
+    k_vec = normalize(poly(a.vec, b.vec), poly(a.vec, a.vec), poly(b.vec, b.vec))
     if params.variant == "CK2":
         return _composite_value(params, k_vec, k_pt)
     if a.pet is None or b.pet is None:
@@ -181,9 +172,9 @@ def _raise_named(exc: Exception, pair: str):
     raise named from exc
 
 
-def _raw(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, id1, id2) -> float:
+def _call(kernel, x, y, id1, id2) -> float:
     try:
-        return tree_kernel(t1, t2, params)
+        return kernel(x, y)
     except Exception as exc:
         _raise_named(exc, f"{id1} x {id2}")
 
@@ -194,41 +185,40 @@ def _mirror(values: np.ndarray):
         values[i, :i] = values[:i, i]
 
 
-def _tree_matrix(rows: list, cols: list, params: TreeKernelParams, row_ids, col_ids) -> np.ndarray:
-    """Kernel values between row and column trees, each pair evaluated once.
+def _slot_matrix(rows: list, cols: list, kernel, row_ids, col_ids, normalized=True) -> np.ndarray:
+    """kernel(row, col) between the row and column objects of one slot.
 
-    Raw values are tree_kernel(row, col) in row-major order, only the
-    upper triangle when cols is rows, normalized by the self-kernel
-    vectors. The ids name each tree's instance when a call fails.
+    Raw values are filled in row-major order, only the upper triangle
+    when cols is rows, so each pair is evaluated once. Self values are a
+    square matrix's diagonal, or one kernel(x, x) call per object of a
+    rectangle, and kernels.normalize then maps each cell. The ids name
+    each object's instance when a call fails.
     """
     square = cols is rows
-    raw = replace(params, normalize=False)
     values = np.zeros((len(rows), len(cols)))
-    for i, t1 in enumerate(rows):
+    for i, x in enumerate(rows):
         for j in range(i if square else 0, len(cols)):
-            values[i, j] = _raw(t1, cols[j], raw, row_ids[i], col_ids[j])
+            values[i, j] = _call(kernel, x, cols[j], row_ids[i], col_ids[j])
+    if normalized:
+        if square:
+            s_row = s_col = values.diagonal().tolist()
+        else:
+            s_row = [_call(kernel, x, x, k, k) for x, k in zip(rows, row_ids)]
+            s_col = [_call(kernel, y, y, k, k) for y, k in zip(cols, col_ids)]
+        for i, s in enumerate(s_row):
+            start = i if square else 0
+            row = values[i, start:]  # a view, normalized in place
+            row[:] = [normalize(v, s, t) for v, t in zip(row.tolist(), s_col[start:])]
     if square:
         _mirror(values)
-    if not params.normalize:
-        return values
-    if square:
-        s_row = s_col = values.diagonal().copy()
-    else:
-        s_row = np.array([_raw(t, t, raw, k, k) for t, k in zip(rows, row_ids)])
-        s_col = np.array([_raw(t, t, raw, k, k) for t, k in zip(cols, col_ids)])
-    # in place, so a build holds at most two matrices of this size
-    denominator = np.outer(s_row, s_col)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.sqrt(denominator, out=denominator)
-        if not denominator.all():  # as tree_kernel: a tiny product may underflow to 0
-            i, j = np.nonzero((denominator == 0.0) & (s_row > 0.0)[:, None] & (s_col > 0.0))
-            denominator[i, j] = np.sqrt(s_row[i]) * np.sqrt(s_col[j])
-        np.divide(values, denominator, out=values)
-    values[s_row <= 0.0, :] = 0.0
-    values[:, s_col <= 0.0] = 0.0
-    if square:
-        np.fill_diagonal(values, np.where(s_row > 0.0, 1.0, 0.0))
     return values
+
+
+def _tree_matrix(rows: list, cols: list, params: TreeKernelParams, row_ids, col_ids) -> np.ndarray:
+    """tree_kernel values between row and column trees, via _slot_matrix."""
+    raw = replace(params, normalize=False)
+    kernel = lambda t1, t2: tree_kernel(t1, t2, raw)
+    return _slot_matrix(rows, cols, kernel, row_ids, col_ids, params.normalize)
 
 
 def _ids(ids, payloads: list, name: str) -> tuple:
@@ -278,22 +268,20 @@ def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> n
                 if getattr(payload, attr) is None:
                     raise ConfigError(f"{message} (instance {iid} has none)")
 
-        def slot(attr: str, params: TreeKernelParams) -> np.ndarray:
-            trees = [getattr(x, attr) for x in rows]
-            others = trees if square else [getattr(x, attr) for x in cols]
-            return _tree_matrix(trees, others, params, row_ids, col_ids)
+        def slot(attr: str) -> tuple:
+            objects = [getattr(x, attr) for x in rows]
+            return objects, objects if square else [getattr(x, attr) for x in cols]
 
-        pt = slot("lct", spec.pt)
-        sst = slot("pet", spec.sst) if "pet" in required else None
+        pt = _tree_matrix(*slot("lct"), spec.pt, row_ids, col_ids)
+        sst = _tree_matrix(*slot("pet"), spec.sst, row_ids, col_ids) if "pet" in required else None
+        poly = lambda u, v: poly_kernel(u, v, spec.vec_degree, spec.vec_coef0)
+        vec = _slot_matrix(*slot("vec"), poly, row_ids, col_ids)
 
         def row_kernel(r: int):
-            u, k_pt = rows[r].vec, pt[r].tolist()
+            k_vec, k_pt = vec[r].tolist(), pt[r].tolist()
             k_sst = None if sst is None else sst[r].tolist()
             return lambda c: _composite_value(
-                spec,
-                _normalized_poly(u, cols[c].vec, spec.vec_degree, spec.vec_coef0),
-                k_pt[c],
-                None if k_sst is None else k_sst[c],
+                spec, k_vec[c], k_pt[c], None if k_sst is None else k_sst[c]
             )
 
     values = np.zeros((len(rows), len(cols)))

@@ -190,11 +190,29 @@ def delta_matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> 
     return DeltaMatrix(t1.label_index.labels, t2.label_index.labels, values)
 
 
+def normalize(raw: float, s1: float, s2: float) -> float:
+    """Normalized kernel value raw / sqrt(s1 * s2) from a cross value and
+    the two self values, the one normalization rule of every sub-kernel.
+
+    A self value <= 0 gives 0.0, and an object against itself
+    (raw == s1 == s2) gives exactly 1.0. When s1 * s2 underflows to 0 or
+    overflows to inf, the square roots are taken one by one.
+    """
+    if s1 <= 0.0 or s2 <= 0.0:
+        return 0.0
+    if raw == s1 == s2:
+        return 1.0
+    product = s1 * s2
+    if product == 0.0 or product == math.inf:
+        return raw / (math.sqrt(s1) * math.sqrt(s2))
+    return raw / math.sqrt(product)
+
+
 def tree_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> float:
     """Kernel value between two trees, normalized unless disabled.
 
-    Normalization divides by the geometric mean of the self kernels and
-    maps a degenerate zero self kernel to 0.
+    The raw value and both self kernels go through normalize, so a tree
+    against itself scores exactly 1.0 and one with a zero self kernel 0.
     """
     raw = _raw_kernel(t1, t2, params)
     if not math.isfinite(raw):
@@ -203,19 +221,10 @@ def tree_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> f
         )
     if not params.normalize:
         return raw
-    if t1 is t2:
-        return 1.0 if raw > 0.0 else 0.0
-    s1 = _raw_kernel(t1, t1, params)
-    s2 = _raw_kernel(t2, t2, params)
+    s1, s2 = _raw_kernel(t1, t1, params), _raw_kernel(t2, t2, params)
     if not (math.isfinite(s1) and math.isfinite(s2)):
-        raise NumericError(
-            f"{params.kind} self kernel overflowed; use smaller lambda/mu"
-        )
-    if s1 <= 0.0 or s2 <= 0.0:
-        return 0.0
-    if s1 * s2 == 0.0:  # the product of two tiny self kernels underflows
-        return raw / (math.sqrt(s1) * math.sqrt(s2))
-    return raw / math.sqrt(s1 * s2)
+        raise NumericError(f"{params.kind} self kernel overflowed; use smaller lambda/mu")
+    return normalize(raw, s1, s2)
 
 
 def poly_kernel(u, v, degree: int = 2, coef0: float = 1.0) -> float:

@@ -167,7 +167,13 @@ def train_binary(
     # final bias from free support vectors, else feasibility midpoint
     free = np.flatnonzero((alpha > 1e-12) & (alpha < box - 1e-12))
     if free.size:
-        b = float(np.mean(y[free] - g[free]))
+        mean = float(np.mean(y[free] - g[free]))
+        # The free instances' y - g spread up to 2*tol, so their mean can
+        # sit more than tol from one of them. Keep the mean while every
+        # KKT condition still holds at tol, else take the middle of the
+        # bias interval where they all hold.
+        lo, hi = _kkt_bias_interval(y, g, alpha, box, tol)
+        b = mean if lo <= mean <= hi or lo > hi else (lo + hi) / 2.0
     else:
         lower = [
             y[i] - g[i]
@@ -186,6 +192,23 @@ def train_binary(
         elif upper:
             b = min(upper)
     return BinaryModel(alpha=alpha, bias=float(b), objective_history=history)
+
+
+def _kkt_bias_interval(y, g, alpha, box, tol):
+    """Biases b for which y_i * (g_i + b) meets each instance's KKT
+    condition at tol: margin >= 1 - tol below the box, margin <= 1 + tol
+    above zero. Empty (lo > hi) when no bias satisfies them all."""
+    c = y - g
+    below_box = alpha < box - 1e-12
+    above_zero = alpha > 1e-12
+    pos = y > 0
+    # margin >= 1 - tol: b >= c - tol for y = +1, b <= c + tol for y = -1
+    # margin <= 1 + tol: b <= c + tol for y = +1, b >= c - tol for y = -1
+    lower = (below_box & pos) | (above_zero & ~pos)
+    upper = (below_box & ~pos) | (above_zero & pos)
+    lo = float(np.max(c[lower] - tol)) if lower.any() else -np.inf
+    hi = float(np.min(c[upper] + tol)) if upper.any() else np.inf
+    return lo, hi
 
 
 def kkt_violations(gram: np.ndarray, y, model: BinaryModel, C: float = 1.0, tol: float = 1e-3):

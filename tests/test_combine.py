@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -149,15 +150,21 @@ def test_identical_instance_scores_four_under_squared_core():
 
 
 def count_tree_kernel_calls(monkeypatch) -> Counter:
-    """Per-kind count of the tree kernel calls made through combine."""
+    """Per-kind count of the tree kernel calls made through combine, and
+    of the polynomial vector kernel calls under "poly"."""
     calls = Counter()
-    real = combine.tree_kernel
+    real_tree, real_poly = combine.tree_kernel, combine.poly_kernel
 
-    def counted(t1, t2, params):
+    def counted_tree(t1, t2, params):
         calls[params.kind] += 1
-        return real(t1, t2, params)
+        return real_tree(t1, t2, params)
 
-    monkeypatch.setattr(combine, "tree_kernel", counted)
+    def counted_poly(*args):
+        calls["poly"] += 1
+        return real_poly(*args)
+
+    monkeypatch.setattr(combine, "tree_kernel", counted_tree)
+    monkeypatch.setattr(combine, "poly_kernel", counted_poly)
     return calls
 
 
@@ -185,6 +192,21 @@ def test_ck1_requires_constituency_fragment():
     a, b = make_inputs(with_pet=False)
     with pytest.raises(ConfigError, match="constituency"):
         composite_kernel(a, b, composite("CK1"))
+
+
+def test_composite_vector_term_survives_underflowing_self_product():
+    # the vector self kernels are about 1e-320 and 4e-320, so their
+    # product underflows to 0 while the normalized vector term stays
+    # about 1
+    a, b = make_inputs(with_pet=False)
+    a = REKernelInput(lct=a.lct, vec=np.array([1e-160]))
+    b = REKernelInput(lct=b.lct, vec=np.array([2e-160]))
+    params = composite("CK2", vec_degree=1, vec_coef0=0.0)
+    value = composite_kernel(a, b, params)
+    k_pt = tree_kernel(a.lct, b.lct, params.pt)
+    assert value == pytest.approx((1.0 + k_pt) ** 2, rel=1e-3)
+    assert kernel_matrix([a, b], [a, b], params)[0, 1] == value
+    assert kernel_matrix([a], [b], params)[0, 0] == value
 
 
 def test_composite_requires_vectors():
@@ -291,7 +313,8 @@ def test_kernel_matrix_cells_equal_scalar_kernels(tmp_path, run):
 @pytest.mark.parametrize("run", RUNS)
 def test_kernel_matrix_evaluates_each_tree_pair_once(tmp_path, monkeypatch, run):
     spec, train, test = prepared_run(tmp_path, run)
-    slots = {"pi": ("PTK",), "xl": ("SPTK",), "re": ("PTK", "SST")}[run]
+    # the context vectors of a composite kernel are one more slot
+    slots = {"pi": ("PTK",), "xl": ("SPTK", "poly"), "re": ("PTK", "SST", "poly")}[run]
     width = 2 if run == "pi" else 1  # trees per instance in each slot
     n, r = width * len(train), width * len(test)
     calls = count_tree_kernel_calls(monkeypatch)
@@ -299,7 +322,7 @@ def test_kernel_matrix_evaluates_each_tree_pair_once(tmp_path, monkeypatch, run)
     assert calls == {kind: n * (n + 1) // 2 for kind in slots}
     calls.clear()
     kernel_matrix(test, train, spec)
-    # every cross pair once, plus each row and column tree against itself
+    # every cross pair once, plus each row and column object against itself
     assert calls == {kind: r * n + r + n for kind in slots}
 
 
@@ -326,21 +349,26 @@ def test_kernel_matrix_names_instance_pair_when_sigma_fails():
 
 
 def test_normalization_survives_underflowing_self_kernel_product():
-    # each self kernel is about 1e-171, so their product underflows to 0
-    # while the normalized value stays about 1
-    params = TreeKernelParams("SPTK", sigma=lambda n1, n2: 1e-170)
-    a, b = syn("a"), syn("b")
-    value = tree_kernel(a, b, params)
-    assert math.isfinite(value) and value == pytest.approx(1.0)
-    ids = ("a", "b")
-    assert _tree_matrix([a, b], [a, b], params, ids, ids)[0, 1] == value
-    assert _tree_matrix([a], [b], params, ids[:1], ids[1:])[0, 0] == value
-    spec = PairKernelParams(base=params)
-    pairs = [(a, b), (syn("c"), syn("d"))]
-    expected = sm_tk(pairs[0], pairs[1], spec)
-    assert math.isfinite(expected)
-    assert kernel_matrix(pairs, pairs, spec)[0, 1] == expected
-    assert kernel_matrix(pairs[:1], pairs[1:], spec)[0, 0] == expected
+    # each self kernel is about 1e-171 (1e169), so their product
+    # underflows to 0 (overflows to inf) while the normalized value is 1
+    for gate in (1e-170, 1e170):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = TreeKernelParams("SPTK", sigma=lambda n1, n2, gate=gate: gate)
+            a, b = syn("a"), syn("b")
+            value = tree_kernel(a, b, params)
+            assert value == 1.0
+            ids = ("a", "b")
+            assert _tree_matrix([a, b], [a, b], params, ids, ids)[0, 1] == value
+            assert _tree_matrix([a], [b], params, ids[:1], ids[1:])[0, 0] == value
+            spec = PairKernelParams(base=params)
+            # the second pair repeats the first one's tree objects, crossed
+            for second in [(syn("c"), syn("d")), (b, a)]:
+                pairs = [(a, b), second]
+                expected = sm_tk(pairs[0], pairs[1], spec)
+                assert math.isfinite(expected)
+                assert kernel_matrix(pairs, pairs, spec)[0, 1] == expected
+                assert kernel_matrix(pairs[:1], pairs[1:], spec)[0, 0] == expected
 
 
 def test_kernel_matrix_rejects_unknown_spec():

@@ -10,6 +10,7 @@ from udkernels.kernels import (
     TreeKernelParams,
     brute_force_kernel,
     delta_matrix,
+    normalize,
     poly_kernel,
     tree_kernel,
 )
@@ -138,6 +139,39 @@ def test_normalized_cross_kernel_in_unit_interval():
 def test_disjoint_trees_normalize_to_zero():
     params = TreeKernelParams(kind="SST", lam=LAM)
     assert tree_kernel(syn("x"), syn("y"), params) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    s1=st.floats(min_value=1e-150, max_value=1e150),
+    s2=st.floats(min_value=1e-150, max_value=1e150),
+    share=st.floats(min_value=-1.0, max_value=1.0),
+)
+def test_normalize_is_raw_over_root_of_product(s1, s2, share):
+    # s1 * s2 stays a normal float here, so the identity rule agrees too
+    raw = share * math.sqrt(s1) * math.sqrt(s2)
+    assert normalize(raw, s1, s2) == raw / math.sqrt(s1 * s2)
+
+
+def test_normalize_maps_empty_self_kernel_to_zero():
+    for s1, s2 in [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0), (2.0, -0.0), (0.0, 0.0)]:
+        assert normalize(0.5, s1, s2) == 0.0
+
+
+@pytest.mark.parametrize("s", [5e-324, 1e-300, 1.0, 1e300])
+def test_normalize_object_against_itself_is_exactly_one(s):
+    assert normalize(s, s, s) == 1.0
+
+
+@pytest.mark.parametrize(
+    "s1, s2",
+    [(1e-200, 1e-170), (5e-324, 0.25), (1e200, 1e170), (1e308, 1e308)],
+)
+def test_normalize_stays_finite_when_the_product_under_or_overflows(s1, s2):
+    assert s1 * s2 in (0.0, math.inf)
+    raw = 0.5 * math.sqrt(s1) * math.sqrt(s2)
+    value = normalize(raw, s1, s2)
+    assert math.isfinite(value) and value == pytest.approx(0.5)
 
 
 # --- bookkeeping and errors ------------------------------------------------

@@ -249,6 +249,27 @@ def test_solver_invariants_on_random_problems(problem):
         assert later >= earlier - 1e-8
 
 
+def test_final_bias_keeps_kkt_when_free_mean_drifts():
+    # Found by Hypothesis: the free instances' y - g spread nearly 2*tol,
+    # so their mean put instance 3's margin at 1.0011, outside 1 +- tol.
+    gram = np.array(
+        [
+            [2.31640725, 1.5625, -1.6661376953125, -1.986328125, -0.8315169191030831, 0.0],
+            [1.5625, 4.7080088125, 2.6376953125, -0.0692138671875, 2.974609375, 0.0],
+            [-1.6661376953125, 2.6376953125, 7.138249443603516, 3.309844970703125,
+             3.585795892452312, 0.0],
+            [-1.986328125, -0.0692138671875, 3.309844970703125, 3.8170214162597658,
+             0.9003728199621418, 0.59375],
+            [-0.8315169191030831, 2.974609375, 3.585795892452312, 0.9003728199621418,
+             5.308846972292896, 0.0],
+            [0.0, 0.0, 0.0, 0.59375, 0.0, 1.000001],
+        ]
+    )
+    y = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+    model = train_binary(gram, y, C=1.0)
+    assert kkt_violations(gram, y, model, C=1.0) == []
+
+
 # ---------------------------------------------------------------------------
 # one-vs-rest and persisted models
 
