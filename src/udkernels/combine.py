@@ -215,9 +215,23 @@ def _slot_matrix(rows: list, cols: list, kernel, row_ids, col_ids, normalized=Tr
 
 
 def _tree_matrix(rows: list, cols: list, params: TreeKernelParams, row_ids, col_ids) -> np.ndarray:
-    """tree_kernel values between row and column trees, via _slot_matrix."""
+    """tree_kernel values between row and column trees, via _slot_matrix.
+
+    The calls share one memo of child-subsequence totals, emptied
+    whenever the row tree changes: the columns of one row keep meeting
+    the same child-delta inputs, and the memo never holds more than one
+    row's worth of them.
+    """
     raw = replace(params, normalize=False)
-    kernel = lambda t1, t2: tree_kernel(t1, t2, raw)
+    memo, row = {}, None
+
+    def kernel(t1, t2):
+        nonlocal row
+        if t1 is not row:
+            memo.clear()
+            row = t1
+        return tree_kernel(t1, t2, raw, memo)
+
     return _slot_matrix(rows, cols, kernel, row_ids, col_ids, params.normalize)
 
 

@@ -12,6 +12,13 @@ keeps that index. The SST and PTK programs visit only the node pairs
 whose productions or labels match (the fast tree kernel of Moschitti,
 EACL 2006); SPTK scores every pair, since any two nodes may be similar.
 
+The PTK/SPTK child-subsequence total of a node pair depends only on
+lambda and the child deltas it reads, and in lexical-centred trees the
+same inputs recur: every word without dependents has the same two leaf
+children. tree_kernel therefore takes a memo of totals keyed by those
+deltas. combine._tree_matrix keeps one per kernel matrix and empties it
+whenever the row tree changes; a scalar call uses a fresh one.
+
 brute_force_kernel enumerates fragments explicitly and exists only to
 check tree_kernel on tiny trees; the two share no code.
 """
@@ -142,21 +149,34 @@ def _subseq_sum(delta: np.ndarray, ch1: tuple, ch2: tuple, lam: float) -> float:
     return float(total)
 
 
-def _pt_matrix(children1: tuple, children2: tuple, gates, lam: float, mu: float) -> np.ndarray:
+def _pt_matrix(
+    children1: tuple, children2: tuple, gates, lam: float, mu: float, memo: dict
+) -> np.ndarray:
     """Partial-tree deltas over the (i, j, gate) node pairs with a nonzero
-    gate, given with i in postorder and j ascending for each i."""
+    gate, given with i in postorder and j ascending for each i.
+
+    memo maps a child-delta input, (len(ch1), *deltas read row-major),
+    to its total lam^2 + _subseq_sum, which depends on nothing else for
+    a fixed lam; so one memo must serve one lam only. A hit returns the
+    float a miss computed from equal inputs, and a NaN input never hits.
+    """
     delta = np.zeros((len(children1), len(children2)))
+    item = delta.item
     lam2 = lam * lam
     for i, j, gate in gates:
         ch1, ch2 = children1[i], children2[j]
-        total = lam2
         if ch1 and ch2:
-            total += _subseq_sum(delta, ch1, ch2, lam)
+            key = (len(ch1), *[item(c1, c2) for c1 in ch1 for c2 in ch2])
+            total = memo.get(key)
+            if total is None:
+                total = memo[key] = lam2 + _subseq_sum(delta, ch1, ch2, lam)
+        else:
+            total = lam2
         delta[i, j] = mu * gate * total
     return delta
 
 
-def _matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> np.ndarray:
+def _matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo: dict) -> np.ndarray:
     if params.kind == "SST":
         return _sst_matrix(t1, t2, params.lam)
     if params.kind == "PTK":
@@ -167,7 +187,7 @@ def _matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> np.nd
             for i, label in enumerate(ix1.labels)
             for j in ix2.buckets.get(label, ())
         )
-        return _pt_matrix(ix1.children, ix2.children, gates, params.lam, params.mu)
+        return _pt_matrix(ix1.children, ix2.children, gates, params.lam, params.mu, memo)
     # sigma is opaque, so every node pair is scored
     ix1, ix2 = t1.node_index, t2.node_index
     nodes2 = ix2.nodes(t2)
@@ -178,15 +198,15 @@ def _matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> np.nd
         for j, n2 in enumerate(nodes2)
         if (gate := float(sigma(n1, n2))) != 0.0
     )
-    return _pt_matrix(ix1.children, ix2.children, gates, params.lam, params.mu)
+    return _pt_matrix(ix1.children, ix2.children, gates, params.lam, params.mu, memo)
 
 
-def _raw_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> float:
-    return float(_matrix(t1, t2, params).sum())
+def _raw_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo: dict) -> float:
+    return float(_matrix(t1, t2, params, memo).sum())
 
 
 def delta_matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> DeltaMatrix:
-    values = _matrix(t1, t2, params)
+    values = _matrix(t1, t2, params, {})
     return DeltaMatrix(t1.label_index.labels, t2.label_index.labels, values)
 
 
@@ -208,20 +228,25 @@ def normalize(raw: float, s1: float, s2: float) -> float:
     return raw / math.sqrt(product)
 
 
-def tree_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> float:
+def tree_kernel(
+    t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo: dict | None = None
+) -> float:
     """Kernel value between two trees, normalized unless disabled.
 
     The raw value and both self kernels go through normalize, so a tree
     against itself scores exactly 1.0 and one with a zero self kernel 0.
+    memo holds PTK/SPTK child-subsequence totals across calls that share
+    params.lam (see _pt_matrix); without one, each call uses a fresh dict.
     """
-    raw = _raw_kernel(t1, t2, params)
+    memo = {} if memo is None else memo
+    raw = _raw_kernel(t1, t2, params, memo)
     if not math.isfinite(raw):
         raise NumericError(
             f"{params.kind} kernel overflowed; use smaller lambda/mu or normalization"
         )
     if not params.normalize:
         return raw
-    s1, s2 = _raw_kernel(t1, t1, params), _raw_kernel(t2, t2, params)
+    s1, s2 = _raw_kernel(t1, t1, params, memo), _raw_kernel(t2, t2, params, memo)
     if not (math.isfinite(s1) and math.isfinite(s2)):
         raise NumericError(f"{params.kind} self kernel overflowed; use smaller lambda/mu")
     return normalize(raw, s1, s2)

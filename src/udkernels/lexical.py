@@ -121,7 +121,10 @@ _NORM_MAX = 1e150
 
 def _unit(x: np.ndarray):
     """x scaled to unit length, None when x is all zeros."""
-    n = float(np.linalg.norm(x))
+    # squares of huge components overflow to an inf norm, which the
+    # rescaling below handles, so numpy need not warn about it
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(x))
     if _NORM_MIN < n < _NORM_MAX:
         return x / n
     # the squares of tiny components go subnormal (or of huge ones infinite),
@@ -159,16 +162,23 @@ def resolve_vector(
     translation when translate_first is set. Space-joined multiword keys
     fall back to averaging whichever member tokens resolve.
     """
+    return _resolve(word, store, dictionary, translate_first, lowercase)[0]
+
+
+def _resolve(word, store, dictionary, translate_first, lowercase) -> tuple:
+    """(vector, shared) for resolve_vector: shared when the vector is
+    the store's own object, False for a multiword average, which is
+    built afresh on every call, or for None."""
     key = word.lower() if lowercase else word
     vec = store.get(key)
     if vec is not None:
-        return vec
+        return vec, True
     if translate_first and dictionary is not None:
         target = translate(dictionary, key, lowercase=False)
         if target is not None:
             vec = store.get(target.lower() if lowercase else target)
             if vec is not None:
-                return vec
+                return vec, True
     if " " in key:
         parts = [
             resolve_vector(p, store, dictionary, translate_first, lowercase=False)
@@ -177,8 +187,8 @@ def resolve_vector(
         ]
         found = [p for p in parts if p is not None]
         if found:
-            return np.mean(np.stack(found), axis=0)
-    return None
+            return np.mean(np.stack(found), axis=0), False
+    return None, False
 
 
 @dataclass(frozen=True)
@@ -229,8 +239,29 @@ def make_sigma(
     same POS score the cosine of their vectors clamped to [0, 1];
     non-pivot words reach the store through the dictionary. Everything
     else scores 0.
+
+    Each lexical label is resolved and unit-normalized once per sigma,
+    and the cache holds one entry per label. Every score equals
+    min(1, max(0, cosine(v1, v2))) on freshly resolved vectors, bit for
+    bit.
     """
     translate_first = cfg.mode == "translate_then_compare"
+    resolved: dict = {}  # label -> (vector, unit vector, score against itself)
+
+    def lookup(label: str) -> tuple:
+        entry = resolved.get(label)
+        if entry is None:
+            vec, shared = _resolve(label, store, dictionary, translate_first, cfg.lowercase)
+            if vec is None:
+                entry = (None, None, 0.0)
+            else:
+                # against itself, a store vector takes cosine's u is v
+                # shortcut; a multiword average, resolved afresh per node,
+                # met an equal copy and went through the dot product
+                self_score = min(1.0, max(0.0, cosine(vec, vec if shared else vec.copy())))
+                entry = (vec, _unit(vec), self_score)
+            resolved[label] = entry
+        return entry
 
     def sigma(n1: LabeledTree, n2: LabeledTree) -> float:
         if n1.kind == SYNTACTIC and n2.kind == SYNTACTIC:
@@ -239,14 +270,22 @@ def make_sigma(
             return 0.0
         if cfg.pos_must_match and n1.pos_tag != n2.pos_tag:
             return 0.0
-        v1 = resolve_vector(n1.label, store, dictionary, translate_first, cfg.lowercase)
-        v2 = resolve_vector(n2.label, store, dictionary, translate_first, cfg.lowercase)
+        v1, a, self_score = lookup(n1.label)
+        v2, b, _ = lookup(n2.label)
         if v1 is None or v2 is None:
             if cfg.oov_policy == "exact_match_fallback":
                 w1 = n1.label.lower() if cfg.lowercase else n1.label
                 w2 = n2.label.lower() if cfg.lowercase else n2.label
                 return 1.0 if w1 == w2 else 0.0
             return 0.0
-        return min(1.0, max(0.0, cosine(v1, v2)))
+        if v1.shape != v2.shape:
+            raise ValueError(f"vector shapes differ: {v1.shape} vs {v2.shape}")
+        # one cached vector behind both labels: the same label, or two
+        # labels that resolve to one store vector, scoring as cosine would
+        if v1 is v2:
+            return self_score
+        if a is None or b is None:
+            return 0.0
+        return min(1.0, max(0.0, float(np.dot(a, b))))
 
     return sigma

@@ -155,9 +155,9 @@ def count_tree_kernel_calls(monkeypatch) -> Counter:
     calls = Counter()
     real_tree, real_poly = combine.tree_kernel, combine.poly_kernel
 
-    def counted_tree(t1, t2, params):
+    def counted_tree(t1, t2, params, *args):
         calls[params.kind] += 1
-        return real_tree(t1, t2, params)
+        return real_tree(t1, t2, params, *args)
 
     def counted_poly(*args):
         calls["poly"] += 1

@@ -1,12 +1,14 @@
 """The label-bucketed SST/PTK dynamic programs against full scans.
 
 The kernels visit only node pairs whose productions (SST) or labels
-(PTK) match, over a postorder index memoized on each tree, and run the
-child-subsequence recursion on plain Python floats. The references
-below scan every node pair of freshly indexed trees and run the
-recursion on numpy tables; both must give the same values bit for bit.
+(PTK) match, over a postorder index memoized on each tree, run the
+child-subsequence recursion on plain Python floats, and memoize its
+totals by their child-delta inputs. The references below scan every
+node pair of freshly indexed trees and run the recursion on numpy
+tables with no memo; both must give the same values bit for bit.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -14,9 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udkernels import combine
+from udkernels.combine import _tree_matrix
 from udkernels.conllu import parse_conllu_file
 from udkernels.errors import NumericError
-from udkernels.kernels import TreeKernelParams, _subseq_sum, delta_matrix, tree_kernel
+from udkernels.kernels import (
+    TreeKernelParams,
+    _pt_matrix,
+    _subseq_sum,
+    delta_matrix,
+    tree_kernel,
+)
 from udkernels.lexical import (
     SigmaConfig,
     indicator_sigma,
@@ -30,7 +40,7 @@ from udkernels.synthetic import (
     make_re_corpus,
     write_crosslingual_re,
 )
-from udkernels.transforms import const_to_labeled, parse_bracketed, syn, to_lct
+from udkernels.transforms import const_to_labeled, lex, parse_bracketed, syn, to_lct
 
 # --- reference: every node pair, trees indexed afresh per call -------------
 
@@ -246,7 +256,183 @@ def test_subseq_sum_overflow_matches_numpy_reference(shape, nan, lam):
     assert same_bits(got, want)
 
 
-# --- the memo ----------------------------------------------------------------
+# --- the memo of child-subsequence totals -----------------------------------
+
+
+def assert_raw_matrices_match(rows, cols, params, sigma=indicator_sigma):
+    """Raw _tree_matrix cells, square over rows and rectangular over
+    rows x cols, against the memo-free full scan, bit for bit."""
+    raw = TreeKernelParams(
+        params.kind, lam=params.lam, mu=params.mu, sigma=params.sigma, normalize=False
+    )
+    reference = lambda t1, t2: float(full_scan_ptk(t1, t2, raw.lam, raw.mu, sigma).sum())
+    row_ids = tuple(map(str, range(len(rows))))
+    col_ids = tuple(map(str, range(len(cols))))
+    square = _tree_matrix(rows, rows, raw, row_ids, row_ids)
+    for i, t1 in enumerate(rows):
+        for j in range(i, len(rows)):
+            assert same_bits(square[i, j], reference(t1, rows[j]))
+            assert same_bits(square[j, i], square[i, j])
+    rect = _tree_matrix(rows, cols, raw, row_ids, col_ids)
+    for i, t1 in enumerate(rows):
+        for j, t2 in enumerate(cols):
+            assert same_bits(rect[i, j], reference(t1, t2))
+
+
+tree_lists = st.lists(trees, min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=tree_lists, cols=tree_lists, lam=decays, mu=decays)
+def test_memoized_ptk_matrix_equals_full_scan(rows, cols, lam, mu):
+    assert_raw_matrices_match(rows, cols, TreeKernelParams("PTK", lam=lam, mu=mu))
+
+
+@pytest.fixture(scope="module")
+def translating_resources(tmp_path_factory):
+    """The cross-lingual corpus's embeddings and dictionary, and words
+    that reach them directly, through translation, as multiword
+    averages, or not at all."""
+    paths = write_crosslingual_re(tmp_path_factory.mktemp("xl"), n_per_class=2, seed=13)
+    store = load_embeddings(paths["vectors.txt"])
+    dictionary = load_dictionary(paths["dict.tsv"])
+    base = sorted(store.vectors)[:6]
+    foreign = sorted(dictionary.entries)[:6]
+    words = base + foreign + [f"{base[0]} {base[1]}", f"{foreign[0]} blorp", "blorp"]
+    return store, dictionary, words
+
+
+def lct_trees(words):
+    """Lexical-centred trees: each word node heads its relation and POS
+    leaves, then its dependents, as to_lct builds them."""
+    pos = st.sampled_from(["NOUN", "VERB"])
+    rel = st.sampled_from(["nsubj", "obj"])
+
+    def word_node(word, tag, relation, dependents):
+        return lex(word, tag, syn(relation), syn(tag), *dependents)
+
+    leaf = st.builds(word_node, words, pos, rel, st.just(()))
+    return st.recursive(
+        leaf,
+        lambda sub: st.builds(word_node, words, pos, rel, st.lists(sub, max_size=3)),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), lam=decays, mu=decays)
+def test_memoized_sptk_matrix_equals_full_scan(translating_resources, data, lam, mu):
+    store, dictionary, words = translating_resources
+    word_trees = lct_trees(st.sampled_from(words))
+    rows = data.draw(st.lists(word_trees, min_size=1, max_size=3))
+    cols = data.draw(st.lists(word_trees, min_size=1, max_size=3))
+    cfg = SigmaConfig(mode="translate_then_compare")
+    params = TreeKernelParams("SPTK", lam=lam, mu=mu, sigma=make_sigma(cfg, store, dictionary))
+    # the reference scores with a sigma of its own, so no cache is shared
+    assert_raw_matrices_match(rows, cols, params, make_sigma(cfg, store, dictionary))
+    ptk = TreeKernelParams("PTK", lam=lam, mu=mu)
+    assert_raw_matrices_match(rows, cols, ptk)
+
+
+# two parents, rows 2 and 5, each over two leaf children; every child
+# delta is mu * gate * lam^2, so a leaf gate of -0.0, inf or NaN puts that
+# value into the parents' memo key
+TWIN_PARENTS = ((), (), (0, 1), (), (), (3, 4))
+ONE_PARENT = ((), (), (0, 1))
+
+
+def twin_gates(first, second):
+    """Gates of each parent's leaf-pair children, then of the parent."""
+    gates = []
+    for parent, leaf_gates in ((2, first), (5, second)):
+        leaves = [(i, j) for i in TWIN_PARENTS[parent] for j in ONE_PARENT[2]]
+        gates += [(i, j, g) for (i, j), g in zip(leaves, leaf_gates)]
+        gates.append((parent, 2, 1.0))
+    return gates
+
+
+@pytest.mark.parametrize(
+    "first, second, hits",
+    [
+        ([0.0, 1.0, 0.5, 2.0], [-0.0, 1.0, 0.5, 2.0], True),
+        ([-0.0, -0.0, 0.5, -0.0], [0.0, 0.0, 0.5, 0.0], True),
+        ([math.inf, 1.0, 0.5, 2.0], [math.inf, 1.0, 0.5, 2.0], True),
+        ([-0.0, math.inf, math.inf, -0.0], [0.0, math.inf, math.inf, 0.0], True),
+        ([math.nan, 1.0, 0.5, 2.0], [math.nan, 1.0, 0.5, 2.0], False),
+        ([math.inf, 1.0, -math.inf, 0.0], [math.inf, 1.0, -math.inf, 0.0], True),
+    ],
+)
+@pytest.mark.parametrize("lam", [0.4, 1.0])
+def test_memoized_totals_equal_recomputed_ones(first, second, hits, lam):
+    mu = 0.4
+    memo = {}
+    with np.errstate(all="ignore"):
+        delta = _pt_matrix(TWIN_PARENTS, ONE_PARENT, twin_gates(first, second), lam, mu, memo)
+        for parent in (2, 5):
+            ch = TWIN_PARENTS[parent]
+            want = mu * 1.0 * (lam * lam + reference_subseq_sum(delta, ch, (0, 1), lam))
+            assert same_bits(delta[parent, 2], want)
+    # equal keys share one entry; a NaN key never equals another
+    assert len(memo) == (1 if hits else 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(allow_nan=False),
+            st.floats(min_value=-1e-300, max_value=1e-300),
+        ),
+        min_size=16,
+        max_size=16,
+    ),
+    signs=st.lists(st.booleans(), min_size=16, max_size=16),
+    shape=st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 2), (4, 4), (1, 4)]),
+    lam=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_signed_zero_child_deltas_give_equal_totals(cells, signs, shape, lam):
+    # 0.0 and -0.0 are one memo key, so the totals they lead to must
+    # agree bit for bit
+    a, b = shape
+    plus = np.array(cells).reshape(4, 4)
+    minus = plus.copy()
+    for k, flip in enumerate(signs):
+        if flip and plus.flat[k] == 0.0:
+            minus.flat[k] = -0.0
+    ch1, ch2 = tuple(range(a)), tuple(range(b))
+    lam2 = lam * lam
+    with np.errstate(all="ignore"):
+        assert same_bits(
+            lam2 + _subseq_sum(plus, ch1, ch2, lam), lam2 + _subseq_sum(minus, ch1, ch2, lam)
+        )
+
+
+def test_tree_matrix_empties_the_memo_when_the_row_changes(monkeypatch):
+    corpus = [to_lct(t) for t in make_re_corpus(n_per_class=2, seed=3)]
+    seen = []  # (row tree, memo, memo size on entry) per call
+    real = combine.tree_kernel
+
+    def spy(t1, t2, params, memo):
+        seen.append((t1, memo, len(memo)))
+        return real(t1, t2, params, memo)
+
+    monkeypatch.setattr(combine, "tree_kernel", spy)
+    ids = tuple(map(str, range(len(corpus))))
+    _tree_matrix(corpus, corpus, TreeKernelParams("PTK"), ids, ids)
+    rect = corpus[:3]
+    _tree_matrix(rect, corpus, TreeKernelParams("PTK"), ids[:3], ids)
+    previous = None
+    for t1, memo, size in seen:
+        if t1 is not previous:
+            assert size == 0
+        previous = t1
+    # within a row the memo carries entries over from earlier columns
+    assert any(size > 0 for _, _, size in seen)
+    assert len({id(memo) for _, memo, _ in seen}) == 2
+
+
+# --- the per-tree index memo --------------------------------------------------
 
 
 @pytest.mark.parametrize("kind", ["SST", "PTK"])

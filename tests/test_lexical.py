@@ -1,3 +1,7 @@
+import itertools
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,9 @@ from udkernels.lexical import (
     resolve_vector,
     translate,
 )
-from udkernels.transforms import lex, syn
+from udkernels.conllu import parse_conllu_file
+from udkernels.synthetic import write_crosslingual_re
+from udkernels.transforms import lex, syn, to_lct
 
 
 # --- file loading ----------------------------------------------------------
@@ -103,12 +109,15 @@ def test_cosine_bounded(u, v):
 
 
 def test_cosine_exact_for_tiny_and_huge_magnitudes():
-    # squares of these components underflow or overflow; the result must not
+    # squares of these components underflow or overflow; the result must
+    # not, and no overflow warning may reach the caller
     u = np.array([1.0, 0.0, 0.0, 0.0])
-    assert cosine(u, np.array([9.42762753e-160, 0.0, 0.0, 0.0])) == 1.0
-    assert cosine(u, np.array([1e-170, 0.0, 0.0, 0.0])) == 1.0
-    assert cosine(np.array([1e200, 1e200]), np.array([1.0, 1.0])) == pytest.approx(1.0)
-    assert cosine(np.array([1e-170, 0.0]), np.array([0.0, 1e-170])) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cosine(u, np.array([9.42762753e-160, 0.0, 0.0, 0.0])) == 1.0
+        assert cosine(u, np.array([1e-170, 0.0, 0.0, 0.0])) == 1.0
+        assert cosine(np.array([1e200, 1e200]), np.array([1.0, 1.0])) == pytest.approx(1.0)
+        assert cosine(np.array([1e-170, 0.0]), np.array([0.0, 1e-170])) == 0.0
 
 
 def small_store():
@@ -209,6 +218,92 @@ def test_sigma_translate_then_compare():
     )
     # store hit wins before translation is attempted
     assert sigma(lex("cat", "NOUN"), lex("dog", "NOUN")) == 0.0
+
+
+def uncached_sigma(cfg, store, dictionary=None):
+    """make_sigma as it was before its label cache: both vectors are
+    resolved afresh on every call."""
+    translate_first = cfg.mode == "translate_then_compare"
+
+    def sigma(n1, n2):
+        if n1.kind == "syntactic" and n2.kind == "syntactic":
+            return 1.0 if n1.label == n2.label else 0.0
+        if n1.kind != "lexical" or n2.kind != "lexical":
+            return 0.0
+        if cfg.pos_must_match and n1.pos_tag != n2.pos_tag:
+            return 0.0
+        v1 = resolve_vector(n1.label, store, dictionary, translate_first, cfg.lowercase)
+        v2 = resolve_vector(n2.label, store, dictionary, translate_first, cfg.lowercase)
+        if v1 is None or v2 is None:
+            if cfg.oov_policy == "exact_match_fallback":
+                w1 = n1.label.lower() if cfg.lowercase else n1.label
+                w2 = n2.label.lower() if cfg.lowercase else n2.label
+                return 1.0 if w1 == w2 else 0.0
+            return 0.0
+        return min(1.0, max(0.0, cosine(v1, v2)))
+
+    return sigma
+
+
+def crosslingual_nodes(tmp_path):
+    """One node per distinct (kind, label, POS) of the cross-lingual
+    corpus, plus OOV, multiword, zero, tiny and huge-vector words; every
+    lexical extra appears as two distinct but equal nodes."""
+    paths = write_crosslingual_re(tmp_path, n_per_class=2, seed=13)
+    store = load_embeddings(paths["vectors.txt"])
+    dictionary = load_dictionary(paths["dict.tsv"])
+    base = sorted(store.vectors)
+    store.vectors["zeroword"] = np.zeros(store.dim)
+    store.vectors["tinyword"] = np.linspace(1e-170, 3e-170, store.dim)
+    store.vectors["hugeword"] = np.linspace(1e200, 3e200, store.dim)
+    trees = [to_lct(t) for name in ("train.conllu", "test.conllu") for t in parse_conllu_file(paths[name])]
+    nodes = {(n.kind, n.label, n.pos_tag): n for t in trees for n in t.iter_nodes()}
+    extras = ["blorp", "zeroword", "tinyword", "hugeword", base[0].upper(), "blorp zeroword"]
+    extras += [f"{a} {b}" for a, b in itertools.combinations(base[:5], 2)]
+    extras += [f"{base[0]} blorp", f"{sorted(dictionary.entries)[0]} {base[1]}", "hugeword tinyword"]
+    out = list(nodes.values())
+    out += [lex(word, "NOUN") for word in extras for _ in (0, 1)]
+    return out, store, dictionary
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SigmaConfig(mode="translate_then_compare"),
+        SigmaConfig(mode="translate_then_compare", oov_policy="exact_match_fallback"),
+        SigmaConfig(pos_must_match=False, lowercase=False),
+    ],
+)
+def test_cached_sigma_equals_uncached_bit_for_bit(tmp_path, monkeypatch, cfg):
+    from udkernels import lexical
+
+    nodes, store, dictionary = crosslingual_nodes(tmp_path)
+    pairs = [(n1, n2) for n1 in nodes for n2 in nodes]
+    old = uncached_sigma(cfg, store, dictionary)
+    bits = lambda x: struct.pack("<d", x)
+    with np.errstate(over="ignore"):
+        wants = [old(n1, n2) for n1, n2 in pairs]
+    # equal multiword labels score below 1 through the dot product, so
+    # the comparison does reach the case a shared vector would shortcut
+    assert any(n1 is not n2 and n1.label == n2.label and 0.0 < w < 1.0 for (n1, n2), w in zip(pairs, wants))
+
+    resolutions = []
+    real = lexical._resolve
+    monkeypatch.setattr(
+        lexical, "_resolve", lambda word, *args: resolutions.append(word) or real(word, *args)
+    )
+    new = make_sigma(cfg, store, dictionary)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (n1, n2), want in zip(pairs, wants):
+            assert bits(new(n1, n2)) == bits(want), (n1.label, n2.label)
+        # every label was resolved on its first pair; a second sweep over
+        # all pairs resolves nothing and scores the same
+        assert resolutions
+        resolutions.clear()
+        for (n1, n2), want in zip(pairs, wants):
+            assert bits(new(n1, n2)) == bits(want), (n1.label, n2.label)
+    assert resolutions == []
 
 
 def test_sigma_config_validation():
