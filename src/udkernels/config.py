@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .combine import kernel_spec_from_dict
+from .combine import CompositeParams, PairKernelParams, kernel_spec_from_dict
 from .errors import ConfigError
 from .features import FeatureConfig
 from .transforms import MweConfig
@@ -185,8 +185,6 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def _needs_embeddings(cfg: RunConfig) -> bool:
-    from .combine import CompositeParams, PairKernelParams
-
     spec = cfg.kernel_spec
     if isinstance(spec, CompositeParams):
         return True  # the vector term always needs embeddings
@@ -196,8 +194,6 @@ def _needs_embeddings(cfg: RunConfig) -> bool:
 
 
 def _check_cross_requirements(cfg: RunConfig):
-    from .combine import CompositeParams
-
     spec = cfg.kernel_spec
     if isinstance(spec, CompositeParams) and spec.variant in ("CK1", "CK3"):
         if cfg.data.train and not cfg.data.train_const:
@@ -206,12 +202,9 @@ def _check_cross_requirements(cfg: RunConfig):
             raise ConfigError(f"data.test_const is required for variant {spec.variant}")
     if _needs_embeddings(cfg) and not cfg.resources.embeddings:
         raise ConfigError("resources.embeddings is required for this kernel")
-    sigma_cfg = getattr(getattr(spec, "pt", None), "sigma_cfg", None) or getattr(
-        getattr(spec, "base", None), "sigma_cfg", None
-    )
-    if sigma_cfg is not None and getattr(sigma_cfg, "mode", "") == "translate_then_compare":
+    sigma_cfg = (spec.pt if isinstance(spec, CompositeParams) else spec.base).sigma_cfg
+    if sigma_cfg is not None and sigma_cfg.mode == "translate_then_compare":
         if not cfg.resources.dictionary:
             raise ConfigError("resources.dictionary is required for translate_then_compare")
     if cfg.features.translate and not cfg.resources.dictionary:
         raise ConfigError("resources.dictionary is required when features.translate is on")
-

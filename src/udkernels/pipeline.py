@@ -25,7 +25,7 @@ from .combine import (
 )
 from .config import RunConfig
 from .conllu import DepTree
-from .datasets import load_pi_dataset, load_re_dataset, write_predictions
+from .datasets import load_pi_dataset, load_re_dataset, read_predictions, write_predictions
 from .errors import ConfigError, DataError, ModelError
 from .features import PIInstance, REInstance, build_vo, build_vud
 from .lexical import (
@@ -326,8 +326,6 @@ def run_eval(cfg: RunConfig, predictions, split: str = "test") -> EvalReport:
     resources = load_resources(cfg)
     prepared = prepare_split(cfg, resources, split)
     if isinstance(predictions, (str,)) or hasattr(predictions, "__fspath__"):
-        from .datasets import read_predictions
-
         rows = read_predictions(predictions)
         by_id = {}
         for iid, label in rows:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ModelError, NumericError, TrainingError
 
-MODEL_VERSION = "1"
+MODEL_VERSION = "2"
 
 
 @dataclass
@@ -278,7 +278,7 @@ class SvmModel:
     task: str  # "pi" | "re"
     kernel_spec: dict
     classes: list
-    supports: list  # deduplicated pool of JSON-ready payload dicts
+    supports: list  # JSON-ready payload dicts, each training support once
     label_map: dict
     training_meta: dict
     version: str = MODEL_VERSION
@@ -303,11 +303,10 @@ def build_model(
         y = np.array([1.0 if lab == cls else -1.0 for lab in labels])
         idx = []
         for i in sup:
-            key = i
-            if key not in pool_index:
-                pool_index[key] = len(pool)
+            if i not in pool_index:
+                pool_index[i] = len(pool)
                 pool.append(payloads[i])
-            idx.append(pool_index[key])
+            idx.append(pool_index[i])
         classes.append(
             ClassModel(
                 label=cls,
@@ -359,12 +358,13 @@ def save_model(model: SvmModel, path):
         "version": model.version,
         "task": model.task,
         "kernel_spec": model.kernel_spec,
+        "supports": model.supports,
         "classes": [
             {
                 "label": cls.label,
                 "bias": cls.bias,
                 "coeffs": [float(c) for c in cls.coeffs],
-                "support": [model.supports[i] for i in cls.support_idx],
+                "support_idx": [int(i) for i in cls.support_idx],
             }
             for cls in model.classes
         ],
@@ -402,23 +402,22 @@ def _model_from_dict(data: dict) -> SvmModel:
             raise ValueError(f"{key} is not an object")
     if not isinstance(data["task"], str):
         raise ValueError("task is not a string")
-    pool: list = []
-    pool_index: dict = {}
+    supports = data["supports"]
+    if not isinstance(supports, list) or not all(isinstance(p, dict) for p in supports):
+        raise ValueError("supports is not a list of objects")
     classes = []
     for cls in data["classes"]:
-        label, support = cls["label"], cls["support"]
+        label, idx = cls["label"], cls["support_idx"]
         coeffs = np.array(cls["coeffs"], dtype=np.float64)
-        if not isinstance(label, str) or not all(isinstance(p, dict) for p in support):
-            raise ValueError("a class needs a string label and object supports")
-        if coeffs.shape != (len(support),):
-            raise ValueError(f"class {label!r} has {coeffs.size} coeffs for {len(support)} supports")
-        idx = []
-        for payload in support:
-            key = json.dumps(payload, sort_keys=True)
-            if key not in pool_index:
-                pool_index[key] = len(pool)
-                pool.append(payload)
-            idx.append(pool_index[key])
+        if not isinstance(label, str) or not isinstance(idx, list):
+            raise ValueError("a class needs a string label and a support_idx list")
+        if not all(type(i) is int and 0 <= i < len(supports) for i in idx):
+            raise ValueError(
+                f"class {label!r} has a support_idx entry that is not an index "
+                f"into the {len(supports)} supports"
+            )
+        if coeffs.shape != (len(idx),):
+            raise ValueError(f"class {label!r} has {coeffs.size} coeffs for {len(idx)} supports")
         classes.append(
             ClassModel(
                 label=label,
@@ -432,7 +431,7 @@ def _model_from_dict(data: dict) -> SvmModel:
         task=data["task"],
         kernel_spec=data.get("kernel_spec", {}),
         classes=classes,
-        supports=pool,
+        supports=supports,
         label_map=data.get("label_map", {}),
         training_meta=data.get("training_meta", {}),
         version=data["version"],

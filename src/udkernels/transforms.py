@@ -320,84 +320,102 @@ def _escape(atom: str) -> str:
     return "".join("\\" + ch if ch in _SPECIALS else ch for ch in atom)
 
 
-def _tokenize_sexpr(line: str, where: str):
+def _tokenize(line: str, where: str) -> list:
+    """(kind, parts, offset) tokens of a bracketed line. A bracket's kind
+    is "(" or ")" and its parts None; an atom's kind is "atom" and its
+    parts are its unescaped text split at its unescaped carets."""
     tokens = []
-    buf = []
-    start = 0
+    parts = None  # the atom being read
+    run = 0  # where its current run of plain characters starts
     i = 0
     while i < len(line):
         ch = line[i]
-        if ch == "\\":
-            if i + 1 >= len(line):
-                raise BracketError(f"{where}, offset {i}: dangling escape")
-            if not buf:
-                start = i
-            buf.append(line[i + 1])
-            i += 2
-            continue
         if ch in "()" or ch.isspace():
-            if buf:
-                tokens.append(("atom", "".join(buf), start))
-                buf = []
-            if ch == "(":
-                tokens.append(("open", ch, i))
-            elif ch == ")":
-                tokens.append(("close", ch, i))
-            i += 1
-            continue
-        if not buf:
-            start = i
-        buf.append(ch)
+            if parts is not None:
+                parts[-1] += line[run:i]
+                tokens.append(("atom", parts, start))
+                parts = None
+            if ch in "()":
+                tokens.append((ch, None, i))
+        elif parts is None or ch in "^\\":
+            if parts is None:
+                parts, start, run = [""], i, i
+            if ch == "^":
+                parts[-1] += line[run:i]
+                parts.append("")
+                run = i + 1
+            elif ch == "\\":
+                if i + 1 == len(line):
+                    raise BracketError(f"{where}, offset {i}: dangling escape")
+                parts[-1] += line[run:i]
+                run = i + 1  # the escaped character opens the next run
+                i += 1
         i += 1
-    if buf:
-        tokens.append(("atom", "".join(buf), start))
+    if parts is not None:
+        parts[-1] += line[run:]
+        tokens.append(("atom", parts, start))
     return tokens
 
 
-def _parse_const_line(line: str, where: str) -> ConstTree:
-    tokens = _tokenize_sexpr(line, where)
+def _parse(text: str, where: str, build):
+    """The one tree written in text.
+
+    build(parts, children, offset) makes each node after its children:
+    children is None for a bare atom and a tuple, maybe empty, for a
+    bracketed node; offset is where the node starts.
+    """
+    tokens = _tokenize(text, where)
     if not tokens:
         raise BracketError(f"{where}: empty tree")
     pos = 0
-    leaf_counter = [0]
 
-    def parse() -> ConstTree:
+    def node():
         nonlocal pos
-        kind, value, off = tokens[pos]
-        if kind == "atom":
-            pos += 1
-            leaf_counter[0] += 1
-            n = leaf_counter[0]
-            return ConstTree(label=value, span=(n, n))
-        if kind != "open":
-            raise BracketError(f"{where}, offset {off}: unexpected ')'")
+        kind, parts, off = tokens[pos]
         pos += 1
-        if pos >= len(tokens) or tokens[pos][0] != "atom":
+        if kind == ")":
+            raise BracketError(f"{where}, offset {off}: unexpected ')'")
+        if kind == "atom":
+            return build(parts, None, off)
+        if pos == len(tokens) or tokens[pos][0] != "atom":
             raise BracketError(f"{where}, offset {off}: missing node label")
         label = tokens[pos][1]
         pos += 1
         children = []
-        while pos < len(tokens) and tokens[pos][0] != "close":
-            children.append(parse())
-        if pos >= len(tokens):
+        while pos < len(tokens) and tokens[pos][0] != ")":
+            children.append(node())
+        if pos == len(tokens):
             raise BracketError(f"{where}, offset {off}: unbalanced parentheses")
-        pos += 1  # the close
-        if not children:
-            leaf_counter[0] += 1
-            n = leaf_counter[0]
-            return ConstTree(label=label, span=(n, n))
-        span = (children[0].span[0], children[-1].span[1])
-        return ConstTree(label=label, children=tuple(children), span=span)
+        pos += 1
+        return build(label, tuple(children), off)
 
-    tree = parse()
+    tree = node()
     if pos != len(tokens):
-        kind, _, off = tokens[pos]
-        raise BracketError(f"{where}, offset {off}: trailing content after tree")
+        raise BracketError(f"{where}, offset {tokens[pos][2]}: trailing content after tree")
     return tree
 
 
+def _parse_const_line(line: str, where: str) -> ConstTree:
+    leaves = 0
+
+    def build(parts, children, _off) -> ConstTree:
+        nonlocal leaves
+        label = "^".join(parts)  # a caret is plain text in a constituency label
+        if children:
+            span = (children[0].span[0], children[-1].span[1])
+            return ConstTree(label=label, children=children, span=span)
+        leaves += 1
+        return ConstTree(label=label, span=(leaves, leaves))
+
+    return _parse(line, where, build)
+
+
 def parse_bracketed(text: str, source: str = "<string>") -> list:
-    """Parse one bracketed constituency tree per nonempty line."""
+    """Parse one bracketed constituency tree per nonempty line.
+
+    A leaf is a bare atom or a bracketed label without children; leaves
+    get 1-based spans left to right. A caret in a label is plain text.
+    """
     trees = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -454,91 +472,30 @@ def const_to_labeled(tree: ConstTree, pos: str | None = None) -> LabeledTree:
     return LabeledTree(label=tree.label, kind=SYNTACTIC, children=kids)
 
 
-def labeled_to_sexpr(tree: LabeledTree, annotate: bool = True) -> str:
-    """Bracketed form of a LabeledTree.
-
-    With annotate, lexical nodes render as label^POS so the expression
-    parses back to an equal tree; without it the output is the plain
-    inspection form.
-    """
+def labeled_to_sexpr(tree: LabeledTree) -> str:
+    """Bracketed form of a LabeledTree. Lexical nodes render as
+    label^POS, so the expression parses back to an equal tree."""
     atom = _escape(tree.label)
-    if annotate and tree.kind == LEXICAL:
+    if tree.kind == LEXICAL:
         atom += "^" + _escape(tree.pos_tag or "X")
     if not tree.children:
         return f"({atom})"
-    inner = " ".join(labeled_to_sexpr(c, annotate) for c in tree.children)
+    inner = " ".join(labeled_to_sexpr(c) for c in tree.children)
     return f"({atom} {inner})"
 
 
+def _labeled_node(parts, children, off) -> LabeledTree:
+    if children is None:
+        raise BracketError(f"<sexpr>, offset {off}: expected '('")
+    if len(parts) > 2:
+        atom = "^".join(map(_escape, parts))
+        raise BracketError(f"<sexpr>, offset {off}: label {atom!r} has more than one unescaped '^'")
+    if len(parts) == 2:
+        return LabeledTree(label=parts[0], kind=LEXICAL, children=children, pos_tag=parts[1])
+    return LabeledTree(label=parts[0], kind=SYNTACTIC, children=children)
+
+
 def labeled_from_sexpr(text: str) -> LabeledTree:
-    tokens = _tokenize_sexpr(text, "<sexpr>")
-    if not tokens:
-        raise BracketError("<sexpr>: empty expression")
-    pos = 0
-
-    def split_atom(raw_slice: str):
-        # re-scan the raw text to tell an escaped caret from a separator
-        parts = []
-        buf = []
-        i = 0
-        while i < len(raw_slice):
-            ch = raw_slice[i]
-            if ch == "\\" and i + 1 < len(raw_slice):
-                buf.append(raw_slice[i + 1])
-                i += 2
-                continue
-            if ch == "^":
-                parts.append("".join(buf))
-                buf = []
-                i += 1
-                continue
-            buf.append(ch)
-            i += 1
-        parts.append("".join(buf))
-        return parts
-
-    def parse() -> LabeledTree:
-        nonlocal pos
-        kind, value, off = tokens[pos]
-        if kind != "open":
-            raise BracketError(f"<sexpr>, offset {off}: expected '('")
-        pos += 1
-        if pos >= len(tokens) or tokens[pos][0] != "atom":
-            raise BracketError(f"<sexpr>, offset {off}: missing node label")
-        _, _, atom_off = tokens[pos]
-        raw = _raw_atom(text, atom_off)
-        parts = split_atom(raw)
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos][0] != "close":
-            children.append(parse())
-        if pos >= len(tokens):
-            raise BracketError(f"<sexpr>, offset {off}: unbalanced parentheses")
-        pos += 1
-        if len(parts) == 2:
-            return LabeledTree(
-                label=parts[0], kind=LEXICAL, children=tuple(children), pos_tag=parts[1]
-            )
-        return LabeledTree(label=parts[0], kind=SYNTACTIC, children=tuple(children))
-
-    tree = parse()
-    if pos != len(tokens):
-        raise BracketError("<sexpr>: trailing content after tree")
-    return tree
-
-
-def _raw_atom(text: str, start: int) -> str:
-    out = []
-    i = start
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            out.append(ch)
-            out.append(text[i + 1])
-            i += 2
-            continue
-        if ch in "()" or ch.isspace():
-            break
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    """Inverse of labeled_to_sexpr: a label with one unescaped caret is
+    a lexical node (word^POS), one without is a syntactic node."""
+    return _parse(text, "<sexpr>", _labeled_node)

@@ -315,11 +315,11 @@ def test_predict_rejects_undecodable_support(pi_paths, tmp_path):
     model_path = tmp_path / "model.json"
     run_train(cfg, model_path)
     data = json.loads(model_path.read_text())
-    data["classes"][0]["support"][0]["a"] = "(root (unclosed)"
+    data["supports"][0]["a"] = "(root (unclosed)"
     model_path.write_text(json.dumps(data))
     with pytest.raises(ModelError, match=f"model file {model_path} holds a support payload"):
         run_predict(cfg, model_path, None)
-    data["classes"][0]["support"][0] = {"b": "(root)"}
+    data["supports"][0] = {"b": "(root)"}
     model_path.write_text(json.dumps(data))
     with pytest.raises(ModelError, match="KeyError"):
         run_predict(cfg, model_path, None)

@@ -384,9 +384,11 @@ def test_model_save_load_roundtrip(tmp_path):
     assert loaded.task == "pi"
     assert loaded.kernel_spec == {"task": "pi", "kind": "sm"}
     assert [cls.label for cls in loaded.classes] == [cls.label for cls in model.classes]
+    assert loaded.supports == model.supports
     for orig, back in zip(model.classes, loaded.classes):
         assert back.bias == orig.bias
         assert np.array_equal(back.coeffs, orig.coeffs)
+        assert np.array_equal(back.support_idx, orig.support_idx)
 
     # the reloaded model predicts identically
     for row in pool_rows(model, payloads, gram):
@@ -422,40 +424,41 @@ def test_load_model_rejects_garbage(tmp_path):
         load_model(path)
 
 
+V2_HEAD = '{"version": "2", "task": "pi", "supports": [{}], "classes": '
+
+
+def v2_class(fields: str) -> str:
+    """A version-2 model file with one support and one class."""
+    return '%s[{"label": "a", "bias": 0, %s}]}' % (V2_HEAD, fields)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         ("[]", "does not hold a JSON object"),
-        ('{"version": "1", "classes": []}', "missing field 'task'"),
-        ('{"version": "1", "task": "pi"}', "missing field 'classes'"),
-        ('{"version": "1", "task": "pi", "classes": [{"label": "a"}]}', "missing field 'support'"),
-        ('{"version": "1", "task": "pi", "classes": ["a"]}', "malformed"),
-        ('{"version": "1", "task": 7, "classes": []}', "task is not a string"),
-        ('{"version": "1", "task": "pi", "classes": [], "label_map": []}', "label_map"),
+        ('{"version": "2", "classes": []}', "missing field 'task'"),
+        ('{"version": "2", "task": "pi", "classes": []}', "missing field 'supports'"),
+        ('{"version": "2", "task": "pi", "supports": []}', "missing field 'classes'"),
+        (V2_HEAD + '[{"label": "a"}]}', "missing field 'support_idx'"),
+        ('{"version": "2", "task": "pi", "supports": [], "classes": ["a"]}', "malformed"),
+        ('{"version": "2", "task": 7, "supports": [], "classes": []}', "task is not a string"),
+        ('{"version": "2", "task": "pi", "supports": [], "classes": [], "label_map": []}', "label_map"),
+        ('{"version": "2", "task": "pi", "supports": {}, "classes": []}', "supports is not a list"),
+        ('{"version": "2", "task": "pi", "supports": ["(a)"], "classes": []}', "list of objects"),
+        (v2_class('"coeffs": [1.0, 2.0], "support_idx": [0]'), "2 coeffs for 1 supports"),
+        (v2_class('"coeffs": [1.0], "support_idx": 0'), "support_idx list"),
+        (v2_class('"coeffs": [1.0], "support_idx": [false]'), "not an index into the 1 supports"),
+        (v2_class('"coeffs": [1.0], "support_idx": [0.0]'), "not an index"),
+        (v2_class('"coeffs": [1.0], "support_idx": [-1]'), "not an index"),
+        (v2_class('"coeffs": [1.0], "support_idx": [1]'), "not an index"),
+        (V2_HEAD + '[{"label": 3, "bias": 0, "coeffs": [], "support_idx": []}]}', "string label"),
+        (V2_HEAD + '[{"label": "a", "bias": "high", "coeffs": [], "support_idx": []}]}', "high"),
+        (v2_class('"coeffs": ["x"], "support_idx": [0]'), "malformed"),
+        # version 1 repeated each support per class; such files are refused
         (
             '{"version": "1", "task": "pi", "classes": '
-            '[{"label": "a", "bias": 0, "coeffs": [1.0, 2.0], "support": [{}]}]}',
-            "2 coeffs for 1 supports",
-        ),
-        (
-            '{"version": "1", "task": "pi", "classes": '
-            '[{"label": "a", "bias": 0, "coeffs": [1.0], "support": ["(a)"]}]}',
-            "object supports",
-        ),
-        (
-            '{"version": "1", "task": "pi", "classes": '
-            '[{"label": 3, "bias": 0, "coeffs": [], "support": []}]}',
-            "string label",
-        ),
-        (
-            '{"version": "1", "task": "pi", "classes": '
-            '[{"label": "a", "bias": "high", "coeffs": [], "support": []}]}',
-            "high",
-        ),
-        (
-            '{"version": "1", "task": "pi", "classes": '
-            '[{"label": "a", "bias": 0, "coeffs": ["x"], "support": [{}]}]}',
-            "malformed",
+            '[{"label": "a", "bias": 0, "coeffs": [1.0], "support": [{}]}]}',
+            "unsupported version '1'",
         ),
     ],
 )

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udkernels.errors import BracketError
 from udkernels.transforms import (
     LEXICAL,
     SYNTACTIC,
+    ConstTree,
+    LabeledTree,
     MweConfig,
     collapse_mwe,
     const_to_bracketed,
@@ -230,3 +234,87 @@ def test_labeled_sexpr_annotated_atom_is_lexical():
     t = labeled_from_sexpr("(walk^VERB (nsubj))")
     assert t.kind == LEXICAL
     assert t.pos_tag == "VERB"
+
+
+def test_labeled_sexpr_refuses_two_carets():
+    with pytest.raises(BracketError, match=r"offset 3: label 'a\^b\^c' has more than one"):
+        labeled_from_sexpr("(x (a^b^c))")
+    # an escaped caret belongs to the word
+    assert labeled_from_sexpr("(a\\^b^c)") == lex("a^b", "c")
+
+
+# --- bracket round trips and errors ----------------------------------------
+
+# every character the escape rule covers, plus non-ASCII letters
+labels = st.text(alphabet="ab()^\\ \té中ß", min_size=1, max_size=5)
+
+
+def labeled_nodes(kids):
+    """A node over a drawn list of children: lexical when it draws a POS tag."""
+    return st.builds(
+        lambda label, pos, children: LabeledTree(
+            label, LEXICAL if pos is not None else SYNTACTIC, tuple(children), pos
+        ),
+        labels,
+        st.none() | labels,
+        kids,
+    )
+
+
+labeled_trees = st.recursive(
+    labeled_nodes(st.just([])),
+    lambda children: labeled_nodes(st.lists(children, max_size=3)),
+    max_leaves=10,
+)
+
+const_trees = st.recursive(
+    st.builds(ConstTree, labels),
+    lambda kids: st.builds(
+        lambda label, c: ConstTree(label, tuple(c)), labels, st.lists(kids, min_size=1, max_size=3)
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_trees)
+def test_labeled_sexpr_roundtrip_any_labels(tree):
+    assert labeled_from_sexpr(labeled_to_sexpr(tree)) == tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(const_trees)
+def test_bracketed_roundtrip_any_labels(tree):
+    text = const_to_bracketed(tree)
+    (parsed,) = parse_bracketed(text)
+    assert const_to_bracketed(parsed) == text
+
+
+def test_bracketed_caret_is_plain_text():
+    (ct,) = parse_bracketed("(NP^x a^b^c \\^d)")
+    assert ct.label == "NP^x"
+    assert [leaf.label for leaf in ct.leaves()] == ["a^b^c", "^d"]
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (labeled_from_sexpr, "", "<sexpr>: empty"),
+        (labeled_from_sexpr, " \t", "<sexpr>: empty"),
+        (labeled_from_sexpr, "(a\\", "offset 2: dangling escape"),
+        (parse_bracketed, "(S a\\", "line 1, offset 4: dangling escape"),
+        (labeled_from_sexpr, "(a ())", "offset 3: missing node label"),
+        (parse_bracketed, "(S ((NP a)))", "line 1, offset 3: missing node label"),
+        (labeled_from_sexpr, "(a (b)", "offset 0: unbalanced parentheses"),
+        (parse_bracketed, "(S a)\n(S (NP a)", "line 2, offset 0: unbalanced parentheses"),
+        (labeled_from_sexpr, "(a) (b)", "trailing content"),
+        (parse_bracketed, "(S a) b", "line 1, offset 6: trailing content"),
+        (labeled_from_sexpr, ") (a)", "offset 0"),
+        (parse_bracketed, ") (S a)", "line 1, offset 0: unexpected '\\)'"),
+        (labeled_from_sexpr, "(a b)", "offset 3: expected '\\('"),
+        (labeled_from_sexpr, "b", "offset 0: expected '\\('"),
+    ],
+)
+def test_bracket_errors(read, text, message):
+    with pytest.raises(BracketError, match=message):
+        read(text)
