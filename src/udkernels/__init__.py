@@ -12,12 +12,11 @@ from .combine import (
     composite_kernel,
     kernel_fingerprint,
     kernel_matrix,
-    kernel_spec_from_dict,
     kernel_spec_to_dict,
     sm_tk,
     softmax2,
 )
-from .config import RunConfig, load_config, parse_config
+from .config import RunConfig, kernel_spec_from_dict, load_config, parse_config
 from .conllu import DepTree, Token, parse_conllu, parse_conllu_file, to_conllu, validate
 from .errors import (
     BracketError,

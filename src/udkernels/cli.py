@@ -38,10 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="full tracebacks on errors")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gram", help="compute and store a Gram matrix")
+    p = sub.add_parser("gram", help="compute and store the training Gram matrix")
     _add_config(p)
     p.add_argument("--out", required=True, help="output Gram file path")
-    p.add_argument("--split", choices=("train", "test"), default="train")
 
     p = sub.add_parser("train", help="train a classifier")
     _add_config(p)
@@ -82,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gram(args) -> int:
     cfg = load_config(args.config)
-    gram = run_gram(cfg, args.out, split=args.split)
+    gram = run_gram(cfg, args.out)
     print(f"wrote {len(gram)}x{len(gram)} gram to {args.out} (kernel {gram.fingerprint})")
     return 0
 

@@ -316,7 +316,8 @@ def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> n
 
 # ---------------------------------------------------------------------------
 # Kernel spec serialization. Every hyperparameter is written explicitly
-# so model files and Gram manifests pin the exact kernel they used.
+# so model files and Gram manifests pin the exact kernel they used;
+# config.kernel_spec_from_dict reads the result back.
 
 
 def tree_params_to_dict(p: TreeKernelParams) -> dict:
@@ -333,42 +334,8 @@ def tree_params_to_dict(p: TreeKernelParams) -> dict:
     return out
 
 
-def tree_params_from_dict(data: dict) -> TreeKernelParams:
-    """Rebuild kernel params from their serialized form.
-
-    SPTK specs come back with sigma_cfg populated and a placeholder
-    similarity; callers bind the real one against loaded resources.
-    """
-    kind = data.get("kind")
-    if kind not in ("SST", "PTK", "SPTK"):
-        raise ConfigError(f"unknown kernel kind {kind!r} in kernel spec")
-    sigma_cfg = None
-    sigma = None
-    if kind == "SPTK":
-        sigma_cfg = SigmaConfig.from_dict(data.get("sigma", {}))
-        sigma = _unbound_sigma
-    return TreeKernelParams(
-        kind=kind,
-        lam=float(data.get("lambda", 0.4)),
-        mu=float(data.get("mu", 0.4)),
-        sigma=sigma,
-        sigma_cfg=sigma_cfg,
-        normalize=bool(data.get("normalize", True)),
-    )
-
-
-def _unbound_sigma(n1, n2):
-    raise ConfigError("SPTK similarity is not bound to embedding resources yet")
-
-
 def pair_spec_to_dict(p: PairKernelParams) -> dict:
     return {"task": "pi", "m": p.m, "base": tree_params_to_dict(p.base)}
-
-
-def pair_spec_from_dict(data: dict) -> PairKernelParams:
-    return PairKernelParams(
-        base=tree_params_from_dict(data.get("base", {})), m=float(data.get("m", 100.0))
-    )
 
 
 def composite_spec_to_dict(p: CompositeParams) -> dict:
@@ -382,32 +349,6 @@ def composite_spec_to_dict(p: CompositeParams) -> dict:
         "sst": tree_params_to_dict(p.sst),
         "pt": tree_params_to_dict(p.pt),
     }
-
-
-def composite_spec_from_dict(data: dict) -> CompositeParams:
-    params = CompositeParams(
-        variant=data.get("variant", ""),
-        alpha=float(data.get("alpha", 0.23)),
-        sst=tree_params_from_dict(data.get("sst", {"kind": "SST"})),
-        pt=tree_params_from_dict(data.get("pt", {"kind": "PTK"})),
-        vec_degree=int(data.get("degree", 2)),
-        vec_coef0=float(data.get("coef0", 1.0)),
-    )
-    mode = data.get("feature_mode")
-    if mode is not None and mode != params.feature_mode:
-        raise ConfigError(
-            f"feature_mode {mode!r} does not match variant {params.variant}"
-        )
-    return params
-
-
-def kernel_spec_from_dict(data: dict):
-    task = data.get("task")
-    if task == "pi":
-        return pair_spec_from_dict(data)
-    if task == "re":
-        return composite_spec_from_dict(data)
-    raise ConfigError(f"kernel spec task must be 'pi' or 're', got {task!r}")
 
 
 def kernel_spec_to_dict(spec) -> dict:

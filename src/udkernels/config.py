@@ -1,17 +1,22 @@
 """Run configuration: one JSON file describing task, kernel, data, resources.
 
-Validation happens up front so a bad file fails with the offending
-field named, before any data is loaded.
+Every JSON object in a config is read by one rule, _read, from the
+dataclass it fills, so each field's name, default and type is written
+once, in that dataclass. Validation happens up front so a bad file
+fails with the offending field named, before any data is loaded.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
-from .combine import CompositeParams, PairKernelParams, kernel_spec_from_dict
+from .combine import CompositeParams, PairKernelParams
 from .errors import ConfigError
 from .features import FeatureConfig
+from .kernels import TreeKernelParams
+from .lexical import SigmaConfig
 from .transforms import MweConfig
 
 TASKS = ("pi", "re")
@@ -31,7 +36,7 @@ class DataConfig:
 
 @dataclass
 class ResourceConfig:
-    embeddings: dict = field(default_factory=dict)  # lang -> path
+    embeddings: dict[str, str] = field(default_factory=dict)  # lang -> path
     dictionary: str | None = None
 
 
@@ -40,7 +45,7 @@ class SvmConfig:
     C: float = 1.0
     tol: float = 1e-3
     max_passes: int = 10
-    class_weights: dict = field(default_factory=dict)
+    class_weights: dict[str, float] = field(default_factory=dict)  # label -> C factor
 
 
 @dataclass
@@ -53,50 +58,153 @@ class EvalConfig:
 class RunConfig:
     task: str
     kernel_spec: object
-    data: DataConfig
-    resources: ResourceConfig
-    features: FeatureConfig
-    svm: SvmConfig
-    eval: EvalConfig
+    data: DataConfig = field(default_factory=DataConfig)
+    resources: ResourceConfig = field(default_factory=ResourceConfig)
+    features: FeatureConfig = field(default_factory=FeatureConfig)
+    svm: SvmConfig = field(default_factory=SvmConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
+
+    def __post_init__(self):
+        if self.task not in TASKS:
+            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing field {where}.{key}" if where else f"missing field {key}")
-    return mapping[key]
+# ---------------------------------------------------------------------------
+# The reader.
+
+# JSON key -> dataclass field, where a config spells a field differently;
+# the field is then reachable only under its JSON key
+_FIELD_OF = {
+    "lambda": "lam",
+    "degree": "vec_degree",
+    "coef0": "vec_coef0",
+    "sigma": "sigma_cfg",
+    "mwe_relations": "relations",
+    "mwe_scope": "scope",
+}
+
+_JSON_TYPE = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    dict: "an object",
+    tuple: "a list of strings",
+    frozenset: "a list of strings",
+}
 
 
-def _check_keys(mapping: dict, allowed, where: str):
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown field {where}.{unknown[0]}" if where else f"unknown field {unknown[0]}")
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    return raw
 
 
-def _feature_config(data: dict) -> FeatureConfig:
-    _check_keys(
-        data,
-        ("window", "exclude_punct", "mwe_relations", "mwe_scope", "translate", "lowercase", "use_forms"),
-        "features",
-    )
-    window = data.get("window", 3)
-    if not isinstance(window, int) or window < 0:
-        raise ConfigError(f"features.window must be a non-negative integer, got {window!r}")
-    scope = data.get("mwe_scope", "sdp_and_dependents")
-    relations = data.get("mwe_relations", ["fixed"])
-    if not isinstance(relations, list) or not all(isinstance(r, str) for r in relations):
-        raise ConfigError("features.mwe_relations must be a list of relation names")
+def _read(cls, raw, where: str, **given):
+    """The cls dataclass the JSON object raw, at dotted path where, describes.
+
+    Each key names a field, through _FIELD_OF where the two differ, and
+    a left-out key keeps the field's default. given fills fields that
+    no key may set. Values follow _typed; an error of cls's own checks
+    comes back naming where.
+    """
+    path = lambda key: f"{where}.{key}" if where else key
+    hints = typing.get_type_hints(cls)
+    args = dict(given)
+    for key, value in _object(raw, where).items():
+        name = _FIELD_OF.get(key, key)
+        if name not in hints or name in given or key in _FIELD_OF.values():
+            raise ConfigError(f"unknown field {path(key)}")
+        args[name] = _typed(hints[name], value, path(key))
+    for f in fields(cls):
+        if f.name not in args and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing field {path(f.name)}")
     try:
-        mwe = MweConfig(relations=frozenset(relations), scope=scope)
-    except ValueError as exc:
-        raise ConfigError(f"features.mwe_scope: {exc}") from None
-    return FeatureConfig(
-        window=window,
-        exclude_punct=bool(data.get("exclude_punct", True)),
-        mwe=mwe,
-        translate=bool(data.get("translate", False)),
-        lowercase=bool(data.get("lowercase", True)),
-        use_forms=bool(data.get("use_forms", False)),
-    )
+        return cls(**args)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
+
+
+def _typed(hint, value, path: str):
+    """value as a field declared hint holds it.
+
+    The JSON type must be the declared one, with three conversions: an
+    int fills a float field, a list of strings a tuple or frozenset
+    field, and null a field that may be None. A bool is never a number.
+    A nested object is read by its dataclass's reader, and each value
+    of a dict[str, X] field is read as an X.
+    """
+    if typing.get_origin(hint) is dict:
+        if isinstance(value, dict):
+            item = typing.get_args(hint)[1]
+            return {k: _typed(item, v, f"{path}.{k}") for k, v in value.items()}
+        hint = dict
+    kinds = typing.get_args(hint) or (hint,)  # str | None -> (str, NoneType)
+    kind = kinds[0]
+    if value is None and type(None) in kinds:
+        return None
+    if is_dataclass(kind):
+        reader = _READERS.get(kind)
+        return reader(value, path) if reader else _read(kind, value, path)
+    if kind in (tuple, frozenset):
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return kind(value)
+    elif isinstance(value, bool) is (kind is bool):
+        if isinstance(value, kind):
+            return value
+        if kind is float and isinstance(value, int):
+            return float(value)
+    nullable = " or null" if type(None) in kinds else ""
+    raise ConfigError(f"{path} must be {_JSON_TYPE[kind]}{nullable}, got {value!r}")
+
+
+def _unbound_sigma(n1, n2):
+    raise ConfigError("SPTK similarity is not bound to embedding resources yet")
+
+
+def _tree_params(raw, where: str) -> TreeKernelParams:
+    """Only SPTK reads a sigma block, and gets the default one when it
+    has none; its similarity is a placeholder until bind_sigma."""
+    sptk = isinstance(raw, dict) and raw.get("kind") == "SPTK"
+    params = _read(TreeKernelParams, raw, where, sigma=_unbound_sigma if sptk else None)
+    if not sptk:
+        if params.sigma_cfg is not None:
+            raise ConfigError(f"{where}.sigma is read by SPTK kernels only")
+        return params
+    return replace(params, sigma_cfg=params.sigma_cfg or SigmaConfig())
+
+
+def _features(raw, where: str) -> FeatureConfig:
+    """The mwe_relations and mwe_scope keys fill the MweConfig."""
+    raw = _object(raw, where)
+    mwe_keys = ("mwe_relations", "mwe_scope")
+    mwe = _read(MweConfig, {k: v for k, v in raw.items() if k in mwe_keys}, where)
+    rest = {k: v for k, v in raw.items() if k not in mwe_keys}
+    features = _read(FeatureConfig, rest, where, mwe=mwe)
+    if features.window < 0:
+        raise ConfigError(f"{where}.window must be a non-negative integer, got {features.window!r}")
+    return features
+
+
+_READERS = {TreeKernelParams: _tree_params, FeatureConfig: _features}
+
+
+def kernel_spec_from_dict(data, where: str = "kernel"):
+    """Kernel params from their JSON form, a config's kernel object or
+    combine.kernel_spec_to_dict's output: PairKernelParams for task "pi",
+    CompositeParams for "re", whose feature_mode key, when present, must
+    be its variant's."""
+    rest = {k: v for k, v in _object(data, where).items() if k != "task"}
+    task = data.get("task")
+    if task == "pi":
+        return _read(PairKernelParams, rest, where)
+    if task != "re":
+        raise ConfigError(f"{where}.task must be one of {TASKS}, got {task!r}")
+    mode = rest.pop("feature_mode", None)
+    spec = _read(CompositeParams, rest, where)
+    if mode not in (None, spec.feature_mode):
+        raise ConfigError(f"{where}.feature_mode {mode!r} does not match variant {spec.variant}")
+    return spec
 
 
 def load_config(path) -> RunConfig:
@@ -113,73 +221,25 @@ def load_config(path) -> RunConfig:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    _check_keys(
-        raw,
-        ("task", "kernel", "data", "resources", "features", "svm", "eval"),
-        "",
-    )
-    task = _require(raw, "task", "")
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-
-    kernel_raw = dict(_require(raw, "kernel", ""))
-    kernel_raw.setdefault("task", task)
-    if kernel_raw["task"] != task:
-        raise ConfigError(f"kernel.task {kernel_raw['task']!r} conflicts with task {task!r}")
-    try:
-        kernel_spec = kernel_spec_from_dict(kernel_raw)
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"kernel: {exc}") from None
-
-    data_raw = raw.get("data", {})
-    _check_keys(
-        data_raw,
-        ("train", "test", "train_const", "test_const", "pairs_train", "pairs_test",
-         "source_lang", "target_lang"),
-        "data",
-    )
-    data = DataConfig(**data_raw)
-
-    res_raw = raw.get("resources", {})
-    _check_keys(res_raw, ("embeddings", "dictionary"), "resources")
-    embeddings = res_raw.get("embeddings", {})
-    if not isinstance(embeddings, dict):
-        raise ConfigError("resources.embeddings must map language codes to paths")
-    resources = ResourceConfig(embeddings=dict(embeddings), dictionary=res_raw.get("dictionary"))
-
-    features = _feature_config(raw.get("features", {}))
-
-    svm_raw = raw.get("svm", {})
-    _check_keys(svm_raw, ("C", "tol", "max_passes", "class_weights"), "svm")
-    svm = SvmConfig(
-        C=float(svm_raw.get("C", 1.0)),
-        tol=float(svm_raw.get("tol", 1e-3)),
-        max_passes=int(svm_raw.get("max_passes", 10)),
-        class_weights=dict(svm_raw.get("class_weights", {})),
-    )
+    """The run a config's JSON object describes; its kernel object is
+    read under the config's task."""
+    rest = {k: v for k, v in raw.items() if k != "kernel"}
+    cfg = _read(RunConfig, rest, "", kernel_spec=None)
+    if "kernel" not in raw:
+        raise ConfigError("missing field kernel")
+    kernel = raw["kernel"]
+    if isinstance(kernel, dict):
+        if "task" in kernel and kernel["task"] != cfg.task:
+            raise ConfigError(f"kernel.task {kernel['task']!r} conflicts with task {cfg.task!r}")
+        kernel = {**kernel, "task": cfg.task}
+    cfg.kernel_spec = kernel_spec_from_dict(kernel)
+    svm = cfg.svm
     if svm.C <= 0:
         raise ConfigError(f"svm.C must be positive, got {svm.C}")
     if svm.tol <= 0:
         raise ConfigError(f"svm.tol must be positive, got {svm.tol}")
     if svm.max_passes < 1:
         raise ConfigError(f"svm.max_passes must be at least 1, got {svm.max_passes}")
-
-    eval_raw = raw.get("eval", {})
-    _check_keys(eval_raw, ("exclude", "merge_directions"), "eval")
-    eval_cfg = EvalConfig(
-        exclude=tuple(eval_raw.get("exclude", ())),
-        merge_directions=bool(eval_raw.get("merge_directions", False)),
-    )
-
-    cfg = RunConfig(
-        task=task,
-        kernel_spec=kernel_spec,
-        data=data,
-        resources=resources,
-        features=features,
-        svm=svm,
-        eval=eval_cfg,
-    )
     _check_cross_requirements(cfg)
     return cfg
 

@@ -75,7 +75,7 @@ def load_re_dataset(conllu_path, const_path=None, lang: str = "") -> list:
     return instances
 
 
-def load_pi_dataset(pairs_path, conllu_path, lang: str = "") -> list:
+def load_pi_dataset(pairs_path, conllu_path) -> list:
     """Paraphrase pairs from a TSV file over a sentence bank.
 
     Rows are ``label<TAB>sent_a<TAB>sent_b`` with label 1 or 0.
@@ -103,15 +103,7 @@ def load_pi_dataset(pairs_path, conllu_path, lang: str = "") -> list:
             for sid in (sid_a, sid_b):
                 if sid not in by_id:
                     raise DataError(f"{pairs_path}:{lineno}: unknown sent_id {sid!r}")
-            instances.append(
-                PIInstance(
-                    tree_a=by_id[sid_a],
-                    tree_b=by_id[sid_b],
-                    label=raw_label == "1",
-                    lang_a=lang or by_id[sid_a].metadata.get("lang", ""),
-                    lang_b=lang or by_id[sid_b].metadata.get("lang", ""),
-                )
-            )
+            instances.append(PIInstance(by_id[sid_a], by_id[sid_b], label=raw_label == "1"))
     return instances
 
 

@@ -51,8 +51,6 @@ class PIInstance:
     tree_a: DepTree
     tree_b: DepTree
     label: bool
-    lang_a: str = ""
-    lang_b: str = ""
 
     @property
     def instance_id(self) -> str:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .lexical import SigmaConfig
 from .transforms import LabeledTree, _escape
 
 KINDS = ("SST", "PTK", "SPTK")
@@ -40,10 +41,10 @@ KINDS = ("SST", "PTK", "SPTK")
 @dataclass
 class TreeKernelParams:
     kind: str
-    lam: float = 0.4  # vertical decay
-    mu: float = 0.4  # horizontal decay, PTK and SPTK only
+    lam: float = 0.4  # SST: decay per node; PTK/SPTK: decay per child-sequence span
+    mu: float = 0.4  # decay per node, PTK and SPTK only
     sigma: Callable | None = None  # node similarity, SPTK only
-    sigma_cfg: object = None  # serializable description of sigma
+    sigma_cfg: SigmaConfig | None = None  # serializable description of sigma
     normalize: bool = True
 
     def __post_init__(self):

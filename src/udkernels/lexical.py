@@ -212,15 +212,6 @@ class SigmaConfig:
             "lowercase": self.lowercase,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SigmaConfig":
-        return cls(
-            mode=data.get("mode", "monolingual"),
-            pos_must_match=data.get("pos_must_match", True),
-            oov_policy=data.get("oov_policy", "zero"),
-            lowercase=data.get("lowercase", True),
-        )
-
 
 def indicator_sigma(n1: LabeledTree, n2: LabeledTree) -> float:
     """Exact-label similarity; the soft kernel collapses to its hard

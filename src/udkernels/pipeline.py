@@ -161,7 +161,7 @@ def _load_split(cfg: RunConfig, split: str):
         bank = data.train if split == "train" else (data.test or data.train)
         if not pairs or not bank:
             raise ConfigError(f"config lacks {split} paths for the pair task")
-        return load_pi_dataset(pairs, bank, lang=lang)
+        return load_pi_dataset(pairs, bank)
     conllu = data.train if split == "train" else data.test
     if not conllu:
         raise ConfigError(f"config lacks data.{'train' if split == 'train' else 'test'}")
@@ -249,10 +249,10 @@ def _gram(spec, prepared: PreparedSplit, fingerprint: str) -> GramMatrix:
     return GramMatrix(kernel_matrix(payloads, payloads, spec, ids), ids, fingerprint)
 
 
-def run_gram(cfg: RunConfig, out_path, split: str = "train") -> GramMatrix:
+def run_gram(cfg: RunConfig, out_path) -> GramMatrix:
     resources = load_resources(cfg)
     spec = bind_sigma(cfg.kernel_spec, cfg, resources)
-    prepared = prepare_split(cfg, resources, split)
+    prepared = prepare_split(cfg, resources, "train")
     gram = _gram(spec, prepared, spec_fingerprint(cfg.kernel_spec))
     if out_path is not None:
         write_gram(out_path, gram)

@@ -313,11 +313,10 @@ class ConstTree:
         return out
 
 
-_SPECIALS = set("()^\\ \t")
-
-
 def _escape(atom: str) -> str:
-    return "".join("\\" + ch if ch in _SPECIALS else ch for ch in atom)
+    """atom with a backslash before each character _tokenize would read
+    as syntax: brackets, carets, backslashes and any str.isspace()."""
+    return "".join("\\" + ch if ch in "()^\\" or ch.isspace() else ch for ch in atom)
 
 
 def _tokenize(line: str, where: str) -> list:

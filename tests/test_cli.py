@@ -214,10 +214,16 @@ def test_re_chain_and_gram_guard(re_setup, capsys):
     assert main(["predict", "--config", str(config), "--model", str(model), "--out", str(pred)]) == 0
     capsys.readouterr()
 
-    # a gram computed for the test split cannot feed training
-    gram = root / "test.gram"
-    assert main(["gram", "--config", str(config), "--out", str(gram), "--split", "test"]) == 0
+    # a gram computed over other instances, under the same kernel, cannot
+    # feed training: here the training instances are the test file's
+    raw = json.loads(config.read_text())
+    raw["data"]["train"] = raw["data"]["test"]
+    other = root / "other.json"
+    other.write_text(json.dumps(raw))
+    gram = root / "other.gram"
+    assert main(["gram", "--config", str(other), "--out", str(gram)]) == 0
     capsys.readouterr()
     code = main(["train", "--config", str(config), "--model", str(model), "--gram", str(gram)])
     assert code == 2
-    assert "error [data]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error [data]" in err and "covers different instances" in err

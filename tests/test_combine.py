@@ -16,12 +16,11 @@ from udkernels.combine import (
     composite_kernel,
     kernel_fingerprint,
     kernel_matrix,
-    kernel_spec_from_dict,
     kernel_spec_to_dict,
     sm_tk,
     softmax2,
 )
-from udkernels.config import parse_config
+from udkernels.config import kernel_spec_from_dict, parse_config
 from udkernels.errors import ConfigError
 from udkernels.kernels import TreeKernelParams, tree_kernel
 from udkernels.lexical import indicator_sigma

@@ -1,12 +1,15 @@
 """Run configuration parsing and validation."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from udkernels.combine import CompositeParams, PairKernelParams, kernel_spec_to_dict
-from udkernels.config import load_config, parse_config
+from udkernels.config import EvalConfig, SvmConfig, load_config, parse_config
 from udkernels.errors import ConfigError
+from udkernels.transforms import MweConfig
 
 
 def pi_raw(**overrides):
@@ -120,7 +123,7 @@ def test_mwe_feature_fields():
     )
     assert cfg.features.mwe.relations == frozenset({"fixed", "flat"})
     assert cfg.features.mwe.scope == "whole_tree"
-    with pytest.raises(ConfigError, match="features.mwe_scope"):
+    with pytest.raises(ConfigError, match="features: unknown scope 'somewhere'"):
         parse_config(pi_raw(features={"mwe_scope": "somewhere"}))
     with pytest.raises(ConfigError, match="mwe_relations"):
         parse_config(pi_raw(features={"mwe_relations": "fixed"}))
@@ -192,3 +195,119 @@ def test_load_config_from_file(tmp_path):
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(scalar)
 
+
+
+def test_readme_configuration_block_parses():
+    """The README's full field set is a config the reader takes as is."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(json.loads(block))
+    assert cfg.kernel_spec.variant == "CK3"
+    assert cfg.kernel_spec.pt.sigma_cfg.mode == "translate_then_compare"
+    assert cfg.features.mwe == MweConfig()
+    assert cfg.svm == SvmConfig()
+    assert cfg.eval == EvalConfig()
+
+
+def _sptk_pt():
+    raw = re_raw()
+    raw["kernel"]["pt"] = {"kind": "SPTK", "sigma": {"oov": "zero"}}
+    return raw
+
+
+def _set(section, key, value):
+    def make():
+        raw = pi_raw()
+        raw.setdefault(section, {})[key] = value
+        return raw
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_set("kernel", "base", {"kind": "PTK", "lamda": 0.1}), "unknown field kernel.base.lamda"),
+        (_sptk_pt, "unknown field kernel.pt.sigma.oov"),
+        (_set("kernel", "m", "100"), "kernel.m must be a number"),
+        (
+            _set("kernel", "base", {"kind": "PTK", "normalize": "false"}),
+            "kernel.base.normalize must be true or false",
+        ),
+        (lambda: pi_raw(kernel="PTK"), "kernel must be a JSON object"),
+        (_set("features", "exclude_punct", "false"), "features.exclude_punct must be true or false"),
+        (_set("eval", "exclude", "Other"), "eval.exclude must be a list of strings"),
+        (_set("svm", "max_passes", 2.7), "svm.max_passes must be an integer"),
+        (_set("data", "train", 3), "data.train must be a string or null"),
+    ],
+    ids=[
+        "kernel.base.lamda",
+        "kernel.pt.sigma.oov",
+        "kernel.m",
+        "kernel.base.normalize",
+        "kernel",
+        "features.exclude_punct",
+        "eval.exclude",
+        "svm.max_passes",
+        "data.train",
+    ],
+)
+def test_each_section_names_a_bad_field(make, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(make())
+
+
+def test_type_rule_conversions():
+    # an int fills a float field; a bool is never a number
+    kernel = {"base": {"kind": "PTK", "lambda": 1}, "m": 50}
+    cfg = parse_config(pi_raw(svm={"C": 2, "tol": 1}, kernel=kernel))
+    assert type(cfg.svm.C) is float and type(cfg.kernel_spec.base.lam) is float
+    assert cfg.kernel_spec.m == 50.0 and type(cfg.kernel_spec.m) is float
+    with pytest.raises(ConfigError, match="svm.C must be a number, got True"):
+        parse_config(pi_raw(svm={"C": True}))
+    with pytest.raises(ConfigError, match="features.window must be an integer, got False"):
+        parse_config(pi_raw(features={"window": False}))
+    # each value of an object field has the field's value type
+    weights = parse_config(pi_raw(svm={"class_weights": {"1": 2}})).svm.class_weights
+    assert weights == {"1": 2.0} and type(weights["1"]) is float
+    with pytest.raises(ConfigError, match="svm.class_weights.Other must be a number, got '0.5'"):
+        parse_config(pi_raw(svm={"class_weights": {"Other": "0.5"}}))
+    with pytest.raises(ConfigError, match="resources.embeddings.en must be a string, got 1"):
+        parse_config(pi_raw(resources={"embeddings": {"en": 1}}))
+    with pytest.raises(ConfigError, match="resources.embeddings must be an object"):
+        parse_config(pi_raw(resources={"embeddings": ["en"]}))
+    # null fills only a field that may be None
+    assert parse_config(pi_raw(resources={"dictionary": None})).resources.dictionary is None
+    with pytest.raises(ConfigError, match="svm.tol must be a number, got None"):
+        parse_config(pi_raw(svm={"tol": None}))
+
+
+def test_renamed_fields_answer_only_to_their_json_names():
+    for base in ({"kind": "PTK", "lam": 0.2}, {"kind": "PTK", "sigma_cfg": {}}):
+        with pytest.raises(ConfigError, match="unknown field kernel.base."):
+            parse_config(pi_raw(kernel={"base": base}))
+    with pytest.raises(ConfigError, match="unknown field kernel.vec_degree"):
+        parse_config(re_raw(kernel={"variant": "CK2", "vec_degree": 3}))
+    with pytest.raises(ConfigError, match="unknown field features.mwe"):
+        parse_config(pi_raw(features={"mwe": {"scope": "whole_tree"}}))
+    with pytest.raises(ConfigError, match="unknown field kernel_spec"):
+        parse_config(pi_raw(kernel_spec={}))
+
+
+def test_sigma_block_is_read_by_sptk_only():
+    raw = pi_raw()
+    raw["kernel"]["base"]["sigma"] = {"mode": "monolingual"}
+    with pytest.raises(ConfigError, match="kernel.base.sigma is read by SPTK kernels only"):
+        parse_config(raw)
+
+
+def test_missing_required_kernel_fields_are_named():
+    with pytest.raises(ConfigError, match="missing field kernel.base"):
+        parse_config(pi_raw(kernel={"m": 100.0}))
+    with pytest.raises(ConfigError, match="missing field kernel.variant"):
+        parse_config(re_raw(kernel={"alpha": 0.5}))
+    with pytest.raises(ConfigError, match="missing field kernel$"):
+        parse_config({"task": "pi"})
+    with pytest.raises(ConfigError, match=r"kernel.base: lambda must be in \(0, 1\]"):
+        parse_config(pi_raw(kernel={"base": {"kind": "PTK", "lambda": 2.0}}))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from udkernels.config import kernel_spec_from_dict
 from udkernels.errors import EmbeddingError
 from udkernels.lexical import (
     BilingualDictionary,
@@ -312,4 +313,5 @@ def test_sigma_config_validation():
     with pytest.raises(ValueError):
         SigmaConfig(oov_policy="nope")
     cfg = SigmaConfig(mode="translate_then_compare", oov_policy="exact_match_fallback")
-    assert SigmaConfig.from_dict(cfg.to_dict()) == cfg
+    spec = kernel_spec_from_dict({"task": "pi", "base": {"kind": "SPTK", "sigma": cfg.to_dict()}})
+    assert spec.base.sigma_cfg == cfg

@@ -20,6 +20,7 @@ from udkernels.pipeline import (
     bind_sigma,
     load_resources,
     pivot_store,
+    prepare_split,
     read_gram,
     run_eval,
     run_gram,
@@ -128,7 +129,7 @@ def test_bind_sigma_attaches_similarity(re_paths):
 def test_gram_write_read_roundtrip(pi_paths, tmp_path):
     cfg = pi_config(pi_paths)
     path = tmp_path / "train.gram"
-    gram = run_gram(cfg, path, split="train")
+    gram = run_gram(cfg, path)
     back = read_gram(path)
     assert back.instance_ids == gram.instance_ids
     assert back.fingerprint == spec_fingerprint(cfg.kernel_spec)
@@ -261,7 +262,7 @@ def test_pi_end_to_end(pi_paths, tmp_path):
 def test_train_reuses_gram_file(pi_paths, tmp_path):
     cfg = pi_config(pi_paths)
     gram_path = tmp_path / "train.gram"
-    run_gram(cfg, gram_path, split="train")
+    run_gram(cfg, gram_path)
     direct = tmp_path / "direct.json"
     reused = tmp_path / "reused.json"
     run_train(cfg, direct)
@@ -271,7 +272,7 @@ def test_train_reuses_gram_file(pi_paths, tmp_path):
 
 def test_train_refuses_foreign_gram(pi_paths, tmp_path):
     gram_path = tmp_path / "train.gram"
-    run_gram(pi_config(pi_paths), gram_path, split="train")
+    run_gram(pi_config(pi_paths), gram_path)
     other = pi_config(pi_paths, m=50.0)
     with pytest.raises(DataError, match="produced under kernel"):
         run_train(other, None, gram_path=gram_path)
@@ -280,7 +281,7 @@ def test_train_refuses_foreign_gram(pi_paths, tmp_path):
 def test_train_refuses_unfingerprinted_gram(pi_paths, tmp_path):
     cfg = pi_config(pi_paths)
     gram_path = tmp_path / "train.gram"
-    gram = run_gram(cfg, None, split="train")
+    gram = run_gram(cfg, None)
     write_gram(gram_path, replace(gram, fingerprint=""))
     with pytest.raises(DataError, match="no kernel fingerprint"):
         run_train(cfg, None, gram_path=gram_path)
@@ -294,8 +295,10 @@ def test_train_refuses_unfingerprinted_gram(pi_paths, tmp_path):
 
 def test_train_refuses_wrong_split_gram(pi_paths, tmp_path):
     cfg = pi_config(pi_paths)
-    gram_path = tmp_path / "test.gram"
-    run_gram(cfg, gram_path, split="test")
+    # the same kernel over the test pairs as training instances
+    other = pi_config({**pi_paths, "pairs_train.tsv": pi_paths["pairs_test.tsv"]})
+    gram_path = tmp_path / "other.gram"
+    run_gram(other, gram_path)
     with pytest.raises(DataError, match="different instances"):
         run_train(cfg, None, gram_path=gram_path)
 
@@ -349,8 +352,6 @@ def test_run_eval_prediction_file_checks(pi_paths, tmp_path):
     with pytest.raises(DataError, match="predictions for"):
         run_eval(cfg, ["1"])
     resources = load_resources(cfg)
-    from udkernels.pipeline import prepare_split
-
     prepared = prepare_split(cfg, resources, "test")
     path = tmp_path / "pred.tsv"
     first = prepared.instance_ids[0]
@@ -366,8 +367,8 @@ def test_missing_split_paths_are_reported(pi_paths, re_paths):
     cfg = pi_config(pi_paths)
     cfg.data.pairs_test = None
     with pytest.raises(ConfigError, match="lacks test paths|lacks"):
-        run_gram(cfg, None, split="test")
+        prepare_split(cfg, load_resources(cfg), "test")
     re_cfg = re_config(re_paths)
     re_cfg.data.test = None
     with pytest.raises(ConfigError, match="data.test"):
-        run_gram(re_cfg, None, split="test")
+        prepare_split(re_cfg, load_resources(re_cfg), "test")

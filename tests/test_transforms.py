@@ -245,8 +245,12 @@ def test_labeled_sexpr_refuses_two_carets():
 
 # --- bracket round trips and errors ----------------------------------------
 
-# every character the escape rule covers, plus non-ASCII letters
-labels = st.text(alphabet="ab()^\\ \té中ß", min_size=1, max_size=5)
+# every character the escape rule covers (no-break space and U+3000 are
+# whitespace too), plus non-ASCII letters
+ALPHABET = "ab()^\\ \t\xa0\u3000é中ß"
+labels = st.text(alphabet=ALPHABET, min_size=1, max_size=5)
+# s-expressions may also hold line breaks; .const files hold one tree a line
+sexpr_labels = st.text(alphabet=ALPHABET + "\n", min_size=1, max_size=5)
 
 
 def labeled_nodes(kids):
@@ -255,8 +259,8 @@ def labeled_nodes(kids):
         lambda label, pos, children: LabeledTree(
             label, LEXICAL if pos is not None else SYNTACTIC, tuple(children), pos
         ),
-        labels,
-        st.none() | labels,
+        sexpr_labels,
+        st.none() | sexpr_labels,
         kids,
     )
 
