@@ -3,7 +3,9 @@
 Every JSON object in a config is read by one rule, _read, from the
 dataclass it fills, so each field's name, default and type is written
 once, in that dataclass. Validation happens up front so a bad file
-fails with the offending field named, before any data is loaded.
+fails with the offending field named, before any data is loaded; a
+refusal by a dataclass's own checks names its object, or for the
+features' mwe keys the key.
 """
 
 from __future__ import annotations
@@ -168,17 +170,26 @@ def _tree_params(raw, where: str) -> TreeKernelParams:
     sptk = isinstance(raw, dict) and raw.get("kind") == "SPTK"
     params = _read(TreeKernelParams, raw, where, sigma=_unbound_sigma if sptk else None)
     if not sptk:
-        if params.sigma_cfg is not None:
+        if "sigma" in raw:
             raise ConfigError(f"{where}.sigma is read by SPTK kernels only")
         return params
     return replace(params, sigma_cfg=params.sigma_cfg or SigmaConfig())
 
 
 def _features(raw, where: str) -> FeatureConfig:
-    """The mwe_relations and mwe_scope keys fill the MweConfig."""
+    """The mwe_relations and mwe_scope keys fill the MweConfig, one key
+    at a time, so that a refusal by its own checks names the key."""
     raw = _object(raw, where)
     mwe_keys = ("mwe_relations", "mwe_scope")
-    mwe = _read(MweConfig, {k: v for k, v in raw.items() if k in mwe_keys}, where)
+    mwe = MweConfig()
+    for key in mwe_keys:
+        if key in raw:
+            name = _FIELD_OF[key]
+            value = _typed(typing.get_type_hints(MweConfig)[name], raw[key], f"{where}.{key}")
+            try:
+                mwe = replace(mwe, **{name: value})
+            except ValueError as exc:
+                raise ConfigError(f"{where}.{key}: {exc}") from None
     rest = {k: v for k, v in raw.items() if k not in mwe_keys}
     features = _read(FeatureConfig, rest, where, mwe=mwe)
     if features.window < 0:
@@ -189,11 +200,12 @@ def _features(raw, where: str) -> FeatureConfig:
 _READERS = {TreeKernelParams: _tree_params, FeatureConfig: _features}
 
 
-def kernel_spec_from_dict(data, where: str = "kernel"):
+def kernel_spec_from_dict(data):
     """Kernel params from their JSON form, a config's kernel object or
     combine.kernel_spec_to_dict's output: PairKernelParams for task "pi",
     CompositeParams for "re", whose feature_mode key, when present, must
     be its variant's."""
+    where = "kernel"
     rest = {k: v for k, v in _object(data, where).items() if k != "task"}
     task = data.get("task")
     if task == "pi":

@@ -123,10 +123,14 @@ def test_mwe_feature_fields():
     )
     assert cfg.features.mwe.relations == frozenset({"fixed", "flat"})
     assert cfg.features.mwe.scope == "whole_tree"
-    with pytest.raises(ConfigError, match="features: unknown scope 'somewhere'"):
+    with pytest.raises(ConfigError, match="features.mwe_scope: unknown scope 'somewhere'"):
         parse_config(pi_raw(features={"mwe_scope": "somewhere"}))
-    with pytest.raises(ConfigError, match="mwe_relations"):
+    with pytest.raises(ConfigError, match="features.mwe_relations must be a list of strings"):
         parse_config(pi_raw(features={"mwe_relations": "fixed"}))
+    with pytest.raises(ConfigError, match="features.mwe_relations: MweConfig.relations must not"):
+        parse_config(pi_raw(features={"mwe_relations": [], "mwe_scope": "whole_tree"}))
+    with pytest.raises(ConfigError, match="features.mwe_scope: unknown scope"):
+        parse_config(pi_raw(features={"mwe_relations": ["flat"], "mwe_scope": "somewhere"}))
 
 
 def test_composite_requires_embeddings():
@@ -296,10 +300,11 @@ def test_renamed_fields_answer_only_to_their_json_names():
 
 
 def test_sigma_block_is_read_by_sptk_only():
-    raw = pi_raw()
-    raw["kernel"]["base"]["sigma"] = {"mode": "monolingual"}
-    with pytest.raises(ConfigError, match="kernel.base.sigma is read by SPTK kernels only"):
-        parse_config(raw)
+    for sigma in ({"mode": "monolingual"}, None):
+        raw = pi_raw()
+        raw["kernel"]["base"]["sigma"] = sigma
+        with pytest.raises(ConfigError, match="kernel.base.sigma is read by SPTK kernels only"):
+            parse_config(raw)
 
 
 def test_missing_required_kernel_fields_are_named():
