@@ -114,6 +114,9 @@ class CompositeParams:
             raise ConfigError("composite sst slot must hold an SST kernel")
         if self.pt.kind not in ("PTK", "SPTK"):
             raise ConfigError("composite pt slot must hold a PTK or SPTK kernel")
+        degree = self.vec_degree
+        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+            raise ConfigError(f"degree must be a positive integer, got {degree!r}")
 
     @property
     def feature_mode(self) -> str:

@@ -160,8 +160,10 @@ def parse_conllu(text: str, source: str = "<string>") -> list:
             )
         )
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    # lines end at "\n" only, so a form holding U+2028 or a form feed
+    # stays on its line
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r")
         if not line.strip():
             if tokens:
                 flush(len(trees) + 1)

@@ -12,12 +12,25 @@ keeps that index. The SST and PTK programs visit only the node pairs
 whose productions or labels match (the fast tree kernel of Moschitti,
 EACL 2006); SPTK scores every pair, since any two nodes may be similar.
 
-The PTK/SPTK child-subsequence total of a node pair depends only on
-lambda and the child deltas it reads, and in lexical-centred trees the
-same inputs recur: every word without dependents has the same two leaf
-children. tree_kernel therefore takes a memo of totals keyed by those
-deltas. combine._tree_matrix keeps one per kernel matrix and empties it
-whenever the row tree changes; a scalar call uses a fresh one.
+A kernel call keeps its node-pair deltas in one zero-filled flat
+array('d') of n1 * n2 floats, the delta of nodes i and j at i * n2 + j,
+and the dynamic programs read and write it as plain Python floats.
+Callers see it through np.frombuffer as a C-contiguous (n1, n2) float64
+view, with no copy; the kernel value is that view's sum. Every float
+operation keeps the order of the numpy-table formulation, so values
+match it bit for bit.
+
+In PTK a node pair with a childless node has no child subsequences,
+and its delta is the constant mu * lam^2; in lexical-centred trees most
+matching pairs are such (relation and POS leaves), so a childless row
+fills its label bucket with that constant in one loop. The PTK/SPTK
+child-subsequence total of a pair of nodes with children depends only
+on lambda and the child deltas it reads, and in lexical-centred trees
+the same inputs recur: every word without dependents has the same two
+leaf children. tree_kernel therefore takes a memo of totals keyed by
+those deltas. combine._tree_matrix keeps one per kernel matrix and
+empties it whenever the row tree changes; a scalar call uses a fresh
+one.
 
 brute_force_kernel enumerates fragments explicitly and exists only to
 check tree_kernel on tiny trees; the two share no code.
@@ -27,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -34,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .lexical import SigmaConfig
-from .transforms import LabeledTree, _escape
+from .transforms import LabelIndex, LabeledTree, NodeIndex, ProductionIndex, _escape
 
 KINDS = ("SST", "PTK", "SPTK")
 
@@ -73,28 +87,47 @@ class DeltaMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _sst_matrix(t1: LabeledTree, t2: LabeledTree, lam: float) -> np.ndarray:
-    ix1, ix2 = t1.production_index, t2.production_index
-    delta = np.zeros((len(ix1.prods), len(ix2.prods)))
+def _zeros(n: int) -> array:
+    """A flat buffer of n zero doubles. Repeating a one-item array is
+    quicker than converting n*8 zero bytes."""
+    return array("d", [0.0]) * n
+
+
+def _sst_deltas(ix1: ProductionIndex, ix2: ProductionIndex, lam: float) -> array:
+    children1, children2 = ix1.children, ix2.children
+    atomic1, atomic2 = ix1.atomic, ix2.atomic
+    buckets = ix2.buckets
+    n2 = len(children2)
+    delta = _zeros(len(children1) * n2)
     # only node pairs with equal productions can share a fragment; i runs
     # in postorder, so child pairs are final before their parents read them
     for i, prod in enumerate(ix1.prods):
-        for j in ix2.buckets.get(prod, ()):
-            # a node whose production bottoms out in leaves matches as a
-            # single unit, the production itself admits no sub-choices
-            if ix1.atomic[i] or ix2.atomic[j]:
-                delta[i, j] = lam
+        cols = buckets.get(prod)
+        if cols is None:
+            continue
+        row = i * n2
+        # a node whose production bottoms out in leaves matches as a
+        # single unit, the production itself admits no sub-choices
+        if atomic1[i]:
+            for j in cols:
+                delta[row + j] = lam
+            continue
+        ch1 = children1[i]
+        for j in cols:
+            if atomic2[j]:
+                delta[row + j] = lam
                 continue
             val = lam
-            for ci, cj in zip(ix1.children[i], ix2.children[j]):
-                val *= 1.0 + delta[ci, cj]
-            delta[i, j] = val
+            for ci, cj in zip(ch1, children2[j]):
+                val *= 1.0 + delta[ci * n2 + cj]
+            delta[row + j] = val
     return delta
 
 
-def _subseq_sum(delta: np.ndarray, ch1: tuple, ch2: tuple, lam: float) -> float:
+def _subseq_sum(delta: array, n2: int, ch1: tuple, ch2: tuple, lam: float) -> float:
     """Sum over equal-length ordered child subsequence pairs of
-    lam^(span1 + span2) times the product of child deltas.
+    lam^(span1 + span2) times the product of child deltas, reading the
+    delta of nodes i and j at delta[i * n2 + j].
 
     span counts positions from the first to the last picked child
     inclusive, so gaps inside a subsequence decay the term.
@@ -108,19 +141,15 @@ def _subseq_sum(delta: np.ndarray, ch1: tuple, ch2: tuple, lam: float) -> float:
     # D[x - 1][y - 1]: delta of child x of the first node and child y of
     # the second. T[x][y]: current-length terms whose subsequences end
     # exactly at those children (1-based); row 0 and column 0 stay zero.
-    item = delta.item
     zeros = [0.0] * (b + 1)
     D, T = [], [zeros]
     for c1 in ch1:
-        row, t = [], [0.0]
-        for c2 in ch2:
-            d = item(c1, c2)
-            row.append(d)
-            t.append(lam2 * d)
-        D.append(row)
-        T.append(t)
+        row = c1 * n2
+        d = [delta[row + c2] for c2 in ch2]
+        D.append(d)
+        T.append([0.0, *[lam2 * v for v in d]])
     # numpy sums the zero-padded table, so its pairwise order is unchanged
-    total = np.array(T).sum()
+    total = float(np.array(T).sum())
     for _ in range(2, min(a, b) + 1):
         # R: lam-discounted 2d prefix sums of T, so extending both
         # subsequences by one picked child costs lam^(gap+1) per side;
@@ -147,59 +176,93 @@ def _subseq_sum(delta: np.ndarray, ch1: tuple, ch2: tuple, lam: float) -> float:
         if level == 0.0:
             break
         total += level
-    return float(total)
+    return total
 
 
-def _pt_matrix(
-    children1: tuple, children2: tuple, gates, lam: float, mu: float, memo: dict
-) -> np.ndarray:
-    """Partial-tree deltas over the (i, j, gate) node pairs with a nonzero
-    gate, given with i in postorder and j ascending for each i.
+def _child_total(delta: array, n2: int, ch1: tuple, ch2: tuple, lam: float, memo: dict) -> float:
+    """lam^2 + _subseq_sum for a node pair whose nodes both have children.
 
     memo maps a child-delta input, (len(ch1), *deltas read row-major),
-    to its total lam^2 + _subseq_sum, which depends on nothing else for
-    a fixed lam; so one memo must serve one lam only. A hit returns the
-    float a miss computed from equal inputs, and a NaN input never hits.
+    to its total, which depends on nothing else for a fixed lam; so one
+    memo must serve one lam only. A hit returns the float a miss
+    computed from equal inputs, and a NaN input never hits.
     """
-    delta = np.zeros((len(children1), len(children2)))
-    item = delta.item
+    key = (len(ch1), *[delta[c1 * n2 + c2] for c1 in ch1 for c2 in ch2])
+    total = memo.get(key)
+    if total is None:
+        total = memo[key] = lam * lam + _subseq_sum(delta, n2, ch1, ch2, lam)
+    return total
+
+
+def _ptk_deltas(ix1: LabelIndex, ix2: LabelIndex, params: TreeKernelParams, memo: dict) -> array:
+    children1, children2 = ix1.children, ix2.children
+    lam, mu = params.lam, params.mu
+    buckets = ix2.buckets
+    n2 = len(children2)
+    delta = _zeros(len(children1) * n2)
+    # a pair's delta is mu * gate * total with the exact-label gate 1.0
+    # (and mu * 1.0 is mu); a pair with a childless node has no child
+    # subsequences, so its total is lam^2
+    leaf = mu * (lam * lam)
+    for i, label in enumerate(ix1.labels):
+        cols = buckets.get(label)
+        if cols is None:
+            continue
+        row = i * n2
+        ch1 = children1[i]
+        if not ch1:
+            for j in cols:
+                delta[row + j] = leaf
+            continue
+        for j in cols:
+            ch2 = children2[j]
+            if ch2:
+                delta[row + j] = mu * _child_total(delta, n2, ch1, ch2, lam, memo)
+            else:
+                delta[row + j] = leaf
+    return delta
+
+
+def _sptk_deltas(
+    ix1: NodeIndex,
+    ix2: NodeIndex,
+    nodes1: tuple,
+    nodes2: tuple,
+    params: TreeKernelParams,
+    memo: dict,
+) -> array:
+    children1, children2 = ix1.children, ix2.children
+    lam, mu, sigma = params.lam, params.mu, params.sigma
     lam2 = lam * lam
-    for i, j, gate in gates:
-        ch1, ch2 = children1[i], children2[j]
-        if ch1 and ch2:
-            key = (len(ch1), *[item(c1, c2) for c1 in ch1 for c2 in ch2])
-            total = memo.get(key)
-            if total is None:
-                total = memo[key] = lam2 + _subseq_sum(delta, ch1, ch2, lam)
-        else:
-            total = lam2
-        delta[i, j] = mu * gate * total
+    n2 = len(children2)
+    delta = _zeros(len(children1) * n2)
+    # sigma is opaque, so every node pair is scored
+    for i, n1 in enumerate(nodes1):
+        row = i * n2
+        ch1 = children1[i]
+        for j, node2 in enumerate(nodes2):
+            gate = float(sigma(n1, node2))
+            if gate == 0.0:
+                continue
+            ch2 = children2[j]
+            total = _child_total(delta, n2, ch1, ch2, lam, memo) if ch1 and ch2 else lam2
+            delta[row + j] = mu * gate * total
     return delta
 
 
 def _matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo: dict) -> np.ndarray:
+    """The node-pair deltas, in postorder, as an (n1, n2) float64 view of
+    the flat buffer the dynamic program filled."""
     if params.kind == "SST":
-        return _sst_matrix(t1, t2, params.lam)
-    if params.kind == "PTK":
+        ix1, ix2 = t1.production_index, t2.production_index
+        delta = _sst_deltas(ix1, ix2, params.lam)
+    elif params.kind == "PTK":
         ix1, ix2 = t1.label_index, t2.label_index
-        # the exact-label gate is 1 on equal labels and 0 elsewhere
-        gates = (
-            (i, j, 1.0)
-            for i, label in enumerate(ix1.labels)
-            for j in ix2.buckets.get(label, ())
-        )
-        return _pt_matrix(ix1.children, ix2.children, gates, params.lam, params.mu, memo)
-    # sigma is opaque, so every node pair is scored
-    ix1, ix2 = t1.node_index, t2.node_index
-    nodes2 = ix2.nodes(t2)
-    sigma = params.sigma
-    gates = (
-        (i, j, gate)
-        for i, n1 in enumerate(ix1.nodes(t1))
-        for j, n2 in enumerate(nodes2)
-        if (gate := float(sigma(n1, n2))) != 0.0
-    )
-    return _pt_matrix(ix1.children, ix2.children, gates, params.lam, params.mu, memo)
+        delta = _ptk_deltas(ix1, ix2, params, memo)
+    else:
+        ix1, ix2 = t1.node_index, t2.node_index
+        delta = _sptk_deltas(ix1, ix2, ix1.nodes(t1), ix2.nodes(t2), params, memo)
+    return np.frombuffer(delta).reshape(len(ix1.children), len(ix2.children))
 
 
 def _raw_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo: dict) -> float:
@@ -237,7 +300,7 @@ def tree_kernel(
     The raw value and both self kernels go through normalize, so a tree
     against itself scores exactly 1.0 and one with a zero self kernel 0.
     memo holds PTK/SPTK child-subsequence totals across calls that share
-    params.lam (see _pt_matrix); without one, each call uses a fresh dict.
+    params.lam (see _child_total); without one, each call uses a fresh dict.
     """
     memo = {} if memo is None else memo
     raw = _raw_kernel(t1, t2, params, memo)

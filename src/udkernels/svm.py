@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError, NumericError, TrainingError
+from .errors import ConfigError, ModelError, NumericError, TrainingError
 
 MODEL_VERSION = "2"
 
@@ -249,6 +249,11 @@ def train_ovr(
         raise TrainingError(f"need at least 2 classes, got {classes}")
     sample_C = None
     if class_weights:
+        unknown = sorted(set(class_weights) - set(classes))
+        if unknown:
+            raise ConfigError(
+                f"class_weights names labels absent from the training data: {unknown}"
+            )
         sample_C = np.array([C * class_weights.get(lab, 1.0) for lab in labels])
     binaries = {}
     for cls in classes:

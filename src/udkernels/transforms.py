@@ -414,9 +414,13 @@ def parse_bracketed(text: str, source: str = "<string>") -> list:
 
     A leaf is a bare atom or a bracketed label without children; leaves
     get 1-based spans left to right. A caret in a label is plain text.
+    Lines end at a line feed only, less one trailing carriage return,
+    so an escaped vertical tab, form feed, U+0085 or U+2028 stays in its
+    label.
     """
     trees = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         trees.append(_parse_const_line(line, f"{source}:line {lineno}"))

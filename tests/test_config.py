@@ -316,3 +316,14 @@ def test_missing_required_kernel_fields_are_named():
         parse_config({"task": "pi"})
     with pytest.raises(ConfigError, match=r"kernel.base: lambda must be in \(0, 1\]"):
         parse_config(pi_raw(kernel={"base": {"kind": "PTK", "lambda": 2.0}}))
+
+
+def test_composite_degree_must_be_a_positive_integer():
+    for degree in (0, -1):
+        message = f"kernel: degree must be a positive integer, got {degree}"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(re_raw(kernel={"variant": "CK2", "degree": degree}))
+    for degree in (True, 2.0, 0):
+        with pytest.raises(ConfigError, match="degree must be a positive integer"):
+            CompositeParams("CK2", vec_degree=degree)
+    assert parse_config(re_raw(kernel={"variant": "CK2", "degree": 3})).kernel_spec.vec_degree == 3

@@ -74,6 +74,17 @@ def test_roundtrip_from_constructed_tree(audits_tree):
     assert again.metadata["relation"] == "Message-Topic"
 
 
+@pytest.mark.parametrize("ch", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"])
+def test_line_ends_only_at_newline(ch):
+    # str.splitlines would end the line inside the form and lemma
+    text = f"1\ta{ch}b\ta{ch}b\tX\t_\t_\t0\troot\t_\t_\r\n"
+    (tree,) = parse_conllu(text)
+    assert tree.token(1).form == tree.token(1).lemma == f"a{ch}b"
+    assert tree.token(1).misc == {}
+    (again,) = parse_conllu(to_conllu(tree))
+    assert again.tokens == tree.tokens
+
+
 def test_underscore_lemma_roundtrips_as_none():
     (tree,) = parse_conllu("1\tword\t_\tX\t_\t_\t0\troot\t_\t_\n")
     assert tree.token(1).lemma is None

@@ -1,28 +1,31 @@
 """The label-bucketed SST/PTK dynamic programs against full scans.
 
 The kernels visit only node pairs whose productions (SST) or labels
-(PTK) match, over a postorder index memoized on each tree, run the
-child-subsequence recursion on plain Python floats, and memoize its
-totals by their child-delta inputs. The references below scan every
-node pair of freshly indexed trees and run the recursion on numpy
-tables with no memo; both must give the same values bit for bit.
+(PTK) match, over a postorder index memoized on each tree, keep the
+node-pair deltas in one flat float buffer, fill PTK pairs with a
+childless node from a constant, run the child-subsequence recursion on
+plain Python floats, and memoize its totals by their child-delta
+inputs. The references below scan every node pair of freshly indexed
+trees into numpy tables and run the recursion on numpy tables with no
+memo; both must give the same values bit for bit.
 """
 
 import math
 import struct
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udkernels import combine
+from udkernels import combine, kernels
 from udkernels.combine import _tree_matrix
 from udkernels.conllu import parse_conllu_file
 from udkernels.errors import NumericError
 from udkernels.kernels import (
     TreeKernelParams,
-    _pt_matrix,
+    _matrix,
     _subseq_sum,
     delta_matrix,
     tree_kernel,
@@ -162,6 +165,64 @@ def test_bucketed_self_deltas_equal_full_scan(t):
     assert_buckets_match(t, t)
 
 
+# --- leaf-heavy trees: most matching pairs hold a childless node ----------
+
+leaves = labels.map(syn)
+# wide parents whose children are mostly childless nodes over few labels
+leafy_trees = st.recursive(
+    leaves,
+    lambda sub: st.builds(
+        lambda lab, kids: syn(lab, *kids),
+        labels,
+        st.lists(st.one_of(leaves, leaves, sub), max_size=7),
+    ),
+    max_leaves=24,
+)
+
+
+def graded_sigma(n1, n2):
+    """1 on equal labels, and a fractional gate between childless nodes."""
+    if n1.label == n2.label:
+        return 1.0
+    return 0.3 if not (n1.children or n2.children) else 0.0
+
+
+def assert_same_matrix(values, want, t1, t2):
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    assert values.shape == (t1.size(), t2.size())
+    assert values.tobytes() == want.tobytes()
+
+
+def memo_keys(t1, t2, want, sigma):
+    """The child-delta inputs of every gated pair of nodes that both have
+    children: exactly the totals the memo should hold."""
+    nodes1, ch1 = _postorder(t1)
+    nodes2, ch2 = _postorder(t2)
+    return {
+        (len(ch1[i]), *[want[c1, c2] for c1 in ch1[i] for c2 in ch2[j]])
+        for i, n1 in enumerate(nodes1)
+        for j, n2 in enumerate(nodes2)
+        if ch1[i] and ch2[j] and sigma(n1, n2) != 0.0
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(t1=leafy_trees, t2=leafy_trees, lam=decays, mu=decays)
+def test_leaf_heavy_deltas_equal_full_scan_bit_for_bit(t1, t2, lam, mu):
+    sst = delta_matrix(t1, t2, TreeKernelParams("SST", lam=lam)).values
+    assert_same_matrix(sst, full_scan_sst(t1, t2, lam), t1, t2)
+    for kind, sigma in (("PTK", None), ("SPTK", indicator_sigma), ("SPTK", graded_sigma)):
+        memo = {}
+        params = TreeKernelParams(kind, lam=lam, mu=mu, sigma=sigma)
+        gate = sigma or indicator_sigma  # PTK's exact-label gate
+        values = _matrix(t1, t2, params, memo)
+        want = full_scan_ptk(t1, t2, lam, mu, gate)
+        assert_same_matrix(values, want, t1, t2)
+        assert_same_matrix(delta_matrix(t1, t2, params).values, want, t1, t2)
+        # a pair with a childless node never reaches the memo
+        assert set(memo) == memo_keys(t1, t2, want, gate)
+
+
 # --- the synthetic corpora -------------------------------------------------
 
 
@@ -231,7 +292,7 @@ children = st.lists(st.integers(0, N_NODES - 1), min_size=1, max_size=10).map(tu
 def test_subseq_sum_matches_numpy_reference_bit_for_bit(cells, ch1, ch2, lam):
     delta = np.array(cells).reshape(N_NODES, N_NODES)
     with np.errstate(all="ignore"):
-        got = _subseq_sum(delta, ch1, ch2, lam)
+        got = _subseq_sum(array("d", cells), N_NODES, ch1, ch2, lam)
         want = reference_subseq_sum(delta, ch1, ch2, lam)
     assert type(got) is float
     assert same_bits(got, want)
@@ -250,7 +311,7 @@ def test_subseq_sum_overflow_matches_numpy_reference(shape, nan, lam):
     delta[rng.random((12, 12)) < 0.2] = 0.0
     ch1, ch2 = tuple(range(shape[0])), tuple(range(2, 2 + shape[1]))
     with np.errstate(all="ignore"):
-        got = _subseq_sum(delta, ch1, ch2, lam)
+        got = _subseq_sum(array("d", delta.tobytes()), 12, ch1, ch2, lam)
         want = reference_subseq_sum(delta, ch1, ch2, lam)
     assert not np.isfinite(want) and np.isnan(want) == nan
     assert same_bits(got, want)
@@ -334,30 +395,31 @@ def test_memoized_sptk_matrix_equals_full_scan(translating_resources, data, lam,
     assert_raw_matrices_match(rows, cols, ptk)
 
 
-# two parents, rows 2 and 5, each over two leaf children; every child
-# delta is mu * gate * lam^2, so a leaf gate of -0.0, inf or NaN puts that
-# value into the parents' memo key
-TWIN_PARENTS = ((), (), (0, 1), (), (), (3, 4))
-ONE_PARENT = ((), (), (0, 1))
+# the first tree holds two parents, postorder rows 2 and 5, each over two
+# leaves; the second one parent, row 2, over two leaves. sigma gives
+# each parent's leaf pairs the drawn gates, the parent pairs 1.0 and every
+# other pair 0, so the leaf deltas mu * gate * lam^2 (-0.0 from a tiny
+# negative gate, inf, NaN) make up the parents' memo keys
+TINY = 5e-324
 
 
-def twin_gates(first, second):
-    """Gates of each parent's leaf-pair children, then of the parent."""
-    gates = []
-    for parent, leaf_gates in ((2, first), (5, second)):
-        leaves = [(i, j) for i in TWIN_PARENTS[parent] for j in ONE_PARENT[2]]
-        gates += [(i, j, g) for (i, j), g in zip(leaves, leaf_gates)]
-        gates.append((parent, 2, 1.0))
-    return gates
+def twin_trees(first, second):
+    t1 = syn("r", syn("p", syn("a0"), syn("a1")), syn("q", syn("b0"), syn("b1")))
+    t2 = syn("s", syn("c0"), syn("c1"))
+    gates = {("p", "s"): 1.0, ("q", "s"): 1.0}
+    for prefix, leaf_gates in (("a", first), ("b", second)):
+        pairs = [(f"{prefix}{x}", f"c{y}") for x in range(2) for y in range(2)]
+        gates.update(zip(pairs, leaf_gates))
+    return t1, t2, lambda n1, n2: gates.get((n1.label, n2.label), 0.0)
 
 
 @pytest.mark.parametrize(
     "first, second, hits",
     [
-        ([0.0, 1.0, 0.5, 2.0], [-0.0, 1.0, 0.5, 2.0], True),
-        ([-0.0, -0.0, 0.5, -0.0], [0.0, 0.0, 0.5, 0.0], True),
+        ([0.0, 1.0, 0.5, 2.0], [-TINY, 1.0, 0.5, 2.0], True),
+        ([-TINY, -TINY, 0.5, -TINY], [0.0, 0.0, 0.5, 0.0], True),
         ([math.inf, 1.0, 0.5, 2.0], [math.inf, 1.0, 0.5, 2.0], True),
-        ([-0.0, math.inf, math.inf, -0.0], [0.0, math.inf, math.inf, 0.0], True),
+        ([-TINY, math.inf, math.inf, -TINY], [0.0, math.inf, math.inf, 0.0], True),
         ([math.nan, 1.0, 0.5, 2.0], [math.nan, 1.0, 0.5, 2.0], False),
         ([math.inf, 1.0, -math.inf, 0.0], [math.inf, 1.0, -math.inf, 0.0], True),
     ],
@@ -366,10 +428,13 @@ def twin_gates(first, second):
 def test_memoized_totals_equal_recomputed_ones(first, second, hits, lam):
     mu = 0.4
     memo = {}
+    t1, t2, sigma = twin_trees(first, second)
+    params = TreeKernelParams("SPTK", lam=lam, mu=mu, sigma=sigma)
     with np.errstate(all="ignore"):
-        delta = _pt_matrix(TWIN_PARENTS, ONE_PARENT, twin_gates(first, second), lam, mu, memo)
-        for parent in (2, 5):
-            ch = TWIN_PARENTS[parent]
+        delta = _matrix(t1, t2, params, memo)
+        if first[0] == -TINY:
+            assert math.copysign(1.0, delta[0, 0]) == -1.0 and delta[0, 0] == 0.0
+        for parent, ch in ((2, (0, 1)), (5, (3, 4))):
             want = mu * 1.0 * (lam * lam + reference_subseq_sum(delta, ch, (0, 1), lam))
             assert same_bits(delta[parent, 2], want)
     # equal keys share one entry; a NaN key never equals another
@@ -402,9 +467,10 @@ def test_signed_zero_child_deltas_give_equal_totals(cells, signs, shape, lam):
             minus.flat[k] = -0.0
     ch1, ch2 = tuple(range(a)), tuple(range(b))
     lam2 = lam * lam
+    plus, minus = array("d", plus.tobytes()), array("d", minus.tobytes())
     with np.errstate(all="ignore"):
         assert same_bits(
-            lam2 + _subseq_sum(plus, ch1, ch2, lam), lam2 + _subseq_sum(minus, ch1, ch2, lam)
+            lam2 + _subseq_sum(plus, 4, ch1, ch2, lam), lam2 + _subseq_sum(minus, 4, ch1, ch2, lam)
         )
 
 
@@ -430,6 +496,39 @@ def test_tree_matrix_empties_the_memo_when_the_row_changes(monkeypatch):
     # within a row the memo carries entries over from earlier columns
     assert any(size > 0 for _, _, size in seen)
     assert len({id(memo) for _, memo, _ in seen}) == 2
+
+
+def count_subseq_sums(monkeypatch):
+    calls = []
+    real = kernels._subseq_sum
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_subseq_sum", counting)
+    return calls
+
+
+def test_subseq_sum_calls_per_training_gram(monkeypatch, tmp_path):
+    # counted before the flat-buffer DP and its childless-pair fast path:
+    # neither may change which totals the memo computes
+    calls = count_subseq_sums(monkeypatch)
+    corpus = [to_lct(t) for t in make_re_corpus(n_per_class=4, seed=3)]
+    ids = tuple(map(str, range(len(corpus))))
+    _tree_matrix(corpus, corpus, TreeKernelParams("PTK"), ids, ids)
+    assert len(calls) == 38
+    paths = write_crosslingual_re(tmp_path, n_per_class=3, seed=13)
+    sigma = make_sigma(
+        SigmaConfig(mode="translate_then_compare"),
+        load_embeddings(paths["vectors.txt"]),
+        load_dictionary(paths["dict.tsv"]),
+    )
+    train = [to_lct(t) for t in parse_conllu_file(paths["train.conllu"])]
+    ids = tuple(map(str, range(len(train))))
+    calls.clear()
+    _tree_matrix(train, train, TreeKernelParams("SPTK", sigma=sigma), ids, ids)
+    assert len(calls) == 36
 
 
 # --- the per-tree index memo --------------------------------------------------

@@ -15,7 +15,7 @@ from udkernels.combine import (
     payload_to_dict,
     sm_tk,
 )
-from udkernels.errors import ModelError, NumericError, TrainingError
+from udkernels.errors import ConfigError, ModelError, NumericError, TrainingError
 from udkernels.kernels import TreeKernelParams
 from udkernels.lexical import indicator_sigma
 from udkernels.svm import (
@@ -309,6 +309,12 @@ def test_class_weights_scale_the_box():
     ovr = train_ovr(gram, labels, C=1.0, class_weights={"cause": 0.5})
     for binary in ovr.binaries.values():
         assert np.all(binary.alpha <= 1.0 + 1e-12)
+
+
+def test_class_weights_refuse_labels_absent_from_training():
+    gram, labels = three_class_problem()
+    with pytest.raises(ConfigError, match=r"absent from the training data: \['Nope', 'other'\]"):
+        train_ovr(gram, labels, class_weights={"cause": 0.5, "other": 2.0, "Nope": 2.0})
 
 
 def test_build_model_pools_supports():

@@ -246,8 +246,10 @@ def test_labeled_sexpr_refuses_two_carets():
 # --- bracket round trips and errors ----------------------------------------
 
 # every character the escape rule covers (no-break space and U+3000 are
-# whitespace too), plus non-ASCII letters
-ALPHABET = "ab()^\\ \t\xa0\u3000é中ß"
+# whitespace too; vertical tab, form feed, the separators \x1c-\x1e,
+# U+0085, U+2028 and U+2029 are whitespace that str.splitlines would also
+# end a line at), plus non-ASCII letters
+ALPHABET = "ab()^\\ \t\xa0\u3000\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029é中ß"
 labels = st.text(alphabet=ALPHABET, min_size=1, max_size=5)
 # s-expressions may also hold line breaks; .const files hold one tree a line
 sexpr_labels = st.text(alphabet=ALPHABET + "\n", min_size=1, max_size=5)
