@@ -99,6 +99,13 @@ class DepTree:
         return roots[0]
 
 
+def split_lines(text: str) -> list:
+    """Split text at line feeds only, dropping one trailing carriage return
+    per line, so a vertical tab, form feed, U+0085 or U+2028 inside a form
+    or label stays on its line (str.splitlines would break there)."""
+    return [line.removesuffix("\r") for line in text.split("\n")]
+
+
 def _parse_token_line(line: str, where: str):
     cols = line.split("\t")
     if len(cols) != N_COLUMNS:
@@ -160,10 +167,7 @@ def parse_conllu(text: str, source: str = "<string>") -> list:
             )
         )
 
-    # lines end at "\n" only, so a form holding U+2028 or a form feed
-    # stays on its line
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.removesuffix("\r")
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             if tokens:
                 flush(len(trees) + 1)

@@ -40,6 +40,7 @@ from .svm import (
     GramMatrix,
     SvmModel,
     build_model,
+    check_class_weights,
     load_model,
     predict,
     save_model,
@@ -263,6 +264,8 @@ def run_train(cfg: RunConfig, model_out, gram_path=None) -> SvmModel:
     resources = load_resources(cfg)
     spec = bind_sigma(cfg.kernel_spec, cfg, resources)
     prepared = prepare_split(cfg, resources, "train")
+    # before the Gram, the step that costs the most
+    check_class_weights(cfg.svm.class_weights, prepared.labels)
     fingerprint = spec_fingerprint(cfg.kernel_spec)
     if gram_path is not None:
         gram = read_gram(gram_path)

@@ -234,6 +234,15 @@ class OvrModel:
     binaries: dict
 
 
+def check_class_weights(class_weights: dict, labels) -> None:
+    """Refuse class weights for labels the training data does not hold."""
+    unknown = sorted(set(class_weights) - set(labels))
+    if unknown:
+        raise ConfigError(
+            f"class_weights names labels absent from the training data: {unknown}"
+        )
+
+
 def train_ovr(
     gram: np.ndarray,
     labels,
@@ -249,11 +258,7 @@ def train_ovr(
         raise TrainingError(f"need at least 2 classes, got {classes}")
     sample_C = None
     if class_weights:
-        unknown = sorted(set(class_weights) - set(classes))
-        if unknown:
-            raise ConfigError(
-                f"class_weights names labels absent from the training data: {unknown}"
-            )
+        check_class_weights(class_weights, labels)
         sample_C = np.array([C * class_weights.get(lab, 1.0) for lab in labels])
     binaries = {}
     for cls in classes:

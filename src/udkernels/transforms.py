@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .conllu import DepTree, Token
+from .conllu import DepTree, Token, split_lines
 from .errors import BracketError
 
 LEXICAL = "lexical"
@@ -414,13 +414,11 @@ def parse_bracketed(text: str, source: str = "<string>") -> list:
 
     A leaf is a bare atom or a bracketed label without children; leaves
     get 1-based spans left to right. A caret in a label is plain text.
-    Lines end at a line feed only, less one trailing carriage return,
-    so an escaped vertical tab, form feed, U+0085 or U+2028 stays in its
-    label.
+    Lines are split by conllu.split_lines, so an escaped vertical tab,
+    form feed, U+0085 or U+2028 stays in its label.
     """
     trees = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.removesuffix("\r")
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         trees.append(_parse_const_line(line, f"{source}:line {lineno}"))

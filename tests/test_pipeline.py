@@ -270,6 +270,18 @@ def test_train_reuses_gram_file(pi_paths, tmp_path):
     assert filecmp.cmp(direct, reused, shallow=False)
 
 
+def test_train_refuses_unknown_class_weight_before_the_gram(re_paths, monkeypatch):
+    cfg = re_config(re_paths)
+    cfg = replace(cfg, svm=replace(cfg.svm, class_weights={"Nope": 2.0}))
+
+    def no_gram(*args):
+        raise AssertionError("the Gram was built before the class weights were checked")
+
+    monkeypatch.setattr("udkernels.pipeline._gram", no_gram)
+    with pytest.raises(ConfigError, match=r"absent from the training data: \['Nope'\]"):
+        run_train(cfg, None)
+
+
 def test_train_refuses_foreign_gram(pi_paths, tmp_path):
     gram_path = tmp_path / "train.gram"
     run_gram(pi_config(pi_paths), gram_path)
