@@ -128,7 +128,7 @@ def _cmd_transform(args) -> int:
         else:  # pet
             if not args.const:
                 raise ConfigError("transform pet requires --const")
-            with open(args.const, encoding="utf-8") as handle:
+            with open(args.const, encoding="utf-8", newline="") as handle:
                 consts = transforms.parse_bracketed(handle.read(), source=args.const)
             if len(consts) != len(trees):
                 raise ConfigError(

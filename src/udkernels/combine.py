@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .kernels import TreeKernelParams, normalize, poly_kernel, tree_kernel
+from .kernels import TreeKernelParams, normalize, poly_kernel, subtree_matrix, tree_kernel
 from .lexical import SigmaConfig
 from .transforms import LabeledTree, labeled_from_sexpr, labeled_to_sexpr
 
@@ -188,20 +188,24 @@ def _mirror(values: np.ndarray):
         values[i, :i] = values[:i, i]
 
 
-def _slot_matrix(rows: list, cols: list, kernel, row_ids, col_ids, normalized=True) -> np.ndarray:
+def _slot_matrix(
+    rows: list, cols: list, kernel, row_ids, col_ids, normalized=True, values=None
+) -> np.ndarray:
     """kernel(row, col) between the row and column objects of one slot.
 
     Raw values are filled in row-major order, only the upper triangle
-    when cols is rows, so each pair is evaluated once. Self values are a
-    square matrix's diagonal, or one kernel(x, x) call per object of a
-    rectangle, and kernels.normalize then maps each cell. The ids name
-    each object's instance when a call fails.
+    when cols is rows, so each pair is evaluated once; values, when
+    given, already holds them. Self values are a square matrix's
+    diagonal, or one kernel(x, x) call per object of a rectangle, and
+    kernels.normalize then maps each cell. The ids name each object's
+    instance when a call fails.
     """
     square = cols is rows
-    values = np.zeros((len(rows), len(cols)))
-    for i, x in enumerate(rows):
-        for j in range(i if square else 0, len(cols)):
-            values[i, j] = _call(kernel, x, cols[j], row_ids[i], col_ids[j])
+    if values is None:
+        values = np.zeros((len(rows), len(cols)))
+        for i, x in enumerate(rows):
+            for j in range(i if square else 0, len(cols)):
+                values[i, j] = _call(kernel, x, cols[j], row_ids[i], col_ids[j])
     if normalized:
         if square:
             s_row = s_col = values.diagonal().tolist()
@@ -220,22 +224,21 @@ def _slot_matrix(rows: list, cols: list, kernel, row_ids, col_ids, normalized=Tr
 def _tree_matrix(rows: list, cols: list, params: TreeKernelParams, row_ids, col_ids) -> np.ndarray:
     """tree_kernel values between row and column trees, via _slot_matrix.
 
-    The calls share one memo of child-subsequence totals, emptied
-    whenever the row tree changes: the columns of one row keep meeting
-    the same child-delta inputs, and the memo never holds more than one
-    row's worth of them.
+    SST and PTK raw values come from one kernels.subtree_matrix call; a
+    rectangle's self values, and every SPTK pair, from one tree_kernel
+    call each. All of them share one memo of child-subsequence totals,
+    which kernels._MEMO_CAP bounds.
     """
     raw = replace(params, normalize=False)
-    memo, row = {}, None
-
-    def kernel(t1, t2):
-        nonlocal row
-        if t1 is not row:
-            memo.clear()
-            row = t1
-        return tree_kernel(t1, t2, raw, memo)
-
-    return _slot_matrix(rows, cols, kernel, row_ids, col_ids, params.normalize)
+    memo: dict = {}
+    kernel = lambda t1, t2: tree_kernel(t1, t2, raw, memo)
+    values = None
+    if params.kind != "SPTK":
+        values = subtree_matrix(rows, cols, raw, memo)
+        # the first non-finite cell fails as its tree_kernel call would
+        for i, j in np.argwhere(~np.isfinite(values))[:1]:
+            _call(kernel, rows[i], cols[j], row_ids[i], col_ids[j])
+    return _slot_matrix(rows, cols, kernel, row_ids, col_ids, params.normalize, values)
 
 
 def _ids(ids, payloads: list, name: str) -> tuple:

@@ -190,7 +190,8 @@ def parse_conllu(text: str, source: str = "<string>") -> list:
 
 
 def parse_conllu_file(path) -> list:
-    with open(path, encoding="utf-8") as handle:
+    # newline="" keeps a lone carriage return inside a form on its line
+    with open(path, encoding="utf-8", newline="") as handle:
         return parse_conllu(handle.read(), source=str(path))
 
 

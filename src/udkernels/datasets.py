@@ -12,7 +12,7 @@ referencing sentence ids in a CoNLL-U file.
 
 from __future__ import annotations
 
-from .conllu import DepTree, parse_conllu_file
+from .conllu import DepTree, parse_conllu_file, split_lines
 from .errors import DataError
 from .features import PIInstance, REInstance
 from .transforms import parse_bracketed
@@ -47,7 +47,7 @@ def load_re_dataset(conllu_path, const_path=None, lang: str = "") -> list:
     trees = parse_conllu_file(conllu_path)
     const_trees = None
     if const_path is not None:
-        with open(const_path, encoding="utf-8") as handle:
+        with open(const_path, encoding="utf-8", newline="") as handle:
             const_trees = parse_bracketed(handle.read(), source=str(const_path))
         if len(const_trees) != len(trees):
             raise DataError(
@@ -87,23 +87,23 @@ def load_pi_dataset(pairs_path, conllu_path) -> list:
             raise DataError(f"{conllu_path}: duplicate sent_id {tree.sent_id}")
         by_id[tree.sent_id] = tree
     instances = []
-    with open(pairs_path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(
-                    f"{pairs_path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                )
-            raw_label, sid_a, sid_b = parts
-            if raw_label not in ("0", "1"):
-                raise DataError(f"{pairs_path}:{lineno}: label must be 0 or 1, got {raw_label!r}")
-            for sid in (sid_a, sid_b):
-                if sid not in by_id:
-                    raise DataError(f"{pairs_path}:{lineno}: unknown sent_id {sid!r}")
-            instances.append(PIInstance(by_id[sid_a], by_id[sid_b], label=raw_label == "1"))
+    with open(pairs_path, encoding="utf-8", newline="") as handle:
+        lines = split_lines(handle.read())
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(
+                f"{pairs_path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
+            )
+        raw_label, sid_a, sid_b = parts
+        if raw_label not in ("0", "1"):
+            raise DataError(f"{pairs_path}:{lineno}: label must be 0 or 1, got {raw_label!r}")
+        for sid in (sid_a, sid_b):
+            if sid not in by_id:
+                raise DataError(f"{pairs_path}:{lineno}: unknown sent_id {sid!r}")
+        instances.append(PIInstance(by_id[sid_a], by_id[sid_b], label=raw_label == "1"))
     return instances
 
 
@@ -122,13 +122,13 @@ def write_predictions(path, instance_ids, labels, decisions=None):
 def read_predictions(path) -> list:
     """Rows of (id, label) from a prediction TSV, ignoring decision columns."""
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataError(f"{path}:{lineno}: expected at least id and label")
-            rows.append((parts[0], parts[1]))
+    with open(path, encoding="utf-8", newline="") as handle:
+        lines = split_lines(handle.read())
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2:
+            raise DataError(f"{path}:{lineno}: expected at least id and label")
+        rows.append((parts[0], parts[1]))
     return rows

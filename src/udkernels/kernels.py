@@ -12,25 +12,41 @@ keeps that index. The SST and PTK programs visit only the node pairs
 whose productions or labels match (the fast tree kernel of Moschitti,
 EACL 2006); SPTK scores every pair, since any two nodes may be similar.
 
-A kernel call keeps its node-pair deltas in one zero-filled flat
-array('d') of n1 * n2 floats, the delta of nodes i and j at i * n2 + j,
-and the dynamic programs read and write it as plain Python floats.
-Callers see it through np.frombuffer as a C-contiguous (n1, n2) float64
-view, with no copy; the kernel value is that view's sum. Every float
-operation keeps the order of the numpy-table formulation, so values
-match it bit for bit.
+A node pair's SST or PTK delta depends only on the two subtrees under
+it, and trees repeat subtrees: every relation and POS leaf of a
+lexical-centred tree, every word without dependents. subtree_matrix,
+the one SST/PTK kernel-matrix primitive, therefore interns the nodes of
+its row trees into a table of distinct subtrees, keyed by label and
+child subtree ids, that lives for that call only (the forest-as-DAG
+idea of Aiolli, Da San Martino, Sperduti and Moschitti, ICDM 2006).
+It then takes the column trees one at a time. Per column tree it fills
+one array('d') row of n2 deltas for each distinct subtree whose label
+(PTK) or production (SST) occurs in that tree, in ascending subtree id,
+so children come first; every other subtree shares one zero row. A
+cell is the numpy sum of the (n1, n2) array that stacks those rows in
+the row tree's postorder: the same floats in the same places as a
+per-pair program's delta table, so the same value bit for bit. The
+rows are dropped before the next column tree. A scalar tree_kernel and
+delta_matrix go through the same table, over one row tree.
+
+SPTK keeps one program per tree pair, since its node similarity sees
+whole nodes. It fills one flat array('d') of n1 * n2 floats, the delta
+of nodes i and j at i * n2 + j, and reads a node's child rows through
+memoryview slices of it. Every program reads and writes plain Python
+floats, and every float operation keeps the order of the numpy-table
+formulation, so values match it bit for bit.
 
 In PTK a node pair with a childless node has no child subsequences,
-and its delta is the constant mu * lam^2; in lexical-centred trees most
-matching pairs are such (relation and POS leaves), so a childless row
-fills its label bucket with that constant in one loop. The PTK/SPTK
+and its delta is the constant mu * lam^2, so a childless subtree fills
+its label bucket with that constant in one loop. The PTK/SPTK
 child-subsequence total of a pair of nodes with children depends only
 on lambda and the child deltas it reads, and in lexical-centred trees
 the same inputs recur: every word without dependents has the same two
-leaf children. tree_kernel therefore takes a memo of totals keyed by
-those deltas. combine._tree_matrix keeps one per kernel matrix and
-empties it whenever the row tree changes; a scalar call uses a fresh
-one.
+leaf children. The programs therefore take a memo of totals keyed by
+those deltas. combine._tree_matrix keeps one for a whole kernel matrix;
+a scalar call uses a fresh one. A memo is emptied when it reaches
+_MEMO_CAP entries, a fixed bound on its memory: a hit returns the float
+a miss computes, so emptying it changes no value.
 
 brute_force_kernel enumerates fragments explicitly and exists only to
 check tree_kernel on tiny trees; the two share no code.
@@ -48,7 +64,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .lexical import SigmaConfig
-from .transforms import LabelIndex, LabeledTree, NodeIndex, ProductionIndex, _escape
+from .transforms import LabelIndex, LabeledTree, ProductionIndex, _escape
 
 KINDS = ("SST", "PTK", "SPTK")
 
@@ -87,52 +103,31 @@ class DeltaMatrix:
         return "\n".join(lines) + "\n"
 
 
+_ZERO = array("d", [0.0])
+
+
 def _zeros(n: int) -> array:
     """A flat buffer of n zero doubles. Repeating a one-item array is
     quicker than converting n*8 zero bytes."""
-    return array("d", [0.0]) * n
+    return _ZERO * n
 
 
-def _sst_deltas(ix1: ProductionIndex, ix2: ProductionIndex, lam: float) -> array:
-    children1, children2 = ix1.children, ix2.children
-    atomic1, atomic2 = ix1.atomic, ix2.atomic
-    buckets = ix2.buckets
-    n2 = len(children2)
-    delta = _zeros(len(children1) * n2)
-    # only node pairs with equal productions can share a fragment; i runs
-    # in postorder, so child pairs are final before their parents read them
-    for i, prod in enumerate(ix1.prods):
-        cols = buckets.get(prod)
-        if cols is None:
-            continue
-        row = i * n2
-        # a node whose production bottoms out in leaves matches as a
-        # single unit, the production itself admits no sub-choices
-        if atomic1[i]:
-            for j in cols:
-                delta[row + j] = lam
-            continue
-        ch1 = children1[i]
-        for j in cols:
-            if atomic2[j]:
-                delta[row + j] = lam
-                continue
-            val = lam
-            for ci, cj in zip(ch1, children2[j]):
-                val *= 1.0 + delta[ci * n2 + cj]
-            delta[row + j] = val
-    return delta
+# The most child-subsequence totals one memo holds: a miss on a full
+# memo empties it first. Hits return the float a miss computes, so the
+# cap bounds memory without changing a value.
+_MEMO_CAP = 512
 
 
-def _subseq_sum(delta: array, n2: int, ch1: tuple, ch2: tuple, lam: float) -> float:
+def _subseq_sum(rows: list, ch2: tuple, lam: float) -> float:
     """Sum over equal-length ordered child subsequence pairs of
-    lam^(span1 + span2) times the product of child deltas, reading the
-    delta of nodes i and j at delta[i * n2 + j].
+    lam^(span1 + span2) times the product of child deltas. rows holds
+    one delta row per child of the first node, and ch2 the positions of
+    the second node's children in those rows.
 
     span counts positions from the first to the last picked child
     inclusive, so gaps inside a subsequence decay the term.
     """
-    a, b = len(ch1), len(ch2)
+    a, b = len(rows), len(ch2)
     lam2 = lam * lam
     # The tables are lists of Python floats, since per-cell numpy scalar
     # indexing and arithmetic cost more than the arithmetic itself. Every
@@ -143,9 +138,8 @@ def _subseq_sum(delta: array, n2: int, ch1: tuple, ch2: tuple, lam: float) -> fl
     # exactly at those children (1-based); row 0 and column 0 stay zero.
     zeros = [0.0] * (b + 1)
     D, T = [], [zeros]
-    for c1 in ch1:
-        row = c1 * n2
-        d = [delta[row + c2] for c2 in ch2]
+    for r in rows:
+        d = [r[c2] for c2 in ch2]
         D.append(d)
         T.append([0.0, *[lam2 * v for v in d]])
     # numpy sums the zero-padded table, so its pairwise order is unchanged
@@ -179,90 +173,204 @@ def _subseq_sum(delta: array, n2: int, ch1: tuple, ch2: tuple, lam: float) -> fl
     return total
 
 
-def _child_total(delta: array, n2: int, ch1: tuple, ch2: tuple, lam: float, memo: dict) -> float:
+def _child_total(rows: list, ch2: tuple, lam: float, memo: dict) -> float:
     """lam^2 + _subseq_sum for a node pair whose nodes both have children.
 
-    memo maps a child-delta input, (len(ch1), *deltas read row-major),
+    memo maps a child-delta input, (len(rows), *deltas read row by row),
     to its total, which depends on nothing else for a fixed lam; so one
     memo must serve one lam only. A hit returns the float a miss
     computed from equal inputs, and a NaN input never hits.
     """
-    key = (len(ch1), *[delta[c1 * n2 + c2] for c1 in ch1 for c2 in ch2])
+    key = (len(rows), *[r[c2] for r in rows for c2 in ch2])
     total = memo.get(key)
     if total is None:
-        total = memo[key] = lam * lam + _subseq_sum(delta, n2, ch1, ch2, lam)
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        total = memo[key] = lam * lam + _subseq_sum(rows, ch2, lam)
     return total
 
 
-def _ptk_deltas(ix1: LabelIndex, ix2: LabelIndex, params: TreeKernelParams, memo: dict) -> array:
-    children1, children2 = ix1.children, ix2.children
-    lam, mu = params.lam, params.mu
-    buckets = ix2.buckets
-    n2 = len(children2)
-    delta = _zeros(len(children1) * n2)
-    # a pair's delta is mu * gate * total with the exact-label gate 1.0
-    # (and mu * 1.0 is mu); a pair with a childless node has no child
-    # subsequences, so its total is lam^2
-    leaf = mu * (lam * lam)
-    for i, label in enumerate(ix1.labels):
-        cols = buckets.get(label)
-        if cols is None:
-            continue
-        row = i * n2
-        ch1 = children1[i]
-        if not ch1:
+class _Subtrees:
+    """The distinct subtrees of the row trees of one SST or PTK call.
+
+    A node is interned by its label and its children's subtree ids, so
+    equal subtrees share one id wherever they occur. Ids follow postorder
+    of first appearance: a child's id is below its parent's, and the
+    trees added first hold the lowest ids. Per id the table keeps the
+    bucket key the column trees are indexed by (the label for PTK, the
+    production for SST), the child ids and, for SST, whether every child
+    is a leaf.
+    """
+
+    __slots__ = ("sst", "ids", "keys", "children", "atomic")
+
+    def __init__(self, kind: str):
+        self.sst = kind == "SST"
+        self.ids: dict = {}
+        self.keys: list = []
+        self.children: list = []
+        self.atomic: list = []
+
+    def _index(self, tree: LabeledTree):
+        return tree.production_index if self.sst else tree.label_index
+
+    def add(self, tree: LabeledTree) -> np.ndarray:
+        """Intern tree's nodes; their subtree ids in postorder."""
+        ix = self._index(tree)
+        keys = ix.prods if self.sst else ix.labels
+        ids, sids = self.ids, []
+        for i, (key, kids) in enumerate(zip(keys, ix.children)):
+            child_ids = tuple([sids[c] for c in kids])
+            s = ids.setdefault((key, child_ids), len(ids))
+            if s == len(self.keys):
+                self.keys.append(key)
+                self.children.append(child_ids)
+                if self.sst:
+                    self.atomic.append(ix.atomic[i])
+            sids.append(s)
+        return np.array(sids, dtype=np.intp)
+
+    def column(self, t2: LabeledTree, count: int, params: TreeKernelParams, memo: dict):
+        """The deltas of subtrees 0..count-1 against the nodes of t2, as
+        (block, where): a row tree's (n1, n2) node-pair deltas, in both
+        trees' postorder, are block[where[ids]] for its subtree ids.
+
+        Each subtree whose bucket key occurs in t2 gets a row of block,
+        filled in ascending id so its children's rows are final first;
+        every other subtree maps to the shared zero row 0. A row holds
+        the floats the node-pair program writes for any node rooted at
+        that subtree.
+        """
+        ix2 = self._index(t2)
+        n2 = len(ix2.children)
+        rows, where = [_zeros(n2)], [0] * count
+        fill = self._sst_rows if self.sst else self._ptk_rows
+        fill(rows, where, ix2, params, memo)
+        block = np.frombuffer(b"".join(rows)).reshape(len(rows), n2)
+        return block, np.array(where, dtype=np.intp)
+
+    def _sst_rows(self, rows: list, where: list, ix2: ProductionIndex, params, _memo):
+        lam, n2 = params.lam, len(ix2.children)
+        buckets, children2, atomic2 = ix2.buckets, ix2.children, ix2.atomic
+        # only node pairs with equal productions can share a fragment
+        for s, prod, kids, atomic in zip(range(len(where)), self.keys, self.children, self.atomic):
+            cols = buckets.get(prod)
+            if cols is None:
+                continue
+            where[s] = len(rows)
+            row = _zeros(n2)
+            rows.append(row)
+            # a node whose production bottoms out in leaves matches as a
+            # single unit, the production itself admits no sub-choices
+            if atomic:
+                for j in cols:
+                    row[j] = lam
+                continue
+            child_rows = [rows[where[c]] for c in kids]
             for j in cols:
-                delta[row + j] = leaf
-            continue
-        for j in cols:
-            ch2 = children2[j]
-            if ch2:
-                delta[row + j] = mu * _child_total(delta, n2, ch1, ch2, lam, memo)
-            else:
-                delta[row + j] = leaf
-    return delta
+                if atomic2[j]:
+                    row[j] = lam
+                    continue
+                val = lam
+                for r, cj in zip(child_rows, children2[j]):
+                    val *= 1.0 + r[cj]
+                row[j] = val
+
+    def _ptk_rows(self, rows: list, where: list, ix2: LabelIndex, params, memo: dict):
+        lam, mu, n2 = params.lam, params.mu, len(ix2.children)
+        buckets, children2 = ix2.buckets, ix2.children
+        # a pair's delta is mu * gate * total with the exact-label gate 1.0
+        # (and mu * 1.0 is mu); a pair with a childless node has no child
+        # subsequences, so its total is lam^2
+        leaf = mu * (lam * lam)
+        for s, label, kids in zip(range(len(where)), self.keys, self.children):
+            cols = buckets.get(label)
+            if cols is None:
+                continue
+            where[s] = len(rows)
+            row = _zeros(n2)
+            rows.append(row)
+            if not kids:
+                for j in cols:
+                    row[j] = leaf
+                continue
+            child_rows = [rows[where[c]] for c in kids]
+            for j in cols:
+                ch2 = children2[j]
+                row[j] = mu * _child_total(child_rows, ch2, lam, memo) if ch2 else leaf
 
 
-def _sptk_deltas(
-    ix1: NodeIndex,
-    ix2: NodeIndex,
-    nodes1: tuple,
-    nodes2: tuple,
-    params: TreeKernelParams,
-    memo: dict,
-) -> array:
+def subtree_matrix(rows: list, cols: list, params: TreeKernelParams, memo: dict) -> np.ndarray:
+    """Raw SST or PTK values of every row tree against every column tree;
+    when cols is rows, only the upper triangle, and the rest stays 0.
+
+    The row trees are interned into one _Subtrees table. Each column tree
+    then gets one block of subtree rows, over the ids its cells need
+    (those of row trees 0..c for column c of a square matrix), and a cell
+    is the sum of the block's rows taken in the row tree's postorder: the
+    (n1, n2) node-pair deltas, in the float positions of a per-pair
+    program, so the value is the same bit for bit. The block is dropped
+    before the next column. memo holds child-subsequence totals
+    (_child_total) and must serve one lam only.
+    """
+    square = cols is rows
+    values = np.zeros((len(rows), len(cols)))
+    if not rows:
+        return values
+    table = _Subtrees(params.kind)
+    sids, counts = [], []
+    for tree in rows:
+        sids.append(table.add(tree))
+        counts.append(len(table.keys))
+    for c, t2 in enumerate(cols):
+        last = c + 1 if square else len(rows)
+        block, where = table.column(t2, counts[last - 1], params, memo)
+        values[:last, c] = [block[where[ids]].sum() for ids in sids[:last]]
+    return values
+
+
+def _sptk_matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo: dict):
+    """The SPTK node-pair deltas of t1 and t2 in postorder: an (n1, n2)
+    view of one flat buffer, the delta of nodes i and j at i * n2 + j.
+
+    sigma is opaque, so every node pair is scored, row by row. A row's
+    child rows are memoryview slices of the buffer, taken on the row's
+    first gated pair of nodes that both have children.
+    """
+    ix1, ix2 = t1.node_index, t2.node_index
     children1, children2 = ix1.children, ix2.children
+    nodes2 = ix2.nodes(t2)
     lam, mu, sigma = params.lam, params.mu, params.sigma
     lam2 = lam * lam
     n2 = len(children2)
     delta = _zeros(len(children1) * n2)
-    # sigma is opaque, so every node pair is scored
-    for i, n1 in enumerate(nodes1):
-        row = i * n2
-        ch1 = children1[i]
+    view = memoryview(delta)
+    for i, (n1, ch1) in enumerate(zip(ix1.nodes(t1), children1)):
+        row, child_rows = i * n2, None
         for j, node2 in enumerate(nodes2):
             gate = float(sigma(n1, node2))
             if gate == 0.0:
                 continue
             ch2 = children2[j]
-            total = _child_total(delta, n2, ch1, ch2, lam, memo) if ch1 and ch2 else lam2
+            if ch1 and ch2:
+                if child_rows is None:
+                    child_rows = [view[c * n2 : (c + 1) * n2] for c in ch1]
+                total = _child_total(child_rows, ch2, lam, memo)
+            else:
+                total = lam2
             delta[row + j] = mu * gate * total
-    return delta
+    return np.frombuffer(delta).reshape(len(children1), n2)
 
 
 def _matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo: dict) -> np.ndarray:
-    """The node-pair deltas, in postorder, as an (n1, n2) float64 view of
-    the flat buffer the dynamic program filled."""
-    if params.kind == "SST":
-        ix1, ix2 = t1.production_index, t2.production_index
-        delta = _sst_deltas(ix1, ix2, params.lam)
-    elif params.kind == "PTK":
-        ix1, ix2 = t1.label_index, t2.label_index
-        delta = _ptk_deltas(ix1, ix2, params, memo)
-    else:
-        ix1, ix2 = t1.node_index, t2.node_index
-        delta = _sptk_deltas(ix1, ix2, ix1.nodes(t1), ix2.nodes(t2), params, memo)
-    return np.frombuffer(delta).reshape(len(ix1.children), len(ix2.children))
+    """The node-pair deltas, in postorder, as a C-contiguous (n1, n2)
+    float64 array: the buffer whose sum is the raw kernel value."""
+    if params.kind == "SPTK":
+        return _sptk_matrix(t1, t2, params, memo)
+    table = _Subtrees(params.kind)
+    sids = table.add(t1)
+    block, where = table.column(t2, len(table.keys), params, memo)
+    return block[where[sids]]
 
 
 def _raw_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo: dict) -> float:

@@ -426,6 +426,11 @@ def parse_bracketed(text: str, source: str = "<string>") -> list:
 
 
 def const_to_bracketed(tree: ConstTree) -> str:
+    """tree as one line of bracketed text, which parse_bracketed reads
+    back. A .const file holds one tree a line, so a label holding a line
+    feed raises BracketError."""
+    if "\n" in tree.label:
+        raise BracketError(f"constituency label {tree.label!r} holds a line feed")
     if tree.is_leaf():
         return _escape(tree.label)
     inner = " ".join(const_to_bracketed(c) for c in tree.children)

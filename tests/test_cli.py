@@ -152,6 +152,23 @@ def test_transform_pet_requires_const(tmp_path, capsys):
     assert "error [config]" in capsys.readouterr().err
 
 
+def test_transform_pet_keeps_a_lone_carriage_return(tmp_path):
+    src = tmp_path / "in.conllu"
+    src.write_text(
+        "# sent_id = r1\n"
+        "1\tHeat\theat\tNOUN\t_\t_\t2\tnsubj\t_\tEntity=e1\n"
+        "2\tcauses\tcause\tVERB\t_\t_\t0\troot\t_\t_\n"
+        "3\tfires\tfire\tNOUN\t_\t_\t2\tobj\t_\tEntity=e2\n"
+    )
+    line = "(S (N Heat) (VP (V\\\rX causes) (N fires)))"
+    const = tmp_path / "in.const"
+    const.write_bytes((line + "\n").encode("utf-8"))
+    out = tmp_path / "out.pet"
+    args = ["transform", "pet", "--conllu", str(src), "--const", str(const), "--out", str(out)]
+    assert main(args) == 0
+    assert out.read_bytes().decode("utf-8") == line + "\n"
+
+
 def test_delta_prints_table(capsys):
     code = main(
         [

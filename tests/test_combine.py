@@ -149,20 +149,32 @@ def test_identical_instance_scores_four_under_squared_core():
 
 
 def count_tree_kernel_calls(monkeypatch) -> Counter:
-    """Per-kind count of the tree kernel calls made through combine, and
-    of the polynomial vector kernel calls under "poly"."""
+    """Per-kind count of the tree pairs combine evaluates, one per
+    tree_kernel call and one per cell a kernels.subtree_matrix call
+    fills (the upper triangle of a square one), and of the polynomial
+    vector kernel calls under "poly"."""
     calls = Counter()
-    real_tree, real_poly = combine.tree_kernel, combine.poly_kernel
+    real_tree, real_matrix, real_poly = (
+        combine.tree_kernel,
+        combine.subtree_matrix,
+        combine.poly_kernel,
+    )
 
     def counted_tree(t1, t2, params, *args):
         calls[params.kind] += 1
         return real_tree(t1, t2, params, *args)
+
+    def counted_matrix(rows, cols, params, *args):
+        n = len(rows)
+        calls[params.kind] += n * (n + 1) // 2 if cols is rows else n * len(cols)
+        return real_matrix(rows, cols, params, *args)
 
     def counted_poly(*args):
         calls["poly"] += 1
         return real_poly(*args)
 
     monkeypatch.setattr(combine, "tree_kernel", counted_tree)
+    monkeypatch.setattr(combine, "subtree_matrix", counted_matrix)
     monkeypatch.setattr(combine, "poly_kernel", counted_poly)
     return calls
 

@@ -2,6 +2,7 @@ import pytest
 
 from udkernels.conllu import (
     parse_conllu,
+    parse_conllu_file,
     to_conllu,
     validate,
 )
@@ -82,6 +83,16 @@ def test_line_ends_only_at_newline(ch):
     assert tree.token(1).form == tree.token(1).lemma == f"a{ch}b"
     assert tree.token(1).misc == {}
     (again,) = parse_conllu(to_conllu(tree))
+    assert again.tokens == tree.tokens
+
+
+def test_lone_carriage_return_survives_a_file(tmp_path):
+    # universal-newline reading would end the line inside the form
+    (tree,) = parse_conllu("1\ta\rb\ta\rb\tX\t_\t_\t0\troot\t_\t_\n")
+    path = tmp_path / "cr.conllu"
+    path.write_bytes(to_conllu(tree).encode("utf-8"))
+    (again,) = parse_conllu_file(path)
+    assert again.token(1).form == "a\rb"
     assert again.tokens == tree.tokens
 
 

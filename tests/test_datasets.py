@@ -67,6 +67,14 @@ def test_load_re_dataset_with_parses(re_corpus, tmp_path):
     assert instances[1].const_tree is not None
 
 
+def test_parses_keep_a_lone_carriage_return(re_corpus, tmp_path):
+    # const_to_bracketed escapes the carriage return inside the label
+    const = tmp_path / "re.const"
+    const.write_bytes(CONST_PARSES.replace("(V causes)", "(V\\\rX causes)").encode("utf-8"))
+    heat, _ = load_re_dataset(re_corpus, const_path=const)
+    assert heat.const_tree.children[1].children[0].label == "V\rX"
+
+
 def test_const_count_mismatch(re_corpus, tmp_path):
     const = write(tmp_path / "re.const", CONST_PARSES.splitlines()[0] + "\n")
     with pytest.raises(DataError, match="1 parses for 2 sentences"):
@@ -150,6 +158,14 @@ def test_load_pi_dataset(pi_bank, tmp_path):
     assert instances[0].tree_a is instances[1].tree_a
 
 
+def test_pi_ids_keep_a_lone_carriage_return(tmp_path):
+    bank = write(tmp_path / "bank.conllu", PI_BANK.replace("s2", "s\r2"))
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_bytes(b"1\ts1\ts\r2\r\n")
+    (instance,) = load_pi_dataset(pairs, bank)
+    assert instance.tree_b.sent_id == "s\r2"
+
+
 def test_pi_bad_label(pi_bank, tmp_path):
     pairs = write(tmp_path / "pairs.tsv", "2\ts1\ts2\n")
     with pytest.raises(DataError, match="label must be 0 or 1"):
@@ -182,6 +198,12 @@ def test_prediction_roundtrip(tmp_path):
     text = path.read_text()
     assert text == "i1\tyes\ta=-1.25\tb=0.5\ni2\tno\ta=2.0\tb=0.125\n"
     assert read_predictions(path) == [("i1", "yes"), ("i2", "no")]
+
+
+def test_prediction_ids_keep_a_lone_carriage_return(tmp_path):
+    path = tmp_path / "pred.tsv"
+    write_predictions(path, ["i\r1", "i2"], ["yes", "no"])
+    assert read_predictions(path) == [("i\r1", "yes"), ("i2", "no")]
 
 
 def test_predictions_without_decisions(tmp_path):

@@ -1,13 +1,16 @@
-"""The label-bucketed SST/PTK dynamic programs against full scans.
+"""The label-bucketed SST/PTK/SPTK dynamic programs against full scans.
 
 The kernels visit only node pairs whose productions (SST) or labels
-(PTK) match, over a postorder index memoized on each tree, keep the
-node-pair deltas in one flat float buffer, fill PTK pairs with a
-childless node from a constant, run the child-subsequence recursion on
-plain Python floats, and memoize its totals by their child-delta
-inputs. The references below scan every node pair of freshly indexed
-trees into numpy tables and run the recursion on numpy tables with no
-memo; both must give the same values bit for bit.
+(PTK) match, over a postorder index memoized on each tree. SST and PTK
+compute one row of deltas per distinct subtree of the row trees and
+column tree (kernels.subtree_matrix); SPTK keeps the node-pair deltas
+of one tree pair in one flat float buffer. PTK fills pairs with a
+childless node from a constant, and PTK and SPTK run the
+child-subsequence recursion on plain Python floats and memoize its
+totals by their child-delta inputs. The references below scan every
+node pair of freshly indexed trees into numpy tables and run the
+recursion on numpy tables with no memo; both must give the same values
+bit for bit.
 """
 
 import math
@@ -28,6 +31,7 @@ from udkernels.kernels import (
     _matrix,
     _subseq_sum,
     delta_matrix,
+    subtree_matrix,
     tree_kernel,
 )
 from udkernels.lexical import (
@@ -265,6 +269,12 @@ def test_sptk_deltas_equal_full_scan_with_translating_sigma(tmp_path):
 # --- the child-subsequence recursion against its numpy reference ----------
 
 
+def child_rows(flat, n, ch1):
+    """The delta rows, n floats each, of the first node's children in a
+    flat row-major table: the rows _subseq_sum reads."""
+    return [flat[c * n : (c + 1) * n] for c in ch1]
+
+
 def same_bits(x, y):
     if np.isnan(x) and np.isnan(y):
         return True
@@ -292,7 +302,7 @@ children = st.lists(st.integers(0, N_NODES - 1), min_size=1, max_size=10).map(tu
 def test_subseq_sum_matches_numpy_reference_bit_for_bit(cells, ch1, ch2, lam):
     delta = np.array(cells).reshape(N_NODES, N_NODES)
     with np.errstate(all="ignore"):
-        got = _subseq_sum(array("d", cells), N_NODES, ch1, ch2, lam)
+        got = _subseq_sum(child_rows(array("d", cells), N_NODES, ch1), ch2, lam)
         want = reference_subseq_sum(delta, ch1, ch2, lam)
     assert type(got) is float
     assert same_bits(got, want)
@@ -311,7 +321,7 @@ def test_subseq_sum_overflow_matches_numpy_reference(shape, nan, lam):
     delta[rng.random((12, 12)) < 0.2] = 0.0
     ch1, ch2 = tuple(range(shape[0])), tuple(range(2, 2 + shape[1]))
     with np.errstate(all="ignore"):
-        got = _subseq_sum(array("d", delta.tobytes()), 12, ch1, ch2, lam)
+        got = _subseq_sum(child_rows(array("d", delta.tobytes()), 12, ch1), ch2, lam)
         want = reference_subseq_sum(delta, ch1, ch2, lam)
     assert not np.isfinite(want) and np.isnan(want) == nan
     assert same_bits(got, want)
@@ -467,35 +477,50 @@ def test_signed_zero_child_deltas_give_equal_totals(cells, signs, shape, lam):
             minus.flat[k] = -0.0
     ch1, ch2 = tuple(range(a)), tuple(range(b))
     lam2 = lam * lam
-    plus, minus = array("d", plus.tobytes()), array("d", minus.tobytes())
+    plus = child_rows(array("d", plus.tobytes()), 4, ch1)
+    minus = child_rows(array("d", minus.tobytes()), 4, ch1)
     with np.errstate(all="ignore"):
-        assert same_bits(
-            lam2 + _subseq_sum(plus, 4, ch1, ch2, lam), lam2 + _subseq_sum(minus, 4, ch1, ch2, lam)
-        )
+        assert same_bits(lam2 + _subseq_sum(plus, ch2, lam), lam2 + _subseq_sum(minus, ch2, lam))
 
 
-def test_tree_matrix_empties_the_memo_when_the_row_changes(monkeypatch):
+def test_tree_matrix_keeps_one_memo_up_to_its_cap(monkeypatch):
     corpus = [to_lct(t) for t in make_re_corpus(n_per_class=2, seed=3)]
-    seen = []  # (row tree, memo, memo size on entry) per call
-    real = combine.tree_kernel
-
-    def spy(t1, t2, params, memo):
-        seen.append((t1, memo, len(memo)))
-        return real(t1, t2, params, memo)
-
-    monkeypatch.setattr(combine, "tree_kernel", spy)
     ids = tuple(map(str, range(len(corpus))))
-    _tree_matrix(corpus, corpus, TreeKernelParams("PTK"), ids, ids)
-    rect = corpus[:3]
-    _tree_matrix(rect, corpus, TreeKernelParams("PTK"), ids[:3], ids)
-    previous = None
-    for t1, memo, size in seen:
-        if t1 is not previous:
-            assert size == 0
-        previous = t1
-    # within a row the memo carries entries over from earlier columns
-    assert any(size > 0 for _, _, size in seen)
-    assert len({id(memo) for _, memo, _ in seen}) == 2
+    seen = []  # (memo, memo size after the lookup) per child-subsequence total
+    real = kernels._child_total
+
+    def spy(rows, ch2, lam, memo):
+        total = real(rows, ch2, lam, memo)
+        seen.append((id(memo), len(memo)))
+        return total
+
+    monkeypatch.setattr(kernels, "_child_total", spy)
+    matrices = {
+        "PTK": lambda: _tree_matrix(corpus, corpus, TreeKernelParams("PTK"), ids, ids),
+        "PTK rectangle": lambda: _tree_matrix(
+            corpus[:3], corpus, TreeKernelParams("PTK"), ids[:3], ids
+        ),
+        "SPTK": lambda: _tree_matrix(
+            corpus, corpus, TreeKernelParams("SPTK", sigma=indicator_sigma), ids, ids
+        ),
+    }
+    for name, matrix in matrices.items():
+        seen.clear()
+        want = matrix()
+        sizes = [size for _, size in seen]
+        # one memo serves the whole matrix, self values and every row
+        # tree included, and below the cap it is never emptied
+        assert len({memo for memo, _ in seen}) == 1, name
+        assert sizes == sorted(sizes) and sizes[-1] > 2, name
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_MEMO_CAP", 2)
+            got = matrix()
+        sizes = [size for _, size in seen]
+        # a full memo is emptied before it grows past the cap, and the
+        # values stay the same bit for bit
+        assert max(sizes) == 2 and 1 in sizes[sizes.index(2) :], name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def count_subseq_sums(monkeypatch):
@@ -510,14 +535,25 @@ def count_subseq_sums(monkeypatch):
     return calls
 
 
+def distinct_inputs(trees, sigma):
+    """The child-delta inputs of every pair of the upper triangle of a
+    Gram over trees, at the default lam and mu."""
+    keys = set()
+    for i, t1 in enumerate(trees):
+        for t2 in trees[i:]:
+            keys |= memo_keys(t1, t2, full_scan_ptk(t1, t2, 0.4, 0.4, sigma), sigma)
+    return keys
+
+
 def test_subseq_sum_calls_per_training_gram(monkeypatch, tmp_path):
-    # counted before the flat-buffer DP and its childless-pair fast path:
-    # neither may change which totals the memo computes
+    # one memo per matrix runs the recursion once per distinct child-delta
+    # input of the whole Gram: 5 and 12 calls here, where a memo emptied
+    # per row tree made 38 and 36
     calls = count_subseq_sums(monkeypatch)
     corpus = [to_lct(t) for t in make_re_corpus(n_per_class=4, seed=3)]
     ids = tuple(map(str, range(len(corpus))))
     _tree_matrix(corpus, corpus, TreeKernelParams("PTK"), ids, ids)
-    assert len(calls) == 38
+    assert len(calls) == len(distinct_inputs(corpus, indicator_sigma)) == 5
     paths = write_crosslingual_re(tmp_path, n_per_class=3, seed=13)
     sigma = make_sigma(
         SigmaConfig(mode="translate_then_compare"),
@@ -528,7 +564,63 @@ def test_subseq_sum_calls_per_training_gram(monkeypatch, tmp_path):
     ids = tuple(map(str, range(len(train))))
     calls.clear()
     _tree_matrix(train, train, TreeKernelParams("SPTK", sigma=sigma), ids, ids)
-    assert len(calls) == 36
+    assert len(calls) == len(distinct_inputs(train, sigma)) == 12
+
+
+# --- forests that share subtrees -------------------------------------------
+
+small_trees = st.recursive(
+    labels.map(syn),
+    lambda sub: st.builds(lambda lab, kids: syn(lab, *kids), labels, st.lists(sub, max_size=3)),
+    max_leaves=7,
+)
+
+
+def rebuilt(tree):
+    """An equal tree made of new node objects."""
+    return syn(tree.label, *map(rebuilt, tree.children))
+
+
+@st.composite
+def forests(draw):
+    """Trees over a tiny alphabet plus a repeated tree object, an equal
+    copy of a tree and a subtree of a tree, in drawn order."""
+    base = draw(st.lists(small_trees, min_size=1, max_size=3))
+    host = draw(st.sampled_from(base))
+    extra = [
+        draw(st.sampled_from(base)),
+        rebuilt(draw(st.sampled_from(base))),
+        draw(st.sampled_from(list(host.iter_nodes()))),
+    ]
+    return draw(st.permutations(base + extra))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=forests(), cols=forests(), lam=decays, mu=decays)
+def test_subtree_matrix_equals_full_scan_on_shared_subtrees(rows, cols, lam, mu):
+    scans = {
+        "SST": lambda t1, t2: full_scan_sst(t1, t2, lam),
+        "PTK": lambda t1, t2: full_scan_ptk(t1, t2, lam, mu),
+    }
+    for kind, scan in scans.items():
+        params = TreeKernelParams(kind, lam=lam, mu=mu, normalize=False)
+        square = subtree_matrix(rows, rows, params, {})
+        rect = subtree_matrix(rows, cols, params, {})
+        for i, t1 in enumerate(rows):
+            for j, t2 in enumerate(rows):
+                want = float(scan(t1, t2).sum()) if j >= i else 0.0
+                assert same_bits(square[i, j], want)
+            for j, t2 in enumerate(cols):
+                want = scan(t1, t2)
+                assert same_bits(rect[i, j], float(want.sum()))
+                # the scalar kernel and the delta table take the same path
+                assert same_bits(tree_kernel(t1, t2, params), rect[i, j])
+                assert_same_matrix(delta_matrix(t1, t2, params).values, want, t1, t2)
+        # a memo emptied before every insertion changes no bit
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_MEMO_CAP", 1)
+            assert subtree_matrix(rows, rows, params, {}).tobytes() == square.tobytes()
+            assert subtree_matrix(rows, cols, params, {}).tobytes() == rect.tobytes()
 
 
 # --- the per-tree index memo --------------------------------------------------
@@ -567,3 +659,20 @@ def test_overflow_still_raises_on_bucketed_path():
     params = TreeKernelParams("SST", lam=1.0, normalize=False)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="SST kernel overflowed"):
         tree_kernel(tree, tree, params)
+
+
+def test_tree_matrix_names_the_first_overflowing_pair():
+    def leaves():
+        return [syn(f"x{k}") for k in range(64)]
+
+    spine = syn("a", *leaves())
+    for _ in range(16):
+        spine = syn("a", *leaves(), spine)
+    small = syn("a", syn("x0"))
+    params = TreeKernelParams("SST", lam=1.0)
+    trees, ids = [small, spine, spine], ("s", "t", "u")
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="^kernel failed on pair t x t: SST kernel overflowed"):
+            _tree_matrix(trees, trees, params, ids, ids)
+        with pytest.raises(NumericError, match="^kernel failed on pair t x c: SST kernel overflowed"):
+            _tree_matrix(trees[:2], [small, spine], params, ids[:2], ("b", "c"))

@@ -296,6 +296,17 @@ def test_bracketed_roundtrip_any_labels(tree):
     assert const_to_bracketed(parsed) == text
 
 
+def test_const_to_bracketed_refuses_a_line_feed_in_a_label():
+    # a .const line ends at the line feed, so the tree could not be read back
+    tree = ConstTree("S", (ConstTree("S\nT"),))
+    with pytest.raises(BracketError, match="label 'S\\\\nT' holds a line feed"):
+        const_to_bracketed(tree)
+    # a carriage return is escaped and stays inside its line
+    tree = ConstTree("S", (ConstTree("S\rT"),))
+    (again,) = parse_bracketed(const_to_bracketed(tree) + "\r\n")
+    assert again.leaves()[0].label == "S\rT"
+
+
 def test_bracketed_caret_is_plain_text():
     (ct,) = parse_bracketed("(NP^x a^b^c \\^d)")
     assert ct.label == "NP^x"
