@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conllu import split_lines
 from .errors import EmbeddingError
 from .transforms import LEXICAL, SYNTACTIC, LabeledTree
 
@@ -83,22 +84,23 @@ def load_dictionary(
     """Load a `source<TAB>target` file; repeated sources accumulate
     ranked targets in file order."""
     entries: dict = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise EmbeddingError(
-                    f"{path}:{lineno}: expected 'source<TAB>target', got {line!r}"
-                )
-            src, tgt = parts
-            if lowercase:
-                src, tgt = src.lower(), tgt.lower()
-            bucket = entries.setdefault(src, [])
-            if tgt not in bucket:
-                bucket.append(tgt)
+    # newline="" keeps a lone carriage return inside a word on its line
+    with open(path, encoding="utf-8", newline="") as handle:
+        lines = split_lines(handle.read())
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise EmbeddingError(
+                f"{path}:{lineno}: expected 'source<TAB>target', got {line!r}"
+            )
+        src, tgt = parts
+        if lowercase:
+            src, tgt = src.lower(), tgt.lower()
+        bucket = entries.setdefault(src, [])
+        if tgt not in bucket:
+            bucket.append(tgt)
     return BilingualDictionary(
         entries={k: tuple(v) for k, v in entries.items()},
         source_lang=source_lang,

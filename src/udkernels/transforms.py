@@ -428,12 +428,19 @@ def parse_bracketed(text: str, source: str = "<string>") -> list:
 def const_to_bracketed(tree: ConstTree) -> str:
     """tree as one line of bracketed text, which parse_bracketed reads
     back. A .const file holds one tree a line, so a label holding a line
-    feed raises BracketError."""
+    feed raises BracketError. split_lines drops a carriage return that
+    ends a line, so a one-node tree whose label ends in one is written
+    as a bracketed node without children, "(label)"."""
+    text = _bracketed(tree)
+    return f"({text})" if text.endswith("\r") else text
+
+
+def _bracketed(tree: ConstTree) -> str:
     if "\n" in tree.label:
         raise BracketError(f"constituency label {tree.label!r} holds a line feed")
     if tree.is_leaf():
         return _escape(tree.label)
-    inner = " ".join(const_to_bracketed(c) for c in tree.children)
+    inner = " ".join(_bracketed(c) for c in tree.children)
     return f"({_escape(tree.label)} {inner})"
 
 

@@ -623,6 +623,83 @@ def test_subtree_matrix_equals_full_scan_on_shared_subtrees(rows, cols, lam, mu)
             assert subtree_matrix(rows, cols, params, {}).tobytes() == rect.tobytes()
 
 
+# --- row trees grouped by node count ----------------------------------------
+
+
+@st.composite
+def sized_trees(draw, size: int):
+    """A tree of exactly size nodes over the tiny alphabet."""
+    kids, left = [], size - 1
+    while left:
+        k = draw(st.integers(1, left))
+        kids.append(draw(sized_trees(k)))
+        left -= k
+    return syn(draw(labels), *kids)
+
+
+@st.composite
+def sized_forests(draw):
+    """Trees that all have one node count, all have distinct node counts,
+    or mix the two. Shared counts come with a repeated tree object and
+    an equal copy of a tree, in drawn order."""
+    mode = draw(st.sampled_from(["same", "distinct", "mixed"]))
+    if mode == "same":
+        sizes = [draw(st.integers(1, 8))] * draw(st.integers(2, 5))
+    elif mode == "distinct":
+        sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5, unique=True))
+    else:
+        sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=7))
+    base = [draw(sized_trees(n)) for n in sizes]
+    if mode != "distinct":
+        base += [draw(st.sampled_from(base)), rebuilt(draw(st.sampled_from(base)))]
+    return draw(st.permutations(base))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=sized_forests(), cols=sized_forests(), lam=decays, mu=decays, data=st.data())
+def test_grouped_sums_equal_full_scan_bit_for_bit(rows, cols, lam, mu, data):
+    # the columns also hold a row tree object and an equal copy of one
+    cols = cols + [data.draw(st.sampled_from(rows)), rebuilt(data.draw(st.sampled_from(rows)))]
+    scans = {
+        "SST": lambda t1, t2: full_scan_sst(t1, t2, lam),
+        "PTK": lambda t1, t2: full_scan_ptk(t1, t2, lam, mu),
+    }
+    for kind, scan in scans.items():
+        params = TreeKernelParams(kind, lam=lam, mu=mu, normalize=False)
+        want_square = np.array(
+            [[scan(t1, t2).sum() if j >= i else 0.0 for j, t2 in enumerate(rows)] for i, t1 in enumerate(rows)]
+        )
+        want_rect = np.array([[scan(t1, t2).sum() for t2 in cols] for t1 in rows])
+        square = subtree_matrix(rows, rows, params, {})
+        rect = subtree_matrix(rows, cols, params, {})
+        assert square.tobytes() == want_square.tobytes()
+        assert rect.tobytes() == want_rect.tobytes()
+        # an emptied memo, one tree per gather, or a few, change no bit
+        for memo_cap, gather_cap in [(1, kernels._GATHER_CAP), (kernels._MEMO_CAP, 1), (1, 40)]:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernels, "_MEMO_CAP", memo_cap)
+                patch.setattr(kernels, "_GATHER_CAP", gather_cap)
+                assert subtree_matrix(rows, rows, params, {}).tobytes() == square.tobytes()
+                assert subtree_matrix(rows, cols, params, {}).tobytes() == rect.tobytes()
+
+
+@pytest.mark.parametrize(
+    "m", [*range(1, 10), 127, 128, 129, 8191, 8192, 8193, 3 * 8192 + 5]
+)
+def test_numpy_row_sums_equal_whole_array_sums(m):
+    """subtree_matrix sums k row trees' (n, n2) cells as the rows of one
+    (k, n * n2) array. That gives the same bits only because numpy sums
+    each contiguous row in the order it sums the (n, n2) array alone."""
+    rng = np.random.default_rng(m)
+    shapes = sorted({(p, m // p) for p in (1, 2, 3, 7, 64, 128, m) if m % p == 0})
+    for k in (1, 2, 5, 64) if m > 129 else (1, 2, 5, 64, 1000):
+        a = rng.standard_normal((k, m)) * 10.0 ** rng.integers(-12, 12, size=(k, m))
+        sums = a.sum(axis=1)
+        for i in sorted({0, k // 2, k - 1}):
+            for p, q in shapes:
+                assert sums[i].tobytes() == a[i].reshape(p, q).sum().tobytes(), (k, i, p, q)
+
+
 # --- the per-tree index memo --------------------------------------------------
 
 

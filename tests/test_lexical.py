@@ -85,6 +85,17 @@ def test_load_dictionary_rejects_bad_rows(tmp_path):
         load_dictionary(path)
 
 
+def test_load_dictionary_keeps_a_lone_carriage_return_in_a_word(tmp_path):
+    # only a line feed ends a row; one carriage return before it is dropped
+    path = tmp_path / "dict.tsv"
+    path.write_bytes(b"a\rb\tc\r\nd\te\n")
+    d = load_dictionary(path)
+    assert d.entries == {"a\rb": ("c",), "d": ("e",)}
+    path.write_bytes(b"a\rb\n")
+    with pytest.raises(EmbeddingError, match=r":1: expected 'source<TAB>target', got 'a\\rb'$"):
+        load_dictionary(path)
+
+
 # --- vector math -----------------------------------------------------------
 
 

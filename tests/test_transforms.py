@@ -307,6 +307,19 @@ def test_const_to_bracketed_refuses_a_line_feed_in_a_label():
     assert again.leaves()[0].label == "S\rT"
 
 
+@pytest.mark.parametrize("label", ["a\r", "\r", "a\r\r", "a\rb"])
+def test_one_node_tree_with_a_carriage_return_round_trips_through_a_file(tmp_path, label):
+    trees = [ConstTree(label, span=(1, 1)), ConstTree("S", (ConstTree(label, span=(1, 1)),), (1, 1))]
+    path = tmp_path / "trees.const"
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        out.writelines(const_to_bracketed(t) + "\n" for t in trees)
+    with open(path, encoding="utf-8", newline="") as handle:
+        lines = handle.read().split("\n")
+    # no written line ends in a carriage return, escaped or not
+    assert not any(line.endswith("\r") for line in lines)
+    assert parse_bracketed("\n".join(lines), str(path)) == trees
+
+
 def test_bracketed_caret_is_plain_text():
     (ct,) = parse_bracketed("(NP^x a^b^c \\^d)")
     assert ct.label == "NP^x"
