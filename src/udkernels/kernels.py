@@ -32,8 +32,8 @@ rows. Each row is the C-contiguous array a lone sum would reduce, and
 numpy sums a contiguous row in the order it sums that array alone, so
 the bits are the same (test_kernel_buckets checks this assumption). A
 gather holds at most _GATHER_CAP floats, or one tree's cells; a larger
-group is summed in chunks. A row tree whose node count is its own is
-summed alone. The rows are dropped before the next column tree. A
+group is summed in chunks. A node count that only one row tree has
+is a group of one. The rows are dropped before the next column tree. A
 scalar tree_kernel and delta_matrix go through the same table, over
 one row tree.
 
@@ -330,8 +330,8 @@ def subtree_matrix(rows: list, cols: list, params: TreeKernelParams, memo: dict)
     one gather, (k * n1, n2) floats viewed as (k, n1 * n2), and one sum
     along its rows, which gives each row the bits of its lone sum; a
     gather over _GATHER_CAP floats is split into chunks of whole trees.
-    In a square matrix a group takes only its members 0..c. A row tree
-    whose node count no other row tree shares is summed alone. A column's
+    In a square matrix a group takes only its members 0..c; a row tree
+    whose node count no other row tree shares is a group of one. A column's
     sums fill a buffer ordered by node count, where each group's are one
     slice, and are scattered to the rows once per column. The block is
     dropped before the next column. memo holds child-subsequence totals
@@ -361,10 +361,6 @@ def subtree_matrix(rows: list, cols: list, params: TreeKernelParams, memo: dict)
         column, n2 = np.zeros(len(rows)), block.shape[1]  # in sorted order
         for start, members, n, ids in runs:
             k = bisect_right(members, c) if square else len(members)
-            if len(members) == 1:  # a node count no other row tree has
-                if k:
-                    column[start] = block[where[ids]].sum()
-                continue
             step = max(1, _GATHER_CAP // (n * n2))
             # take gathers the same rows as fancy indexing, in about half the time
             for a in range(0, k, step):
