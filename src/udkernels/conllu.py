@@ -2,7 +2,8 @@
 
 Only the basic 10-column format is handled: multiword range lines
 (``1-2``) and empty nodes (``1.1``) are skipped, ``#`` lines are read as
-``key = value`` metadata, and ``_`` marks an absent field.
+``key = value`` metadata, and ``_`` marks an absent field. An empty
+UPOS or DEPREL column is refused where the token line is read.
 """
 
 from __future__ import annotations
@@ -125,6 +126,11 @@ def _parse_token_line(line: str, where: str):
         raise ConlluError(f"{where}: non-integer head {cols[6]!r}") from None
     if head < 0:
         raise ConlluError(f"{where}: negative head {head}")
+    # an empty tag would become an unlabeled node of the lexical-centred
+    # tree, which a saved model cannot read back
+    if not (cols[3] and cols[7]):
+        name = "DEPREL" if cols[3] else "UPOS"
+        raise ConlluError(f"{where}: empty {name} column")
     return Token(
         id=node_id,
         form=cols[1],

@@ -19,13 +19,21 @@ the one SST/PTK kernel-matrix primitive, therefore interns the nodes of
 its row trees into a table of distinct subtrees, keyed by label and
 child subtree ids, that lives for that call only (the forest-as-DAG
 idea of Aiolli, Da San Martino, Sperduti and Moschitti, ICDM 2006).
-It then takes the column trees one at a time. Per column tree it fills
-one array('d') row of n2 deltas for each distinct subtree whose label
-(PTK) or production (SST) occurs in that tree, in ascending subtree id,
-so children come first; every other subtree shares one zero row. A
-cell is the numpy sum of the (n1, n2) array that stacks those rows in
-the row tree's postorder: the same floats in the same places as a
-per-pair program's delta table, so the same value bit for bit. Row
+It then takes the column trees one at a time. Per column tree it gives
+one row of n2 deltas to each distinct subtree whose label (PTK) or
+production (SST) occurs in that tree; every other subtree shares one
+zero row. SST keeps a map from each production to the ascending ids of
+the subtrees that carry it, so a column tree visits only the subtrees
+that share one of its productions (the fast tree kernel's skip of
+non-matching pairs, applied to the subtree table). Their rows sit in
+one flat array('d'), filled node of the column tree by node, in
+postorder, so the entries a pair reads at its children are final. PTK
+fills one array('d') row per subtree, in ascending id, so children come
+first: its time goes to the child-subsequence totals, not to the scan
+of ids, and on the flat scheme (child rows as memoryview slices) it ran
+slower. A cell is the numpy sum of the (n1, n2) array that stacks those
+rows in the row tree's postorder: the same floats in the same places as
+a per-pair program's delta table, so the same value bit for bit. Row
 trees that share a node count n are summed together: one gather of
 their stacked arrays, viewed as (k, n * n2), then one sum along its
 rows. Each row is the C-contiguous array a lone sum would reduce, and
@@ -65,7 +73,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -214,18 +222,21 @@ class _Subtrees:
     of first appearance: a child's id is below its parent's, and the
     trees added first hold the lowest ids. Per id the table keeps the
     bucket key the column trees are indexed by (the label for PTK, the
-    production for SST), the child ids and, for SST, whether every child
-    is a leaf.
+    production for SST) and the child ids; SST keeps None instead when
+    every child is a leaf, since such a subtree matches as one unit. SST
+    also maps each production to the ascending ids that carry it, so a
+    column tree visits only the subtrees that share one of its
+    productions.
     """
 
-    __slots__ = ("sst", "ids", "keys", "children", "atomic")
+    __slots__ = ("sst", "ids", "keys", "children", "by_prod")
 
     def __init__(self, kind: str):
         self.sst = kind == "SST"
         self.ids: dict = {}
         self.keys: list = []
         self.children: list = []
-        self.atomic: list = []
+        self.by_prod: dict = {}
 
     def _index(self, tree: LabeledTree):
         return tree.production_index if self.sst else tree.label_index
@@ -240,9 +251,11 @@ class _Subtrees:
             s = ids.setdefault((key, child_ids), len(ids))
             if s == len(self.keys):
                 self.keys.append(key)
-                self.children.append(child_ids)
                 if self.sst:
-                    self.atomic.append(ix.atomic[i])
+                    self.by_prod.setdefault(key, []).append(s)
+                    self.children.append(None if ix.atomic[i] else child_ids)
+                else:
+                    self.children.append(child_ids)
             sids.append(s)
         return np.array(sids, dtype=np.intp)
 
@@ -251,46 +264,70 @@ class _Subtrees:
         (block, where): a row tree's (n1, n2) node-pair deltas, in both
         trees' postorder, are block[where[ids]] for its subtree ids.
 
-        Each subtree whose bucket key occurs in t2 gets a row of block,
-        filled in ascending id so its children's rows are final first;
+        Each subtree whose bucket key occurs in t2 gets a row of block;
         every other subtree maps to the shared zero row 0. A row holds
         the floats the node-pair program writes for any node rooted at
-        that subtree.
+        that subtree. SST visits only the ids of t2's productions and
+        fills their rows in one flat buffer, node of t2 by node of t2 in
+        postorder; PTK visits every id and fills one row at a time, in
+        ascending id. Either way a pair's child entries are final before
+        the pair reads them.
         """
         ix2 = self._index(t2)
+        if self.sst:
+            return self._sst_column(ix2, count, params.lam)
         n2 = len(ix2.children)
         rows, where = [_zeros(n2)], [0] * count
-        fill = self._sst_rows if self.sst else self._ptk_rows
-        fill(rows, where, ix2, params, memo)
+        self._ptk_rows(rows, where, ix2, params, memo)
         block = np.frombuffer(b"".join(rows)).reshape(len(rows), n2)
         return block, np.array(where, dtype=np.intp)
 
-    def _sst_rows(self, rows: list, where: list, ix2: ProductionIndex, params, _memo):
-        lam, n2 = params.lam, len(ix2.children)
-        buckets, children2, atomic2 = ix2.buckets, ix2.children, ix2.atomic
-        # only node pairs with equal productions can share a fragment
-        for s, prod, kids, atomic in zip(range(len(where)), self.keys, self.children, self.atomic):
-            cols = buckets.get(prod)
-            if cols is None:
+    def _sst_column(self, ix2: ProductionIndex, count: int, lam: float):
+        """column's (block, where) for SST: block views one flat buffer
+        of rows of n2 floats, row 0 all zero.
+
+        Only subtrees whose production occurs in t2 get a row, taken from
+        the production's ascending ids below count. The rows are filled
+        node of t2 by node of t2, in postorder, so the entries of j's
+        children are final before j reads them; each node visits only
+        the subtrees of its own production (only node pairs with equal
+        productions can share a fragment).
+        """
+        children, children2, n2 = self.children, ix2.children, len(ix2.children)
+        kept, groups, rows = [], {}, 1
+        for prod in ix2.buckets:
+            entry = self.by_prod.get(prod)
+            if entry is None:
                 continue
-            where[s] = len(rows)
-            row = _zeros(n2)
-            rows.append(row)
+            k = bisect_left(entry, count)
+            kept += entry[:k]
+            groups[prod] = range(rows * n2, (rows + k) * n2, n2), entry
+            rows += k
+        buf = _zeros(rows * n2)
+        where = np.zeros(count, dtype=np.intp)
+        where[kept] = np.arange(1, rows)
+        offset = (where * n2).tolist()
+        for j, (prod, atomic2) in enumerate(zip(ix2.prods, ix2.atomic)):
+            group = groups.get(prod)
+            if group is None:
+                continue
+            offs, ids = group
             # a node whose production bottoms out in leaves matches as a
-            # single unit, the production itself admits no sub-choices
-            if atomic:
-                for j in cols:
-                    row[j] = lam
+            # single unit, the production itself admits no sub-choices;
+            # so does a subtree whose children are None
+            if atomic2:
+                for off in offs:
+                    buf[off + j] = lam
                 continue
-            child_rows = [rows[where[c]] for c in kids]
-            for j in cols:
-                if atomic2[j]:
-                    row[j] = lam
-                    continue
+            ch2 = children2[j]
+            for off, s in zip(offs, ids):
                 val = lam
-                for r, cj in zip(child_rows, children2[j]):
-                    val *= 1.0 + r[cj]
-                row[j] = val
+                kids = children[s]
+                if kids is not None:
+                    for c, cj in zip(kids, ch2):
+                        val *= 1.0 + buf[offset[c] + cj]
+                buf[off + j] = val
+        return np.frombuffer(buf).reshape(rows, n2), where
 
     def _ptk_rows(self, rows: list, where: list, ix2: LabelIndex, params, memo: dict):
         lam, mu, n2 = params.lam, params.mu, len(ix2.children)

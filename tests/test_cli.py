@@ -244,3 +244,27 @@ def test_re_chain_and_gram_guard(re_setup, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error [data]" in err and "covers different instances" in err
+
+
+@pytest.mark.parametrize("column, name", [(3, "UPOS"), (7, "DEPREL")])
+def test_empty_tag_stops_validate_and_train_by_line(re_setup, capsys, tmp_path, column, name):
+    # an empty UPOS passed validate and trained a model whose supports
+    # predict could not decode; an empty DEPREL trained the same way
+    root, config = re_setup
+    raw = json.loads(config.read_text())
+    lines = open(raw["data"]["train"], encoding="utf-8").read().split("\n")
+    at = next(k for k, line in enumerate(lines) if line[:1].isdigit())
+    cols = lines[at].split("\t")
+    cols[column] = ""
+    lines[at] = "\t".join(cols)
+    blank = tmp_path / "blank.conllu"
+    blank.write_text("\n".join(lines), encoding="utf-8")
+    raw["data"]["train"] = str(blank)
+    broken = tmp_path / "blank.json"
+    broken.write_text(json.dumps(raw))
+    want = f"error [data]: {blank}:{at + 1}: empty {name} column"
+    assert main(["validate", "--conllu", str(blank)]) == 2
+    assert want in capsys.readouterr().err
+    assert main(["train", "--config", str(broken), "--model", str(tmp_path / "m.json")]) == 2
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()

@@ -128,3 +128,19 @@ def test_validate_detects_cycle():
     (tree,) = parse_conllu(text)
     assert any("cycle" in r for r in validate(tree))
 
+
+
+@pytest.mark.parametrize("column, name", [(3, "UPOS"), (7, "DEPREL")])
+def test_parse_rejects_an_empty_tag_naming_its_line(column, name):
+    # an empty tag used to parse, and its lexical-centred tree held an
+    # unlabeled node that a saved model could not read back
+    cols = "2\tdog\tdog\tNOUN\t_\t_\t1\tnsubj\t_\t_".split("\t")
+    cols[column] = ""
+    text = "1\tbarks\tbark\tVERB\t_\t_\t0\troot\t_\t_\n" + "\t".join(cols) + "\n"
+    with pytest.raises(ConlluError, match=f"^f.conllu:2: empty {name} column$"):
+        parse_conllu(text, source="f.conllu")
+
+
+def test_underscore_tags_still_parse():
+    (tree,) = parse_conllu("1\ta\ta\t_\t_\t_\t0\t_\t_\t_\n")
+    assert tree.token(1).upos == "_" and tree.token(1).deprel == "_"

@@ -3,7 +3,8 @@
 The kernels visit only node pairs whose productions (SST) or labels
 (PTK) match, over a postorder index memoized on each tree. SST and PTK
 compute one row of deltas per distinct subtree of the row trees and
-column tree (kernels.subtree_matrix); SPTK keeps the node-pair deltas
+column tree (kernels.subtree_matrix), SST only for the subtrees that
+share a production with the column tree; SPTK keeps the node-pair deltas
 of one tree pair in one flat float buffer. PTK fills pairs with a
 childless node from a constant, and PTK and SPTK run the
 child-subsequence recursion on plain Python floats and memoize its
@@ -698,6 +699,93 @@ def test_numpy_row_sums_equal_whole_array_sums(m):
         for i in sorted({0, k // 2, k - 1}):
             for p, q in shapes:
                 assert sums[i].tobytes() == a[i].reshape(p, q).sum().tobytes(), (k, i, p, q)
+
+
+# --- SST rows filled only for the productions a column tree holds -----------
+
+# one production, ("NP", ("DT", "NN")), carried by a subtree that matches as
+# one unit (its children are leaves) and by two that do not; against the
+# first, the one with a leaf child would score lam * (1 + lam), not lam
+ATOMIC_NP = syn("NP", syn("DT"), syn("NN"))
+NESTED_NP = syn("NP", syn("DT", syn("the")), syn("NN", syn("cat")))
+MIXED_NP = syn("NP", syn("DT", syn("the")), syn("NN"))
+# labels no other drawn tree uses, so it shares no production with them
+strangers = st.recursive(
+    st.sampled_from("xyz").map(lambda lab: syn(lab.upper())),
+    lambda sub: st.builds(
+        lambda lab, kids: syn(lab.upper(), *kids), st.sampled_from("xyz"), st.lists(sub, max_size=3)
+    ),
+    max_leaves=5,
+)
+
+
+def regrafted(tree):
+    """A tree with tree's root production over new child subtrees."""
+    return syn(tree.label, *[syn(c.label, syn("d"), *c.children) for c in tree.children])
+
+
+@st.composite
+def production_forests(draw):
+    """Row and column trees over the tiny alphabet plus the NP trees in
+    drawn places, a column tree of strangers, and, after some row tree,
+    a row tree that carries its root production over new subtrees, so a
+    Gram column holds a production that later row trees add ids to."""
+    rows = draw(st.lists(small_trees, min_size=1, max_size=3))
+    rows = draw(st.permutations(rows + [ATOMIC_NP, rebuilt(NESTED_NP), MIXED_NP]))
+    host = draw(st.integers(0, len(rows) - 1))
+    rows.insert(draw(st.integers(host + 1, len(rows))), regrafted(rows[host]))
+    cols = draw(st.lists(small_trees, max_size=2)) + [NESTED_NP, rebuilt(ATOMIC_NP), MIXED_NP]
+    stranger = draw(strangers)
+    return rows, draw(st.permutations(cols + [stranger])), stranger
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest=production_forests(), lam=decays, gather_cap=st.sampled_from([None, 1]))
+def test_sst_production_rows_equal_full_scan_bit_for_bit(forest, lam, gather_cap):
+    rows, cols, stranger = forest
+    params = TreeKernelParams("SST", lam=lam, normalize=False)
+    want_square = np.array(
+        [
+            [full_scan_sst(t1, t2, lam).sum() if j >= i else 0.0 for j, t2 in enumerate(rows)]
+            for i, t1 in enumerate(rows)
+        ]
+    )
+    want_rect = np.array([[full_scan_sst(t1, t2, lam).sum() for t2 in cols] for t1 in rows])
+    with pytest.MonkeyPatch.context() as patch:
+        if gather_cap is not None:
+            patch.setattr(kernels, "_GATHER_CAP", gather_cap)
+        square = subtree_matrix(rows, rows, params, {})
+        rect = subtree_matrix(rows, cols, params, {})
+    assert square.tobytes() == want_square.tobytes()
+    assert rect.tobytes() == want_rect.tobytes()
+    # the stranger's cells are exactly +0.0
+    assert rect[:, cols.index(stranger)].tobytes() == bytes(8 * len(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(forest=production_forests(), lam=decays)
+def test_sst_column_rows_cover_only_ids_below_count(forest, lam):
+    # in a Gram, column c asks for the ids of row trees 0..c only: it gets
+    # a row for each of those whose production it holds and no other, and
+    # each earlier row tree's deltas against it equal the full scan
+    rows, cols, _ = forest
+    params = TreeKernelParams("SST", lam=lam, normalize=False)
+    table = kernels._Subtrees("SST")
+    sids, counts = [], []
+    for tree in rows:
+        sids.append(table.add(tree))
+        counts.append(len(table.keys))
+    for t2 in rows + cols:
+        prods2 = set(t2.production_index.prods)
+        for c, count in enumerate(counts):
+            block, where = table.column(t2, count, params, {})
+            held = [s for s in range(count) if table.keys[s] in prods2]
+            assert where.shape == (count,) and block.shape == (1 + len(held), t2.size())
+            assert sorted(where[held]) == list(range(1, 1 + len(held)))
+            assert not block[0].any() and not where[np.setdiff1d(range(count), held)].any()
+            for r in range(c + 1):
+                deltas = block[where[sids[r]]]
+                assert_same_matrix(deltas, full_scan_sst(rows[r], t2, lam), rows[r], t2)
 
 
 # --- the per-tree index memo --------------------------------------------------
