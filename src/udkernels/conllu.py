@@ -32,7 +32,7 @@ def _emit_kv(pairs: dict) -> str:
     return "|".join(k if v == "" else f"{k}={v}" for k, v in pairs.items())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Token:
     """One syntactic word. `id` is the 1-based surface position."""
 
@@ -45,6 +45,22 @@ class Token:
     head: int
     deprel: str
     misc: dict
+
+    def __init__(self, id, form, lemma, upos, xpos, feats, head, deprel, misc):
+        # stores into the instance dict in place of the nine frozen setters
+        # a generated __init__ calls, as the parser builds a Token per line.
+        # A field is then read from the dict, more slowly, which only the
+        # tree builders pay; tree nodes keep setters (see transforms._set).
+        fields = self.__dict__
+        fields["id"] = id
+        fields["form"] = form
+        fields["lemma"] = lemma
+        fields["upos"] = upos
+        fields["xpos"] = xpos
+        fields["feats"] = feats
+        fields["head"] = head
+        fields["deprel"] = deprel
+        fields["misc"] = misc
 
     def is_punct(self) -> bool:
         return self.upos == "PUNCT"
@@ -65,15 +81,18 @@ class DepTree:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        by_id = {}
+        by_id = {tok.id: tok for tok in self.tokens}
+        if len(by_id) != len(self.tokens):
+            seen = set()
+            for tok in self.tokens:
+                if tok.id in seen:
+                    raise ConlluError(f"{self.sent_id}: duplicate token id {tok.id}")
+                seen.add(tok.id)
+        children: dict = {node_id: [] for node_id in by_id}
         for tok in self.tokens:
-            if tok.id in by_id:
-                raise ConlluError(f"{self.sent_id}: duplicate token id {tok.id}")
-            by_id[tok.id] = tok
-        children: dict = {tok.id: [] for tok in self.tokens}
-        for tok in self.tokens:
-            if tok.head in children:
-                children[tok.head].append(tok.id)
+            kids = children.get(tok.head)
+            if kids is not None:
+                kids.append(tok.id)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_children", {k: tuple(v) for k, v in children.items()})
 
@@ -96,7 +115,7 @@ class DepTree:
     def root_id(self) -> int:
         roots = [t.id for t in self.tokens if t.head == 0]
         if len(roots) != 1:
-            raise ValueError(f"{self.sent_id}: expected one root, found {len(roots)}")
+            raise ConlluError(f"{self.sent_id}: expected one root, found {len(roots)}")
         return roots[0]
 
 
@@ -107,40 +126,42 @@ def split_lines(text: str) -> list:
     return [line.removesuffix("\r") for line in text.split("\n")]
 
 
-def _parse_token_line(line: str, where: str):
+def _parse_token_line(line: str, source: str, lineno: int):
+    # the file:line prefix is formatted only when the line is refused
     cols = line.split("\t")
     if len(cols) != N_COLUMNS:
-        raise ConlluError(f"{where}: expected {N_COLUMNS} columns, got {len(cols)}")
+        raise ConlluError(f"{source}:{lineno}: expected {N_COLUMNS} columns, got {len(cols)}")
     tid = cols[0]
     if "-" in tid or "." in tid:
         return None
     try:
         node_id = int(tid)
     except ValueError:
-        raise ConlluError(f"{where}: bad token id {tid!r}") from None
+        raise ConlluError(f"{source}:{lineno}: bad token id {tid!r}") from None
     if node_id < 1:
-        raise ConlluError(f"{where}: token id must be positive, got {node_id}")
+        raise ConlluError(f"{source}:{lineno}: token id must be positive, got {node_id}")
     try:
         head = int(cols[6])
     except ValueError:
-        raise ConlluError(f"{where}: non-integer head {cols[6]!r}") from None
+        raise ConlluError(f"{source}:{lineno}: non-integer head {cols[6]!r}") from None
     if head < 0:
-        raise ConlluError(f"{where}: negative head {head}")
+        raise ConlluError(f"{source}:{lineno}: negative head {head}")
     # an empty tag would become an unlabeled node of the lexical-centred
     # tree, which a saved model cannot read back
     if not (cols[3] and cols[7]):
         name = "DEPREL" if cols[3] else "UPOS"
-        raise ConlluError(f"{where}: empty {name} column")
+        raise ConlluError(f"{source}:{lineno}: empty {name} column")
+    _, form, lemma, upos, xpos, feats, _, deprel, _, misc = cols
     return Token(
-        id=node_id,
-        form=cols[1],
-        lemma=None if cols[2] == "_" else cols[2],
-        upos=cols[3],
-        xpos=None if cols[4] == "_" else cols[4],
-        feats=_parse_kv(cols[5]),
-        head=head,
-        deprel=cols[7],
-        misc=_parse_kv(cols[9]),
+        node_id,
+        form,
+        None if lemma == "_" else lemma,
+        upos,
+        None if xpos == "_" else xpos,
+        {} if feats == "_" else _parse_kv(feats),
+        head,
+        deprel,
+        {} if misc == "_" else _parse_kv(misc),
     )
 
 
@@ -157,13 +178,15 @@ def parse_conllu(text: str, source: str = "<string>") -> list:
 
     def flush(ordinal: int):
         sent_id = meta.get("sent_id", f"{source}:{ordinal}")
-        seen = set()
-        for tok in tokens:
-            if tok.id in seen:
-                raise ConlluError(
-                    f"{source}:{start_line}: duplicate token id {tok.id} in sentence {sent_id}"
-                )
-            seen.add(tok.id)
+        ids = [tok.id for tok in tokens]
+        if len(set(ids)) != len(ids):
+            seen = set()
+            for node_id in ids:
+                if node_id in seen:
+                    raise ConlluError(
+                        f"{source}:{start_line}: duplicate token id {node_id} in sentence {sent_id}"
+                    )
+                seen.add(node_id)
         trees.append(
             DepTree(
                 sent_id=sent_id,
@@ -187,7 +210,7 @@ def parse_conllu(text: str, source: str = "<string>") -> list:
             if sep:
                 meta[key.strip()] = value.strip()
             continue
-        tok = _parse_token_line(line, f"{source}:{lineno}")
+        tok = _parse_token_line(line, source, lineno)
         if tok is not None:
             tokens.append(tok)
     if tokens:

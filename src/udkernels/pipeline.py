@@ -134,17 +134,16 @@ def prepare_re_payload(
     inst: REInstance, cfg: RunConfig, resources: Resources, feature_mode: str
 ) -> REKernelInput:
     store = pivot_store(cfg, resources)
+    # the tree before the vector: to_lct refuses a sentence whose heads do
+    # not form one tree, where the vector's head paths fail uncategorized
+    lct = to_lct(inst.dep_tree, lowercase=cfg.features.lowercase)
     build = build_vo if feature_mode == "V_o" else build_vud
     features = cfg.features
     if inst.lang and cfg.data.source_lang and inst.lang != cfg.data.source_lang:
         # non-pivot side reaches the pivot space through the dictionary
         features = replace(features, translate=True)
     vec = build(inst, store, features, resources.dictionary)
-    return REKernelInput(
-        lct=to_lct(inst.dep_tree, lowercase=cfg.features.lowercase),
-        vec=vec,
-        pet=_instance_pet(inst),
-    )
+    return REKernelInput(lct=lct, vec=vec, pet=_instance_pet(inst))
 
 
 @dataclass
@@ -174,20 +173,23 @@ def _load_split(cfg: RunConfig, split: str):
     return load_re_dataset(conllu, const_path=const, lang=lang)
 
 
+def _gold(cfg: RunConfig, instances) -> tuple:
+    """Instance ids and gold labels of a loaded split."""
+    ids = tuple(inst.instance_id for inst in instances)
+    if cfg.task == "pi":
+        return ids, tuple("1" if inst.label else "0" for inst in instances)
+    return ids, tuple(inst.label for inst in instances)
+
+
 def prepare_split(cfg: RunConfig, resources: Resources, split: str) -> PreparedSplit:
     instances = _load_split(cfg, split)
     if cfg.task == "pi":
         payloads = [prepare_pi_payload(inst, cfg) for inst in instances]
-        labels = tuple("1" if inst.label else "0" for inst in instances)
     else:
         mode = cfg.kernel_spec.feature_mode
         payloads = [prepare_re_payload(inst, cfg, resources, mode) for inst in instances]
-        labels = tuple(inst.label for inst in instances)
-    return PreparedSplit(
-        instance_ids=tuple(inst.instance_id for inst in instances),
-        labels=labels,
-        payloads=payloads,
-    )
+    instance_ids, labels = _gold(cfg, instances)
+    return PreparedSplit(instance_ids=instance_ids, labels=labels, payloads=payloads)
 
 
 def spec_fingerprint(spec) -> str:
@@ -325,9 +327,12 @@ def run_predict(cfg: RunConfig, model_path, out_path, split: str = "test"):
 
 
 def run_eval(cfg: RunConfig, predictions, split: str = "test") -> EvalReport:
-    """Score a prediction list or file against the configured gold split."""
-    resources = load_resources(cfg)
-    prepared = prepare_split(cfg, resources, split)
+    """Score a prediction list or file against the configured gold split.
+
+    The gold files are parsed and checked as every step does, but only
+    their ids and labels are read: no tree, vector or resource is built.
+    """
+    instance_ids, gold = _gold(cfg, _load_split(cfg, split))
     if isinstance(predictions, (str,)) or hasattr(predictions, "__fspath__"):
         rows = read_predictions(predictions)
         by_id = {}
@@ -335,18 +340,18 @@ def run_eval(cfg: RunConfig, predictions, split: str = "test") -> EvalReport:
             if iid in by_id:
                 raise DataError(f"duplicate prediction for {iid}")
             by_id[iid] = label
-        missing = [iid for iid in prepared.instance_ids if iid not in by_id]
+        missing = [iid for iid in instance_ids if iid not in by_id]
         if missing:
             raise DataError(f"predictions missing for {missing[0]} (+{len(missing) - 1} more)")
-        predicted = [by_id[iid] for iid in prepared.instance_ids]
+        predicted = [by_id[iid] for iid in instance_ids]
     else:
         predicted = list(predictions)
-        if len(predicted) != len(prepared.instance_ids):
+        if len(predicted) != len(instance_ids):
             raise DataError(
-                f"{len(predicted)} predictions for {len(prepared.instance_ids)} gold instances"
+                f"{len(predicted)} predictions for {len(instance_ids)} gold instances"
             )
     return evaluate(
-        prepared.labels,
+        gold,
         predicted,
         exclude=cfg.eval.exclude,
         merge_directions=cfg.eval.merge_directions,

@@ -9,17 +9,24 @@ can be reduced to the smallest subtree enclosing two entity spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .conllu import DepTree, Token, split_lines
-from .errors import BracketError
+from .errors import BracketError, ConlluError
 
 LEXICAL = "lexical"
 SYNTACTIC = "syntactic"
 
+# Sets a field of a frozen tree node as a generated __init__ does, less its
+# lookup of object.__setattr__ per field. Tree nodes do not store into the
+# instance dict as conllu.Token does: CPython reads a field faster from an
+# instance whose dict was never built, and the kernels read node fields
+# once per node pair.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class LabeledTree:
     """Ordered labeled tree consumed by the kernels."""
 
@@ -27,6 +34,12 @@ class LabeledTree:
     kind: str = SYNTACTIC
     children: tuple = ()
     pos_tag: str | None = None
+
+    def __init__(self, label, kind=SYNTACTIC, children=(), pos_tag=None):
+        _set(self, "label", label)
+        _set(self, "kind", kind)
+        _set(self, "children", children)
+        _set(self, "pos_tag", pos_tag)
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -59,19 +72,27 @@ class LabeledTree:
 
 def _postorder(tree: LabeledTree) -> tuple:
     """Nodes in postorder (children before their parents) and, per node,
-    the postorder positions of its children."""
+    the postorder positions of its children.
+
+    The walk keeps its own stack, so a tree of any depth is walked: each
+    entry is a node, an iterator over the children not yet placed and the
+    positions of those already placed.
+    """
     order = []
-    stack = [(tree, False)]
+    children = []
+    stack = [(tree, iter(tree.children), [])]
     while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
+        node, pending, placed = stack[-1]
+        child = next(pending, None)
+        if child is not None:
+            stack.append((child, iter(child.children), []))
             continue
-        stack.append((node, True))
-        for child in reversed(node.children):
-            stack.append((child, False))
-    index = {id(n): i for i, n in enumerate(order)}
-    return order, tuple(tuple(index[id(c)] for c in n.children) for n in order)
+        stack.pop()
+        if stack:
+            stack[-1][2].append(len(order))
+        order.append(node)
+        children.append(tuple(placed))
+    return order, tuple(children)
 
 
 def _buckets(keys) -> dict:
@@ -140,26 +161,38 @@ def lex(label: str, pos: str, *children) -> LabeledTree:
     return LabeledTree(label=label, kind=LEXICAL, children=tuple(children), pos_tag=pos)
 
 
-def _lct_word(token: Token, lowercase: bool) -> str:
-    word = token.lemma if token.lemma not in (None, "", "_") else token.form
-    return word.lower() if lowercase else word
-
-
 def to_lct(tree: DepTree, lowercase: bool = True) -> LabeledTree:
     """Lexical-centered tree of a dependency sentence.
 
     Every token yields exactly three nodes, so the result has 3 * len(tree)
     nodes in total. Punctuation is kept; filtering is a feature-layer
-    concern.
+    concern. A sentence without exactly one root, or with tokens the root
+    does not reach (a head cycle or a dangling head), raises ConlluError.
     """
+    by_id, children = tree._by_id, tree._children
+    reached = []
 
     def build(node_id: int) -> LabeledTree:
-        token = tree.token(node_id)
-        kids = [syn(token.deprel), syn(token.upos)]
-        kids.extend(build(c) for c in tree.children(node_id))
-        return lex(_lct_word(token, lowercase), token.upos, *kids)
+        reached.append(node_id)
+        token = by_id[node_id]
+        lemma = token.lemma
+        word = lemma if lemma not in (None, "", "_") else token.form
+        upos = token.upos
+        kids = (
+            LabeledTree(token.deprel),
+            LabeledTree(upos),
+            *map(build, children[node_id]),
+        )
+        return LabeledTree(word.lower() if lowercase else word, LEXICAL, kids, upos)
 
-    return build(tree.root_id)
+    lct = build(tree.root_id)
+    if len(reached) != len(by_id):
+        unreached = sorted(by_id.keys() - set(reached))
+        raise ConlluError(
+            f"{tree.sent_id}: tokens {', '.join(map(str, unreached))} "
+            "cannot be reached from the root"
+        )
+    return lct
 
 
 def shortest_path(tree: DepTree, e1: int, e2: int) -> tuple:
@@ -293,13 +326,18 @@ def collapse_mwe(tree: DepTree, cfg: MweConfig, targets) -> tuple:
     return collapsed, new_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConstTree:
     """Constituency node; leaves carry token text and a 1-based span."""
 
     label: str
     children: tuple = ()
     span: tuple = (0, 0)
+
+    def __init__(self, label, children=(), span=(0, 0)):
+        _set(self, "label", label)
+        _set(self, "children", children)
+        _set(self, "span", span)
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -471,8 +509,8 @@ def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> ConstTree:
     def prune(n: ConstTree) -> ConstTree:
         if n.is_leaf():
             return n
-        kept = [prune(c) for c in n.children if not (c.span[1] < lo or c.span[0] > hi)]
-        return replace(n, children=tuple(kept))
+        kept = tuple(prune(c) for c in n.children if not (c.span[1] < lo or c.span[0] > hi))
+        return ConstTree(n.label, kept, n.span)
 
     return prune(node)
 

@@ -130,6 +130,21 @@ def test_transform_lct(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+@pytest.mark.parametrize(
+    "heads, message",
+    [((0, 0), "expected one root, found 2"), ((0, 3, 2), "tokens 2, 3 cannot be reached")],
+)
+def test_transform_lct_refuses_bad_heads_as_data_error(tmp_path, capsys, heads, message):
+    # two roots printed a ValueError traceback; a head cycle was dropped
+    src = tmp_path / "bad.conllu"
+    src.write_text(
+        "".join(f"{i}\tw\tw\tX\t_\t_\t{h}\tdep\t_\t_\n" for i, h in enumerate(heads, start=1))
+    )
+    assert main(["transform", "lct", "--conllu", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [data]: {src}:1: ") and message in err
+
+
 def test_transform_collapse(tmp_path):
     src = tmp_path / "in.conllu"
     src.write_text(
@@ -268,3 +283,32 @@ def test_empty_tag_stops_validate_and_train_by_line(re_setup, capsys, tmp_path, 
     assert main(["train", "--config", str(broken), "--model", str(tmp_path / "m.json")]) == 2
     assert want in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize(
+    "heads, message",
+    [
+        # the second entity sits in a 2 <-> 3 head cycle, so no head path
+        # joins the entities: a bare ValueError used to escape
+        ((0, 3, 2), "c1: tokens 2, 3 cannot be reached from the root"),
+        # the entities hang from two roots
+        ((0, 0, 2), "c1: expected one root, found 2"),
+    ],
+)
+def test_gram_refuses_a_sentence_that_is_not_one_tree(re_setup, capsys, tmp_path, heads, message):
+    _, config = re_setup
+    raw = json.loads(config.read_text())
+    misc = ("Entity=e1", "Entity=e2", "_")
+    bad = tmp_path / "bad.conllu"
+    bad.write_text(
+        "# sent_id = c1\n# relation = Other\n"
+        + "".join(
+            f"{i}\tw{i}\tw{i}\tNOUN\t_\t_\t{h}\tdep\t_\t{misc[i - 1]}\n"
+            for i, h in enumerate(heads, start=1)
+        )
+    )
+    raw["data"]["train"] = str(bad)
+    broken = tmp_path / "bad.json"
+    broken.write_text(json.dumps(raw))
+    assert main(["gram", "--config", str(broken), "--out", str(tmp_path / "bad.gram")]) == 2
+    assert f"error [data]: {message}" in capsys.readouterr().err

@@ -1,6 +1,12 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udkernels.conllu import (
+    DepTree,
+    Token,
     parse_conllu,
     parse_conllu_file,
     to_conllu,
@@ -144,3 +150,81 @@ def test_parse_rejects_an_empty_tag_naming_its_line(column, name):
 def test_underscore_tags_still_parse():
     (tree,) = parse_conllu("1\ta\ta\t_\t_\t_\t0\t_\t_\t_\n")
     assert tree.token(1).upos == "_" and tree.token(1).deprel == "_"
+
+
+@pytest.mark.parametrize(
+    "heads, found", [((1, 1), 0), ((0, 0), 2), ((0, 1, 0), 2)]
+)
+def test_root_id_refuses_no_root_or_several_as_data_error(heads, found):
+    # a bare ValueError escaped the command line's error report
+    text = "".join(
+        f"{i}\tw\tw\tX\t_\t_\t{head}\tdep\t_\t_\n" for i, head in enumerate(heads, start=1)
+    )
+    (tree,) = parse_conllu(text, source="f.conllu")
+    with pytest.raises(ConlluError, match=f"^f.conllu:1: expected one root, found {found}$"):
+        tree.root_id
+
+
+# A Token built through a frozen dataclass's generated __init__, the
+# reference for the one the parser calls.
+ReferenceToken = dataclasses.make_dataclass(
+    "Token", [(f.name, f.type) for f in dataclasses.fields(Token)], frozen=True
+)
+
+# any text a column may hold: no tab or line feed, and no carriage return,
+# which would end a line's last column
+cells = st.text(st.characters(blacklist_characters="\t\n\r"), max_size=6)
+tags = cells.filter(lambda s: s != "")
+optional = st.one_of(st.none(), cells.filter(lambda s: s != "_"))
+pairs = st.dictionaries(
+    st.text(st.characters(blacklist_characters="\t\n\r|="), min_size=1, max_size=4).filter(
+        lambda s: s != "_"
+    ),
+    st.text(st.characters(blacklist_characters="\t\n\r|"), max_size=4),
+    max_size=3,
+)
+
+
+@st.composite
+def token_fields(draw):
+    n = draw(st.integers(1, 6))
+    return [
+        dict(
+            id=i,
+            form=draw(cells),
+            lemma=draw(optional),
+            upos=draw(tags),
+            xpos=draw(optional),
+            feats=draw(pairs),
+            head=0 if i == 1 else draw(st.integers(0, n)),
+            deprel=draw(tags),
+            misc=draw(pairs),
+        )
+        for i in range(1, n + 1)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(token_fields())
+def test_parsed_tokens_equal_constructed_ones(rows):
+    tree = DepTree(sent_id="s", tokens=tuple(Token(**row) for row in rows))
+    (parsed,) = parse_conllu(to_conllu(tree))
+    for tok, row in zip(parsed.tokens, rows):
+        assert tok == Token(**row)
+        assert repr(tok) == repr(ReferenceToken(**row))
+        assert dataclasses.astuple(tok) == dataclasses.astuple(ReferenceToken(**row))
+        assert vars(tok) == row
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tok.head = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del tok.form
+    assert parsed.tokens == tree.tokens
+
+
+def test_token_replace_and_positional_construction():
+    tok = Token(1, "a", None, "X", None, {}, 0, "root", {})
+    assert tok == Token(id=1, form="a", lemma=None, upos="X", xpos=None, feats={}, head=0,
+                        deprel="root", misc={})
+    assert dataclasses.replace(tok, head=2).head == 2 and tok.head == 0
+    with pytest.raises(TypeError):
+        Token(1, "a")

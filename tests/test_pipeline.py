@@ -375,6 +375,31 @@ def test_run_eval_prediction_file_checks(pi_paths, tmp_path):
         run_eval(cfg, path)
 
 
+@pytest.mark.parametrize("task", ["pi", "re"])
+def test_eval_reads_only_gold_ids_and_labels(pi_paths, re_paths, monkeypatch, task):
+    import udkernels.pipeline as pipeline
+
+    if task == "pi":
+        cfg = pi_config(pi_paths)
+    else:
+        consts = {f"{split}_const": re_paths[f"{split}.const"] for split in ("train", "test")}
+        cfg = re_config(re_paths, variant="CK3", **consts)
+    prepared = prepare_split(cfg, load_resources(cfg), "test")
+    predicted = list(reversed(prepared.labels))
+    want = run_eval(cfg, predicted).to_dict()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval built a payload or loaded a resource")
+
+    for name in ("load_resources", "to_lct", "extract_pet", "build_vo", "build_vud"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    assert run_eval(cfg, predicted).to_dict() == want
+    # the gold files are still read and checked
+    cfg.data.test = cfg.data.pairs_test = None
+    with pytest.raises(ConfigError, match="lacks"):
+        run_eval(cfg, predicted)
+
+
 def test_missing_split_paths_are_reported(pi_paths, re_paths):
     cfg = pi_config(pi_paths)
     cfg.data.pairs_test = None

@@ -1,8 +1,15 @@
+import sys
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udkernels.errors import BracketError
+from udkernels.conllu import parse_conllu
+from udkernels.datasets import load_re_dataset
+from udkernels.errors import BracketError, ConlluError
+from udkernels.kernels import TreeKernelParams, tree_kernel
+from udkernels.synthetic import write_re_corpus
 from udkernels.transforms import (
     LEXICAL,
     SYNTACTIC,
@@ -18,6 +25,7 @@ from udkernels.transforms import (
     lex,
     parse_bracketed,
     shortest_path,
+    _postorder,
     syn,
     to_lct,
 )
@@ -55,6 +63,75 @@ def test_lct_falls_back_to_form_without_lemma():
     dep = tree("nolemma", [tok(1, "Word", None, "NOUN", 0, "root")])
     assert to_lct(dep).label == "word"
     assert to_lct(dep, lowercase=False).label == "Word"
+
+
+def reference_lct(dep, lowercase=True):
+    """to_lct as written with the syn/lex helpers, the reference for the
+    builder that makes each node once."""
+
+    def build(node_id):
+        token = dep.token(node_id)
+        word = token.lemma if token.lemma not in (None, "", "_") else token.form
+        kids = [syn(token.deprel), syn(token.upos)]
+        kids.extend(build(c) for c in dep.children(node_id))
+        return lex(word.lower() if lowercase else word, token.upos, *kids)
+
+    return build(dep.root_id)
+
+
+@st.composite
+def dependency_trees(draw):
+    """A well-formed sentence: each token but the root hangs from one
+    placed before it in a drawn order, so every token reaches the root."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = {order[0]: 0}
+    for k in range(1, n):
+        heads[order[k]] = order[draw(st.integers(0, k - 1))]
+    pick = lambda *values: draw(st.sampled_from(values))  # noqa: E731
+    tokens = [
+        tok(
+            i,
+            pick("Cat", "dog", "RUNS", "É", "a^b", "x y"),
+            pick(None, "", "_", "Cat", "run"),
+            pick("NOUN", "VERB", "PUNCT"),
+            heads[i],
+            pick("root", "nsubj", "obj", "(x)"),
+        )
+        for i in range(1, n + 1)
+    ]
+    return tree("drawn", tokens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dependency_trees(), st.booleans())
+def test_lct_equals_reference_builder(dep, lowercase):
+    lct, want = to_lct(dep, lowercase), reference_lct(dep, lowercase)
+    assert lct == want
+    assert labeled_to_sexpr(lct) == labeled_to_sexpr(want)
+    kinds = lambda t: [(n.kind, n.pos_tag) for n in t.iter_nodes()]  # noqa: E731
+    assert kinds(lct) == kinds(want)
+    assert lct.size() == 3 * len(dep)
+
+
+@pytest.mark.parametrize(
+    "heads, message",
+    [
+        # a root and a 2 <-> 3 head cycle: the cycle used to be dropped
+        ((0, 3, 2), "^s: tokens 2, 3 cannot be reached from the root$"),
+        ((0, 1, 9), "^s: tokens 3 cannot be reached from the root$"),
+        ((0, 3, 3), "^s: tokens 2, 3 cannot be reached from the root$"),
+        ((0, 1, 0), "^s: expected one root, found 2$"),
+        ((2, 1), "^s: expected one root, found 0$"),
+    ],
+)
+def test_lct_refuses_tokens_the_root_cannot_reach(heads, message):
+    text = "# sent_id = s\n" + "".join(
+        f"{i}\tw{i}\t_\tX\t_\t_\t{head}\tdep\t_\t_\n" for i, head in enumerate(heads, start=1)
+    )
+    (dep,) = parse_conllu(text)
+    with pytest.raises(ConlluError, match=message):
+        to_lct(dep)
 
 
 # --- paths and dependents --------------------------------------------------
@@ -348,3 +425,99 @@ def test_bracketed_caret_is_plain_text():
 def test_bracket_errors(read, text, message):
     with pytest.raises(BracketError, match=message):
         read(text)
+
+
+# --- postorder views and path-enclosed trees ----------------------------------
+
+
+def reference_postorder(tree):
+    """The stack walk with an id()-keyed position map that _postorder
+    replaced."""
+    order = []
+    stack = [(tree, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+            continue
+        stack.append((node, True))
+        for child in reversed(node.children):
+            stack.append((child, False))
+    index = {id(n): i for i, n in enumerate(order)}
+    return order, tuple(tuple(index[id(c)] for c in n.children) for n in order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_trees)
+def test_postorder_matches_reference_walk(tree):
+    order, children = _postorder(tree)
+    want_order, want_children = reference_postorder(tree)
+    assert len(order) == len(want_order)
+    assert all(a is b for a, b in zip(order, want_order))
+    assert children == want_children
+
+
+def test_postorder_walks_a_tree_deeper_than_the_recursion_limit():
+    chain = syn("leaf")
+    for depth in range(sys.getrecursionlimit() + 100):
+        chain = syn(f"n{depth % 3}", chain)
+    order, children = _postorder(chain)
+    want_order, want_children = reference_postorder(chain)
+    assert all(a is b for a, b in zip(order, want_order)) and children == want_children
+    params = TreeKernelParams("PTK", lam=0.1, mu=0.1)
+    assert tree_kernel(chain, chain, params) == pytest.approx(1.0)
+
+
+def test_postorder_places_a_reused_subtree_at_each_of_its_positions():
+    # the id()-keyed map sent both uses of one object to its last position,
+    # and the kernels then read a row not yet filled or raised IndexError
+    def make(shared):
+        leaf = syn("t", syn("u"))
+        return syn("r", syn("x", leaf), leaf if shared else syn("t", syn("u")))
+
+    assert _postorder(make(True))[1] == _postorder(make(False))[1] == (
+        (), (0,), (1,), (), (3,), (2, 4),
+    )
+    for kind in ("SST", "PTK"):
+        params = TreeKernelParams(kind, lam=0.5, mu=0.5, normalize=False)
+        assert tree_kernel(make(True), make(True), params) == tree_kernel(
+            make(False), make(False), params
+        )
+
+
+def reference_pet(tree, span1, span2):
+    """extract_pet's pruning as written with dataclasses.replace."""
+    lo, hi = min(span1[0], span2[0]), max(span1[1], span2[1])
+    node = tree
+    while True:
+        inner = [c for c in node.children if c.span[0] <= lo and hi <= c.span[1]]
+        if not inner:
+            break
+        node = inner[0]
+
+    def prune(n):
+        if n.is_leaf():
+            return n
+        kept = [prune(c) for c in n.children if not (c.span[1] < lo or c.span[0] > hi)]
+        return replace(n, children=tuple(kept))
+
+    return prune(node)
+
+
+def reference_labeled(tree, pos=None):
+    if tree.is_leaf():
+        return lex(tree.label, pos or "X")
+    return syn(tree.label, *(reference_labeled(c, pos=tree.label) for c in tree.children))
+
+
+def test_pet_and_labeled_pet_equal_references_on_the_relation_corpus(tmp_path):
+    paths = write_re_corpus(tmp_path, n_per_class=8, seed=5)
+    instances = load_re_dataset(paths["train.conllu"], const_path=paths["train.const"])
+    assert len(instances) > 10
+    for inst in instances:
+        pet = extract_pet(inst.const_tree, inst.e1_span, inst.e2_span)
+        want = reference_pet(inst.const_tree, inst.e1_span, inst.e2_span)
+        assert pet == want and const_to_bracketed(pet) == const_to_bracketed(want)
+        labeled = const_to_labeled(pet)
+        assert labeled == reference_labeled(want)
+        assert labeled_to_sexpr(labeled) == labeled_to_sexpr(reference_labeled(want))
