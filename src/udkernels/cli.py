@@ -15,7 +15,7 @@ from . import transforms
 from .config import load_config
 from .conllu import parse_conllu_file, to_conllu, validate
 from .datasets import _entity_span
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, DataError, ToolkitError
 from .kernels import TreeKernelParams, delta_matrix
 from .lexical import indicator_sigma
 from .metrics import render_json, render_text
@@ -137,7 +137,10 @@ def _cmd_transform(args) -> int:
             for tree, const in zip(trees, consts):
                 span1 = _entity_span(tree, "e1")
                 span2 = _entity_span(tree, "e2")
-                pet = transforms.extract_pet(const, span1, span2)
+                try:
+                    pet = transforms.extract_pet(const, span1, span2)
+                except DataError as exc:
+                    raise DataError(f"{tree.sent_id}: {exc}") from None
                 out.write(transforms.const_to_bracketed(pet) + "\n")
     finally:
         if out is not sys.stdout:

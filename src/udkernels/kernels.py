@@ -8,9 +8,10 @@ gate replaced by a node similarity score, so lexically different but
 related nodes can still match.
 
 Each tree is indexed in postorder once, on its first kernel call, and
-keeps that index. The SST and PTK programs visit only the node pairs
-whose productions or labels match (the fast tree kernel of Moschitti,
-EACL 2006); SPTK scores every pair, since any two nodes may be similar.
+keeps that index, one transforms.TreeIndex that all three kinds read.
+The SST and PTK programs visit only the node pairs whose productions or
+labels match (the fast tree kernel of Moschitti, EACL 2006); SPTK
+scores every pair, since any two nodes may be similar.
 
 A node pair's SST or PTK delta depends only on the two subtrees under
 it, and trees repeat subtrees: every relation and POS leaf of a
@@ -81,7 +82,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .lexical import SigmaConfig
-from .transforms import LabelIndex, LabeledTree, ProductionIndex, _escape
+from .transforms import LabeledTree, TreeIndex, _escape
 
 KINDS = ("SST", "PTK", "SPTK")
 
@@ -220,9 +221,9 @@ class _Subtrees:
     A node is interned by its label and its children's subtree ids, so
     equal subtrees share one id wherever they occur. Ids follow postorder
     of first appearance: a child's id is below its parent's, and the
-    trees added first hold the lowest ids. Per id the table keeps the
-    bucket key the column trees are indexed by (the label for PTK, the
-    production for SST) and the child ids; SST keeps None instead when
+    trees added first hold the lowest ids. Per id the table keeps its
+    key, read from the tree's TreeIndex (the label for PTK, the
+    production for SST), and the child ids; SST keeps None instead when
     every child is a leaf, since such a subtree matches as one unit. SST
     also maps each production to the ascending ids that carry it, so a
     column tree visits only the subtrees that share one of its
@@ -238,13 +239,10 @@ class _Subtrees:
         self.children: list = []
         self.by_prod: dict = {}
 
-    def _index(self, tree: LabeledTree):
-        return tree.production_index if self.sst else tree.label_index
-
     def add(self, tree: LabeledTree) -> np.ndarray:
         """Intern tree's nodes; their subtree ids in postorder."""
-        ix = self._index(tree)
-        keys = ix.prods if self.sst else ix.labels
+        ix = tree.index
+        keys, atomic = ix.sst if self.sst else (ix.labels, None)
         ids, sids = self.ids, []
         for i, (key, kids) in enumerate(zip(keys, ix.children)):
             child_ids = tuple([sids[c] for c in kids])
@@ -253,7 +251,7 @@ class _Subtrees:
                 self.keys.append(key)
                 if self.sst:
                     self.by_prod.setdefault(key, []).append(s)
-                    self.children.append(None if ix.atomic[i] else child_ids)
+                    self.children.append(None if atomic[i] else child_ids)
                 else:
                     self.children.append(child_ids)
             sids.append(s)
@@ -273,7 +271,7 @@ class _Subtrees:
         ascending id. Either way a pair's child entries are final before
         the pair reads them.
         """
-        ix2 = self._index(t2)
+        ix2 = t2.index
         if self.sst:
             return self._sst_column(ix2, count, params.lam)
         n2 = len(ix2.children)
@@ -282,20 +280,22 @@ class _Subtrees:
         block = np.frombuffer(b"".join(rows)).reshape(len(rows), n2)
         return block, np.array(where, dtype=np.intp)
 
-    def _sst_column(self, ix2: ProductionIndex, count: int, lam: float):
+    def _sst_column(self, ix2: TreeIndex, count: int, lam: float):
         """column's (block, where) for SST: block views one flat buffer
         of rows of n2 floats, row 0 all zero.
 
         Only subtrees whose production occurs in t2 get a row, taken from
-        the production's ascending ids below count. The rows are filled
+        the production's ascending ids below count, t2's productions in
+        the order they first occur in its postorder. The rows are filled
         node of t2 by node of t2, in postorder, so the entries of j's
         children are final before j reads them; each node visits only
         the subtrees of its own production (only node pairs with equal
         productions can share a fragment).
         """
         children, children2, n2 = self.children, ix2.children, len(ix2.children)
+        prods2, atomic2 = ix2.sst
         kept, groups, rows = [], {}, 1
-        for prod in ix2.buckets:
+        for prod in dict.fromkeys(prods2):
             entry = self.by_prod.get(prod)
             if entry is None:
                 continue
@@ -307,7 +307,7 @@ class _Subtrees:
         where = np.zeros(count, dtype=np.intp)
         where[kept] = np.arange(1, rows)
         offset = (where * n2).tolist()
-        for j, (prod, atomic2) in enumerate(zip(ix2.prods, ix2.atomic)):
+        for j, (prod, unit) in enumerate(zip(prods2, atomic2)):
             group = groups.get(prod)
             if group is None:
                 continue
@@ -315,7 +315,7 @@ class _Subtrees:
             # a node whose production bottoms out in leaves matches as a
             # single unit, the production itself admits no sub-choices;
             # so does a subtree whose children are None
-            if atomic2:
+            if unit:
                 for off in offs:
                     buf[off + j] = lam
                 continue
@@ -329,7 +329,7 @@ class _Subtrees:
                 buf[off + j] = val
         return np.frombuffer(buf).reshape(rows, n2), where
 
-    def _ptk_rows(self, rows: list, where: list, ix2: LabelIndex, params, memo: dict):
+    def _ptk_rows(self, rows: list, where: list, ix2: TreeIndex, params, memo: dict):
         lam, mu, n2 = params.lam, params.mu, len(ix2.children)
         buckets, children2 = ix2.buckets, ix2.children
         # a pair's delta is mu * gate * total with the exact-label gate 1.0
@@ -416,7 +416,7 @@ def _sptk_matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, mem
     child rows are memoryview slices of the buffer, taken on the row's
     first gated pair of nodes that both have children.
     """
-    ix1, ix2 = t1.node_index, t2.node_index
+    ix1, ix2 = t1.index, t2.index
     children1, children2 = ix1.children, ix2.children
     nodes2 = ix2.nodes(t2)
     lam, mu, sigma = params.lam, params.mu, params.sigma
@@ -458,7 +458,7 @@ def _raw_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo
 
 def delta_matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> DeltaMatrix:
     values = _matrix(t1, t2, params, {})
-    return DeltaMatrix(t1.label_index.labels, t2.label_index.labels, values)
+    return DeltaMatrix(t1.index.labels, t2.index.labels, values)
 
 
 def normalize(raw: float, s1: float, s2: float) -> float:

@@ -126,7 +126,10 @@ def prepare_pi_payload(inst: PIInstance, cfg: RunConfig):
 def _instance_pet(inst: REInstance):
     if inst.const_tree is None:
         return None
-    pet = extract_pet(inst.const_tree, inst.e1_span, inst.e2_span)
+    try:
+        pet = extract_pet(inst.const_tree, inst.e1_span, inst.e2_span)
+    except DataError as exc:
+        raise DataError(f"{inst.dep_tree.sent_id}: {exc}") from None
     return const_to_labeled(pet)
 
 

@@ -5,6 +5,9 @@ contributes a lexical node plus two syntactic children (dependency
 relation, then POS) followed by the subtrees of its dependents in
 surface order. Constituency trees are parsed from bracketed text and
 can be reduced to the smallest subtree enclosing two entity spans.
+
+A LabeledTree keeps one postorder index, TreeIndex, built on its first
+kernel call: SST, PTK and SPTK all read it, so a tree is walked once.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .conllu import DepTree, Token, split_lines
-from .errors import BracketError, ConlluError
+from .errors import BracketError, ConlluError, DataError
 
 LEXICAL = "lexical"
 SYNTACTIC = "syntactic"
@@ -54,20 +57,11 @@ class LabeledTree:
             yield node
             stack.extend(node.children)
 
-    # Postorder views for the kernels. Each is built on first use and
-    # kept with the tree, so every kernel call on a tree reuses it.
-
     @cached_property
-    def label_index(self) -> "LabelIndex":
-        return LabelIndex(self)
-
-    @cached_property
-    def production_index(self) -> "ProductionIndex":
-        return ProductionIndex(self)
-
-    @cached_property
-    def node_index(self) -> "NodeIndex":
-        return NodeIndex(self)
+    def index(self) -> "TreeIndex":
+        """The postorder index every kernel reads, built on first use and
+        kept with the tree."""
+        return TreeIndex(self)
 
 
 def _postorder(tree: LabeledTree) -> tuple:
@@ -103,54 +97,48 @@ def _buckets(keys) -> dict:
     return {key: tuple(ids) for key, ids in groups.items()}
 
 
-class LabelIndex:
-    """Postorder labels, child positions and label buckets (PTK)."""
+class TreeIndex:
+    """A tree's nodes in postorder, as every kernel reads them: labels,
+    child positions, label buckets (PTK), and the nodes themselves
+    (SPTK, whose node similarity sees whole nodes).
 
-    __slots__ = ("labels", "children", "buckets")
-
-    def __init__(self, tree: LabeledTree):
-        order, self.children = _postorder(tree)
-        self.labels = tuple(n.label for n in order)
-        self.buckets = _buckets(self.labels)
-
-
-class ProductionIndex:
-    """Postorder productions, child positions, production buckets and
-    whether each node's children are all leaves (SST).
-
-    Equal productions share one key object, so the memo holds each
-    distinct production once.
-    """
-
-    __slots__ = ("prods", "children", "atomic", "buckets")
-
-    def __init__(self, tree: LabeledTree):
-        order, self.children = _postorder(tree)
-        canonical: dict = {}
-        self.prods = tuple(
-            canonical.setdefault(p, p)
-            for p in ((n.label, tuple(c.label for c in n.children)) for n in order)
-        )
-        self.atomic = tuple(all(not c.children for c in n.children) for n in order)
-        self.buckets = _buckets(self.prods)
-
-
-class NodeIndex:
-    """Postorder nodes and child positions (SPTK, whose node similarity
-    sees whole nodes).
-
-    The root, last in postorder, is left out of `below` so the memo on a
+    The root, last in postorder, is left out of `below` so the index on a
     tree never refers back to that tree; nodes(tree) puts it back.
     """
 
-    __slots__ = ("below", "children")
-
     def __init__(self, tree: LabeledTree):
         order, self.children = _postorder(tree)
-        self.below = tuple(order[:-1])
+        self.labels = tuple([n.label for n in order])
+        self.buckets = _buckets(self.labels)
+        self.below = None
 
     def nodes(self, tree: LabeledTree) -> tuple:
+        """The nodes in postorder, tree last. Only SPTK reads them, so
+        `below` is filled on its first use, from the child positions
+        and not by a second walk: a parent's position is above its
+        children's, so going down from the root, each node is placed
+        before it places its children."""
+        if self.below is None:
+            found = [tree] * len(self.children)
+            for i in range(len(found) - 1, -1, -1):
+                for c, child in zip(self.children[i], found[i].children):
+                    found[c] = child
+            self.below = tuple(found[:-1])
         return (*self.below, tree)
+
+    @cached_property
+    def sst(self) -> tuple:
+        """(prods, atomic), built on SST's first use: each node's
+        production, (label, child labels), and whether its children are
+        all leaves. Equal productions share one key object, so a subtree
+        table holds each distinct production once."""
+        labels, children = self.labels, self.children
+        canonical: dict = {}
+        prods = [(label, tuple([labels[c] for c in kids])) for label, kids in zip(labels, children)]
+        return (
+            tuple([canonical.setdefault(p, p) for p in prods]),
+            tuple([not any(children[c] for c in kids) for kids in children]),
+        )
 
 
 def syn(label: str, *children) -> LabeledTree:
@@ -487,15 +475,16 @@ def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> ConstTree:
 
     Spans are 1-based inclusive token ranges. Every subtree lying fully
     outside [min(starts), max(ends)] is dropped at any depth; the result
-    keeps original span annotations.
+    keeps original span annotations. A reversed span, a span outside the
+    tree's leaves or overlapping spans raise DataError.
     """
     for span in (span1, span2):
         if span[0] > span[1]:
-            raise ValueError(f"bad span {span}")
+            raise DataError(f"bad span {span}")
         if span[0] < tree.span[0] or span[1] > tree.span[1]:
-            raise ValueError(f"span {span} outside sentence span {tree.span}")
+            raise DataError(f"span {span} outside sentence span {tree.span}")
     if not (span1[1] < span2[0] or span2[1] < span1[0]):
-        raise ValueError(f"entity spans {span1} and {span2} overlap")
+        raise DataError(f"entity spans {span1} and {span2} overlap")
     lo = min(span1[0], span2[0])
     hi = max(span1[1], span2[1])
 

@@ -184,6 +184,25 @@ def test_transform_pet_keeps_a_lone_carriage_return(tmp_path):
     assert out.read_bytes().decode("utf-8") == line + "\n"
 
 
+PET_SENTENCE = (
+    "# sent_id = p1\n"
+    "1\ta\ta\tX\t_\t_\t0\troot\t_\tEntity=e1\n"
+    "2\tb\tb\tX\t_\t_\t1\tdep\t_\t_\n"
+    "3\tc\tc\tX\t_\t_\t1\tdep\t_\tEntity=e2\n"
+)
+
+
+def test_transform_pet_refuses_a_span_outside_the_parse_as_data_error(tmp_path, capsys):
+    # the parse has two leaves for three tokens: a ValueError traceback
+    # escaped before
+    src, const = tmp_path / "in.conllu", tmp_path / "in.const"
+    src.write_text(PET_SENTENCE)
+    const.write_text("(S (A a) (B b))\n")
+    assert main(["transform", "pet", "--conllu", str(src), "--const", str(const)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [data]: p1: span (3, 3) outside sentence span (1, 2)")
+
+
 def test_delta_prints_table(capsys):
     code = main(
         [
@@ -312,3 +331,20 @@ def test_gram_refuses_a_sentence_that_is_not_one_tree(re_setup, capsys, tmp_path
     broken.write_text(json.dumps(raw))
     assert main(["gram", "--config", str(broken), "--out", str(tmp_path / "bad.gram")]) == 2
     assert f"error [data]: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["CK1", "CK3"])
+def test_gram_names_the_sentence_whose_span_is_outside_its_parse(
+    re_setup, capsys, tmp_path, variant
+):
+    _, config = re_setup
+    raw = json.loads(config.read_text())
+    bad, const = tmp_path / "bad.conllu", tmp_path / "bad.const"
+    bad.write_text(PET_SENTENCE.replace("# sent_id = p1\n", "# sent_id = p1\n# relation = Other\n"))
+    const.write_text("(S (A a) (B b))\n")
+    raw["kernel"]["variant"] = variant
+    raw["data"].update(train=str(bad), train_const=str(const), test=None)
+    broken = tmp_path / "pet.json"
+    broken.write_text(json.dumps(raw))
+    assert main(["gram", "--config", str(broken), "--out", str(tmp_path / "bad.gram")]) == 2
+    assert "error [data]: p1: span (3, 3) outside sentence span (1, 2)" in capsys.readouterr().err

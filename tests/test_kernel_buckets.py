@@ -1,7 +1,8 @@
 """The label-bucketed SST/PTK/SPTK dynamic programs against full scans.
 
 The kernels visit only node pairs whose productions (SST) or labels
-(PTK) match, over a postorder index memoized on each tree. SST and PTK
+(PTK) match, over the one postorder index memoized on each tree
+(transforms.TreeIndex), which SST, PTK and SPTK share. SST and PTK
 compute one row of deltas per distinct subtree of the row trees and
 column tree (kernels.subtree_matrix), SST only for the subtrees that
 share a production with the column tree; SPTK keeps the node-pair deltas
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udkernels import combine, kernels
+from udkernels import combine, kernels, transforms
 from udkernels.combine import _tree_matrix
 from udkernels.conllu import parse_conllu_file
 from udkernels.errors import NumericError
@@ -776,7 +777,7 @@ def test_sst_column_rows_cover_only_ids_below_count(forest, lam):
         sids.append(table.add(tree))
         counts.append(len(table.keys))
     for t2 in rows + cols:
-        prods2 = set(t2.production_index.prods)
+        prods2 = set(t2.index.sst[0])
         for c, count in enumerate(counts):
             block, where = table.column(t2, count, params, {})
             held = [s for s in range(count) if table.keys[s] in prods2]
@@ -807,9 +808,50 @@ def test_memoized_tree_gives_same_value(kind):
         tree_kernel(cold[1], cold[2], params),
     ]
     assert first == again == cold_values
-    memo = "production_index" if kind == "SST" else "label_index"
-    assert memo in vars(a)
-    assert getattr(a, memo) is getattr(a, memo)
+    assert "index" in vars(a)
+    assert a.index is a.index
+    if kind == "SST":
+        assert a.index.sst is a.index.sst
+
+
+def test_one_walk_per_tree_for_every_kind(monkeypatch):
+    walks = []
+    walk = transforms._postorder
+
+    def counted(tree):
+        walks.append(tree)
+        return walk(tree)
+
+    monkeypatch.setattr(transforms, "_postorder", counted)
+    tree = to_lct(make_re_corpus(n_per_class=1, seed=5)[0])
+    for kind in kernels.KINDS:
+        params = TreeKernelParams(kind, sigma=indicator_sigma if kind == "SPTK" else None)
+        assert tree_kernel(tree, tree, params) == 1.0
+        delta_matrix(tree, tree, params)
+    assert len(walks) == 1 and walks[0] is tree
+
+
+def production_rule(tree):
+    """Each node's production, (label, child labels), and whether its
+    children are all leaves, in postorder: the rule of the separate
+    production index that TreeIndex.sst replaced, read from node objects."""
+    nodes, _ = _postorder(tree)
+    prods = tuple((n.label, tuple(c.label for c in n.children)) for n in nodes)
+    atomic = tuple(all(not c.children for c in n.children) for n in nodes)
+    return prods, atomic
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=trees | st.sampled_from([syn("a"), ATOMIC_NP, NESTED_NP, MIXED_NP]))
+def test_tree_index_sst_view_equals_production_rule(tree):
+    # repeated productions, nodes whose children are all leaves and a
+    # childless root all come from the tiny alphabet and the NP trees
+    view = tree.index.sst
+    assert view == production_rule(tree)
+    assert tree.index.sst is view
+    prods = view[0]
+    # equal productions share one key object
+    assert all(p is q for p in prods for q in prods if p == q)
 
 
 def test_overflow_still_raises_on_bucketed_path():

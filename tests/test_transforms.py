@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from udkernels.conllu import parse_conllu
 from udkernels.datasets import load_re_dataset
-from udkernels.errors import BracketError, ConlluError
+from udkernels.errors import BracketError, ConlluError, DataError
 from udkernels.kernels import TreeKernelParams, tree_kernel
 from udkernels.synthetic import write_re_corpus
 from udkernels.transforms import (
@@ -266,11 +266,11 @@ def test_extract_pet_descends_to_lowest_cover():
 
 def test_extract_pet_span_checks():
     (ct,) = parse_bracketed(BRACKETED)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="bad span"):
         extract_pet(ct, (2, 1), (3, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="overlap"):
         extract_pet(ct, (1, 3), (2, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="outside sentence span"):
         extract_pet(ct, (1, 1), (9, 9))
 
 
@@ -455,6 +455,9 @@ def test_postorder_matches_reference_walk(tree):
     assert len(order) == len(want_order)
     assert all(a is b for a, b in zip(order, want_order))
     assert children == want_children
+    # the index places the same nodes from its child positions
+    nodes = tree.index.nodes(tree)
+    assert len(nodes) == len(want_order) and all(a is b for a, b in zip(nodes, want_order))
 
 
 def test_postorder_walks_a_tree_deeper_than_the_recursion_limit():
@@ -478,6 +481,9 @@ def test_postorder_places_a_reused_subtree_at_each_of_its_positions():
     assert _postorder(make(True))[1] == _postorder(make(False))[1] == (
         (), (0,), (1,), (), (3,), (2, 4),
     )
+    shared = make(True)
+    nodes = shared.index.nodes(shared)
+    assert nodes[1] is nodes[4] and nodes[0] is nodes[3]
     for kind in ("SST", "PTK"):
         params = TreeKernelParams(kind, lam=0.5, mu=0.5, normalize=False)
         assert tree_kernel(make(True), make(True), params) == tree_kernel(
