@@ -10,13 +10,18 @@ from .combine import (
     PairKernelParams,
     REKernelInput,
     composite_kernel,
-    kernel_fingerprint,
     kernel_matrix,
-    kernel_spec_to_dict,
     sm_tk,
     softmax2,
 )
-from .config import RunConfig, kernel_spec_from_dict, load_config, parse_config
+from .config import (
+    RunConfig,
+    kernel_fingerprint,
+    kernel_spec_from_dict,
+    kernel_spec_to_dict,
+    load_config,
+    parse_config,
+)
 from .conllu import DepTree, Token, parse_conllu, parse_conllu_file, to_conllu, validate
 from .errors import (
     BracketError,
@@ -38,7 +43,6 @@ from .features import (
 )
 from .kernels import (
     TreeKernelParams,
-    brute_force_kernel,
     delta_matrix,
     poly_kernel,
     tree_kernel,

@@ -9,8 +9,6 @@ optionally a constituency tree kernel.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -18,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .kernels import TreeKernelParams, normalize, poly_kernel, subtree_matrix, tree_kernel
-from .lexical import SigmaConfig
 from .transforms import LabeledTree, labeled_from_sexpr, labeled_to_sexpr
 
 VARIANTS = ("CK1", "CK2", "CK3")
@@ -318,53 +315,3 @@ def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> n
         r, c = np.argwhere(~np.isfinite(values))[0]
         raise NumericError(f"non-finite kernel value at {row_ids[r]} x {col_ids[c]}")
     return values
-
-
-# ---------------------------------------------------------------------------
-# Kernel spec serialization. Every hyperparameter is written explicitly
-# so model files and Gram manifests pin the exact kernel they used;
-# config.kernel_spec_from_dict reads the result back.
-
-
-def tree_params_to_dict(p: TreeKernelParams) -> dict:
-    out = {
-        "kind": p.kind,
-        "lambda": p.lam,
-        "mu": p.mu,
-        "normalize": p.normalize,
-    }
-    if p.sigma_cfg is not None:
-        out["sigma"] = p.sigma_cfg.to_dict()
-    elif p.kind == "SPTK":
-        out["sigma"] = SigmaConfig().to_dict()
-    return out
-
-
-def pair_spec_to_dict(p: PairKernelParams) -> dict:
-    return {"task": "pi", "m": p.m, "base": tree_params_to_dict(p.base)}
-
-
-def composite_spec_to_dict(p: CompositeParams) -> dict:
-    return {
-        "task": "re",
-        "variant": p.variant,
-        "alpha": p.alpha,
-        "degree": p.vec_degree,
-        "coef0": p.vec_coef0,
-        "feature_mode": p.feature_mode,
-        "sst": tree_params_to_dict(p.sst),
-        "pt": tree_params_to_dict(p.pt),
-    }
-
-
-def kernel_spec_to_dict(spec) -> dict:
-    if isinstance(spec, PairKernelParams):
-        return pair_spec_to_dict(spec)
-    if isinstance(spec, CompositeParams):
-        return composite_spec_to_dict(spec)
-    raise ConfigError(f"cannot serialize kernel spec of type {type(spec).__name__}")
-
-
-def kernel_fingerprint(spec_dict: dict) -> str:
-    canon = json.dumps(spec_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]

@@ -1,15 +1,18 @@
 """Run configuration: one JSON file describing task, kernel, data, resources.
 
 Every JSON object in a config is read by one rule, _read, from the
-dataclass it fills, so each field's name, default and type is written
-once, in that dataclass. Validation happens up front so a bad file
-fails with the offending field named, before any data is loaded; a
-refusal by a dataclass's own checks names its object, or for the
-features' mwe keys the key.
+dataclass it fills, and every kernel-spec object is written by its
+inverse, _write, from the same dataclass fields, so each field's name,
+default, type and JSON key is written once, in that dataclass and
+_FIELD_OF. Validation happens up front so a bad file fails with the
+offending field named, before any data is loaded; a refusal by a
+dataclass's own checks names its object, or for the features' mwe keys
+the key.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -18,10 +21,11 @@ from .combine import CompositeParams, PairKernelParams
 from .errors import ConfigError
 from .features import FeatureConfig
 from .kernels import TreeKernelParams
-from .lexical import SigmaConfig
 from .transforms import MweConfig
 
-TASKS = ("pi", "re")
+# task -> the kernel spec class its kernel object fills
+_SPEC_OF = {"pi": PairKernelParams, "re": CompositeParams}
+TASKS = tuple(_SPEC_OF)
 
 
 @dataclass
@@ -165,15 +169,13 @@ def _unbound_sigma(n1, n2):
 
 
 def _tree_params(raw, where: str) -> TreeKernelParams:
-    """Only SPTK reads a sigma block, and gets the default one when it
-    has none; its similarity is a placeholder until bind_sigma."""
+    """Only SPTK reads a sigma block; its similarity is a placeholder
+    until bind_sigma."""
     sptk = isinstance(raw, dict) and raw.get("kind") == "SPTK"
     params = _read(TreeKernelParams, raw, where, sigma=_unbound_sigma if sptk else None)
-    if not sptk:
-        if "sigma" in raw:
-            raise ConfigError(f"{where}.sigma is read by SPTK kernels only")
-        return params
-    return replace(params, sigma_cfg=params.sigma_cfg or SigmaConfig())
+    if not sptk and "sigma" in raw:
+        raise ConfigError(f"{where}.sigma is read by SPTK kernels only")
+    return params
 
 
 def _features(raw, where: str) -> FeatureConfig:
@@ -202,21 +204,58 @@ _READERS = {TreeKernelParams: _tree_params, FeatureConfig: _features}
 
 def kernel_spec_from_dict(data):
     """Kernel params from their JSON form, a config's kernel object or
-    combine.kernel_spec_to_dict's output: PairKernelParams for task "pi",
-    CompositeParams for "re", whose feature_mode key, when present, must
-    be its variant's."""
+    kernel_spec_to_dict's output: the _SPEC_OF class of its task key.
+    A CompositeParams' feature_mode key, when present, must be its
+    variant's."""
     where = "kernel"
     rest = {k: v for k, v in _object(data, where).items() if k != "task"}
     task = data.get("task")
-    if task == "pi":
-        return _read(PairKernelParams, rest, where)
-    if task != "re":
+    if not (isinstance(task, str) and task in _SPEC_OF):
         raise ConfigError(f"{where}.task must be one of {TASKS}, got {task!r}")
-    mode = rest.pop("feature_mode", None)
-    spec = _read(CompositeParams, rest, where)
-    if mode not in (None, spec.feature_mode):
+    cls = _SPEC_OF[task]
+    mode = rest.pop("feature_mode", None) if cls is CompositeParams else None
+    spec = _read(cls, rest, where)
+    if mode is not None and mode != spec.feature_mode:
         raise ConfigError(f"{where}.feature_mode {mode!r} does not match variant {spec.variant}")
     return spec
+
+
+# ---------------------------------------------------------------------------
+# The writer, the reader's inverse on kernel specs. Every field is
+# written, so model files and Gram headers pin the exact kernel they
+# used.
+
+_KEY_OF = {name: key for key, name in _FIELD_OF.items()}
+
+
+def _write(obj) -> dict:
+    """The JSON object _read reads the dataclass obj back from: every
+    field that is not None, under the key _read reads it from, and a
+    nested dataclass as an object of its own. A field no key reaches,
+    such as the bound SPTK sigma, is left out."""
+    out = {}
+    for f in fields(obj):
+        key, value = _KEY_OF.get(f.name, f.name), getattr(obj, f.name)
+        if value is not None and _FIELD_OF.get(key, key) == f.name:
+            out[key] = _write(value) if is_dataclass(value) else value
+    return out
+
+
+def kernel_spec_to_dict(spec) -> dict:
+    """spec's JSON form, which kernel_spec_from_dict reads back: its
+    fields, its task, and a CompositeParams' feature_mode."""
+    task = next((t for t, cls in _SPEC_OF.items() if isinstance(spec, cls)), None)
+    if task is None:
+        raise ConfigError(f"cannot serialize kernel spec of type {type(spec).__name__}")
+    out = {"task": task, **_write(spec)}
+    if isinstance(spec, CompositeParams):
+        out["feature_mode"] = spec.feature_mode
+    return out
+
+
+def kernel_fingerprint(spec_dict: dict) -> str:
+    canon = json.dumps(spec_dict, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 def load_config(path) -> RunConfig:

@@ -64,9 +64,6 @@ those deltas. combine._tree_matrix keeps one for a whole kernel matrix;
 a scalar call uses a fresh one. A memo is emptied when it reaches
 _MEMO_CAP entries, a fixed bound on its memory: a hit returns the float
 a miss computes, so emptying it changes no value.
-
-brute_force_kernel enumerates fragments explicitly and exists only to
-check tree_kernel on tiny trees; the two share no code.
 """
 
 from __future__ import annotations
@@ -82,7 +79,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .lexical import SigmaConfig
-from .transforms import LabeledTree, TreeIndex, _escape
+from .transforms import LabeledTree, TreeIndex
 
 KINDS = ("SST", "PTK", "SPTK")
 
@@ -92,7 +89,7 @@ class TreeKernelParams:
     lam: float = 0.4  # SST: decay per node; PTK/SPTK: decay per child-sequence span
     mu: float = 0.4  # decay per node, PTK and SPTK only
     sigma: Callable | None = None  # node similarity, SPTK only
-    sigma_cfg: SigmaConfig | None = None  # serializable description of sigma
+    sigma_cfg: SigmaConfig | None = None  # describes sigma; SigmaConfig() for SPTK by default
     normalize: bool = True
 
     def __post_init__(self):
@@ -102,8 +99,11 @@ class TreeKernelParams:
             raise ConfigError(f"lambda must be in (0, 1], got {self.lam}")
         if not 0.0 < self.mu <= 1.0:
             raise ConfigError(f"mu must be in (0, 1], got {self.mu}")
-        if self.kind == "SPTK" and self.sigma is None:
-            raise ConfigError("SPTK requires a node similarity function")
+        if self.kind == "SPTK":
+            if self.sigma is None:
+                raise ConfigError("SPTK requires a node similarity function")
+            if self.sigma_cfg is None:
+                self.sigma_cfg = SigmaConfig()
 
 
 @dataclass
@@ -512,104 +512,3 @@ def poly_kernel(u, v, degree: int = 2, coef0: float = 1.0) -> float:
     if degree < 1 or int(degree) != degree:
         raise ConfigError(f"polynomial degree must be a positive integer, got {degree}")
     return float((float(np.dot(u, v)) + coef0) ** int(degree))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle: explicit fragment enumeration on tiny trees.
-
-_ORACLE_MAX_NODES = 6
-
-
-def _sst_fragments(node: LabeledTree) -> dict:
-    """Serialized production-closed fragments rooted at node, mapped to
-    the number of expanded nodes (the lambda exponent).
-
-    A stopped child renders as a bare label; an expanded node renders
-    parenthesized. Nodes whose children are all leaves expand as one
-    indivisible unit.
-    """
-    if not node.children:
-        return {f"({_escape(node.label)})": 1}
-    if all(not c.children for c in node.children):
-        inner = " ".join(_escape(c.label) for c in node.children)
-        return {f"({_escape(node.label)} {inner})": 1}
-    options = []
-    for child in node.children:
-        opts = [(_escape(child.label), 0)]
-        opts.extend(_sst_fragments(child).items())
-        options.append(opts)
-    out = {}
-    for combo in itertools.product(*options):
-        ser = f"({_escape(node.label)} " + " ".join(s for s, _ in combo) + ")"
-        out[ser] = 1 + sum(w for _, w in combo)
-    return out
-
-
-def _pt_occurrences(node: LabeledTree) -> list:
-    """Every embedding of a partial fragment rooted at node, as
-    (serialization, span exponent, node count) triples.
-
-    The span exponent collects, per fragment node, the child-index span
-    it picks (1 for fragment leaves), which is this side's lambda
-    exponent for the embedding.
-    """
-    out = [(_escape(node.label), 1, 1)]
-    k = len(node.children)
-    for r in range(1, k + 1):
-        for picks in itertools.combinations(range(k), r):
-            span = picks[-1] - picks[0] + 1
-            child_occs = [_pt_occurrences(node.children[j]) for j in picks]
-            for combo in itertools.product(*child_occs):
-                ser = f"({_escape(node.label)} " + " ".join(c[0] for c in combo) + ")"
-                out.append(
-                    (ser, span + sum(c[1] for c in combo), 1 + sum(c[2] for c in combo))
-                )
-    return out
-
-
-def _pt_table(node: LabeledTree, lam: float) -> dict:
-    table: dict = {}
-    for ser, span_exp, n_nodes in _pt_occurrences(node):
-        entry = table.setdefault(ser, [0.0, n_nodes])
-        entry[0] += lam**span_exp
-    return table
-
-
-def brute_force_kernel(
-    t1: LabeledTree, t2: LabeledTree, kind: str, lam: float = 1.0, mu: float = 1.0
-) -> float:
-    """Fragment-enumeration kernel for checking tree_kernel, unnormalized.
-
-    Only SST and PTK are supported and only on trees with at most 6
-    nodes; anything larger raises ValueError.
-    """
-    for t in (t1, t2):
-        if t.size() > _ORACLE_MAX_NODES:
-            raise ValueError(
-                f"brute-force oracle limited to {_ORACLE_MAX_NODES} nodes, got {t.size()}"
-            )
-    if kind == "SST":
-        total = 0.0
-        tables2 = [(_sst_fragments(n2)) for n2 in t2.iter_nodes()]
-        for n1 in t1.iter_nodes():
-            f1 = _sst_fragments(n1)
-            for f2 in tables2:
-                for ser, wraps in f1.items():
-                    other = f2.get(ser)
-                    if other is not None:
-                        assert other == wraps, "fragment weight must be intrinsic"
-                        total += lam**wraps
-        return total
-    if kind == "PTK":
-        total = 0.0
-        tables2 = [_pt_table(n2, lam) for n2 in t2.iter_nodes()]
-        for n1 in t1.iter_nodes():
-            f1 = _pt_table(n1, lam)
-            for f2 in tables2:
-                for ser, (weight1, n_nodes) in f1.items():
-                    other = f2.get(ser)
-                    if other is not None:
-                        assert other[1] == n_nodes, "node count must be intrinsic"
-                        total += mu**n_nodes * weight1 * other[0]
-        return total
-    raise ValueError(f"no brute-force oracle for kind {kind!r}")

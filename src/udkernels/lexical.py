@@ -206,14 +206,6 @@ class SigmaConfig:
         if self.oov_policy not in ("zero", "exact_match_fallback"):
             raise ValueError(f"unknown oov policy {self.oov_policy!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "pos_must_match": self.pos_must_match,
-            "oov_policy": self.oov_policy,
-            "lowercase": self.lowercase,
-        }
-
 
 def indicator_sigma(n1: LabeledTree, n2: LabeledTree) -> float:
     """Exact-label similarity; the soft kernel collapses to its hard

@@ -17,13 +17,11 @@ from .combine import (
     CompositeParams,
     PairKernelParams,
     REKernelInput,
-    kernel_fingerprint,
     kernel_matrix,
-    kernel_spec_to_dict,
     payload_from_dict,
     payload_to_dict,
 )
-from .config import RunConfig
+from .config import RunConfig, kernel_fingerprint, kernel_spec_to_dict
 from .conllu import DepTree
 from .datasets import load_pi_dataset, load_re_dataset, read_predictions, write_predictions
 from .errors import ConfigError, DataError, ModelError
@@ -99,10 +97,7 @@ def bind_sigma(spec, cfg: RunConfig, resources: Resources):
     def bound(tree_params):
         if tree_params.kind != "SPTK":
             return tree_params
-        sigma_cfg = tree_params.sigma_cfg
-        if sigma_cfg is None:
-            raise ConfigError("soft tree kernel requires a sigma config")
-        fn = make_sigma(sigma_cfg, pivot_store(cfg, resources), resources.dictionary)
+        fn = make_sigma(tree_params.sigma_cfg, pivot_store(cfg, resources), resources.dictionary)
         return replace(tree_params, sigma=fn)
 
     if isinstance(spec, PairKernelParams):

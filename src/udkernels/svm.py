@@ -11,6 +11,7 @@ lexicographic tie-breaking.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,9 +212,14 @@ def _kkt_bias_interval(y, g, alpha, box, tol):
     return lo, hi
 
 
-def kkt_violations(gram: np.ndarray, y, model: BinaryModel, C: float = 1.0, tol: float = 1e-3):
-    """Instances whose KKT condition fails at tol, for diagnostics."""
+def kkt_violations(gram: np.ndarray, y, model: BinaryModel, C=1.0, tol: float = 1e-3):
+    """Instances whose KKT condition fails at tol, for diagnostics.
+
+    C is one box for every instance or, as train_binary's sample_C, one
+    per instance.
+    """
     y = np.asarray(y, dtype=np.float64)
+    box = np.broadcast_to(np.asarray(C, dtype=np.float64), y.shape)
     f = (model.alpha * y) @ gram + model.bias
     out = []
     for i in range(len(y)):
@@ -221,9 +227,9 @@ def kkt_violations(gram: np.ndarray, y, model: BinaryModel, C: float = 1.0, tol:
         a = model.alpha[i]
         if a <= 1e-12 and margin < 1.0 - tol:
             out.append(i)
-        elif a >= C - 1e-12 and margin > 1.0 + tol:
+        elif a >= box[i] - 1e-12 and margin > 1.0 + tol:
             out.append(i)
-        elif 1e-12 < a < C - 1e-12 and abs(margin - 1.0) > tol:
+        elif 1e-12 < a < box[i] - 1e-12 and abs(margin - 1.0) > tol:
             out.append(i)
     return out
 
@@ -406,6 +412,15 @@ def load_model(path) -> SvmModel:
         raise ModelError(f"malformed model file {path}: {detail}") from None
 
 
+def _finite(value) -> bool:
+    """Whether value is a JSON number, an int or a float but not a bool,
+    that is finite as a float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _model_from_dict(data: dict) -> SvmModel:
     for key in ("kernel_spec", "label_map", "training_meta"):
         if not isinstance(data.get(key, {}), dict):
@@ -417,22 +432,25 @@ def _model_from_dict(data: dict) -> SvmModel:
         raise ValueError("supports is not a list of objects")
     classes = []
     for cls in data["classes"]:
-        label, idx = cls["label"], cls["support_idx"]
-        coeffs = np.array(cls["coeffs"], dtype=np.float64)
+        label, idx, bias, coeffs = cls["label"], cls["support_idx"], cls["bias"], cls["coeffs"]
         if not isinstance(label, str) or not isinstance(idx, list):
             raise ValueError("a class needs a string label and a support_idx list")
+        if not _finite(bias):
+            raise ValueError(f"class {label!r} has a bias that is not a finite number: {bias!r}")
+        if not isinstance(coeffs, list) or not all(map(_finite, coeffs)):
+            raise ValueError(f"class {label!r} has a coeffs entry that is not a finite number")
         if not all(type(i) is int and 0 <= i < len(supports) for i in idx):
             raise ValueError(
                 f"class {label!r} has a support_idx entry that is not an index "
                 f"into the {len(supports)} supports"
             )
-        if coeffs.shape != (len(idx),):
-            raise ValueError(f"class {label!r} has {coeffs.size} coeffs for {len(idx)} supports")
+        if len(coeffs) != len(idx):
+            raise ValueError(f"class {label!r} has {len(coeffs)} coeffs for {len(idx)} supports")
         classes.append(
             ClassModel(
                 label=label,
-                bias=float(cls["bias"]),
-                coeffs=coeffs,
+                bias=float(bias),
+                coeffs=np.array(coeffs, dtype=np.float64),
                 support_idx=np.array(idx, dtype=int),
             )
         )

@@ -24,7 +24,7 @@ from udkernels.combine import (
 )
 from udkernels.config import parse_config
 from udkernels.features import FeatureConfig, REInstance, build_vo, build_vud
-from udkernels.kernels import TreeKernelParams, brute_force_kernel, tree_kernel
+from udkernels.kernels import TreeKernelParams, tree_kernel
 from udkernels.lexical import indicator_sigma
 from udkernels.metrics import evaluate
 from udkernels.pipeline import run_eval, run_gram, run_predict, run_train
@@ -38,6 +38,7 @@ from udkernels.transforms import (
 )
 
 from conftest import permute
+from oracle import brute_force_kernel
 
 
 def verdict(num, name, failures, detail=""):

@@ -1,6 +1,7 @@
 import math
 import warnings
 from collections import Counter
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,16 +15,19 @@ from udkernels.combine import (
     REKernelInput,
     _tree_matrix,
     composite_kernel,
-    kernel_fingerprint,
     kernel_matrix,
-    kernel_spec_to_dict,
     sm_tk,
     softmax2,
 )
-from udkernels.config import kernel_spec_from_dict, parse_config
+from udkernels.config import (
+    kernel_fingerprint,
+    kernel_spec_from_dict,
+    kernel_spec_to_dict,
+    parse_config,
+)
 from udkernels.errors import ConfigError
 from udkernels.kernels import TreeKernelParams, tree_kernel
-from udkernels.lexical import indicator_sigma
+from udkernels.lexical import SigmaConfig, indicator_sigma
 from udkernels.pipeline import bind_sigma, load_resources, prepare_split
 from udkernels.synthetic import write_crosslingual_re, write_pi_corpus, write_re_corpus
 from udkernels.transforms import lex, syn
@@ -450,3 +454,104 @@ def test_fingerprint_stability_and_sensitivity():
     )
     assert kernel_fingerprint(base) != kernel_fingerprint(changed)
     assert len(kernel_fingerprint(base)) == 16
+
+
+SST, PTK = TreeKernelParams("SST"), TreeKernelParams("PTK")
+SPTK = TreeKernelParams("SPTK", sigma=indicator_sigma)
+
+
+# the kinds each tree kernel slot of a spec accepts
+SLOT_KINDS = {"base": ("SST", "PTK", "SPTK"), "sst": ("SST",), "pt": ("PTK", "SPTK")}
+
+
+def field_changes(obj, slot: str) -> dict:
+    """Field name -> the replace() keywords that give it another valid
+    value, for every JSON-reachable field of the spec object obj, which
+    sits in the field named slot of its parent."""
+    if isinstance(obj, TreeKernelParams):
+        changes = {
+            "lam": {"lam": 0.7},
+            "mu": {"mu": 0.6},
+            "normalize": {"normalize": not obj.normalize},
+        }
+        for kind in SLOT_KINDS[slot]:
+            if kind != obj.kind:
+                sigma = indicator_sigma if kind == "SPTK" else None
+                changes["kind"] = {"kind": kind, "sigma": sigma, "sigma_cfg": None}
+        if obj.kind == "SPTK":
+            changes["sigma_cfg"] = {"sigma_cfg": SigmaConfig(mode="translate_then_compare")}
+        return changes
+    if isinstance(obj, SigmaConfig):
+        return {
+            "mode": {"mode": "translate_then_compare"},
+            "pos_must_match": {"pos_must_match": not obj.pos_must_match},
+            "oov_policy": {"oov_policy": "exact_match_fallback"},
+            "lowercase": {"lowercase": not obj.lowercase},
+        }
+    if isinstance(obj, PairKernelParams):
+        return {"base": {"base": SST if obj.base.kind != "SST" else PTK}, "m": {"m": 20.0}}
+    assert isinstance(obj, CompositeParams)
+    return {
+        "variant": {"variant": "CK1" if obj.variant != "CK1" else "CK2"},
+        "alpha": {"alpha": 0.5},
+        "sst": {"sst": TreeKernelParams("SST", lam=0.7)},
+        "pt": {"pt": SPTK if obj.pt.kind == "PTK" else PTK},
+        "vec_degree": {"vec_degree": 3},
+        "vec_coef0": {"vec_coef0": 0.5},
+    }
+
+
+def spec_objects(obj, path=()):
+    """(path, object) for obj and every dataclass nested in it."""
+    yield path, obj
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from spec_objects(value, path + (f.name,))
+
+
+def replaced_at(spec, path: tuple, value):
+    if not path:
+        return value
+    head = path[0]
+    return replace(spec, **{head: replaced_at(getattr(spec, head), path[1:], value)})
+
+
+def without_sigma(value):
+    """asdict output with every tree kernel's bound sigma left out."""
+    if isinstance(value, dict):
+        return {k: without_sigma(v) for k, v in value.items() if k != "sigma"}
+    return value
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PairKernelParams(base=SST),
+        PairKernelParams(base=PTK),
+        PairKernelParams(base=SPTK),
+        CompositeParams(variant="CK3"),
+        CompositeParams(variant="CK2", pt=SPTK),
+    ],
+    ids=["pi-SST", "pi-PTK", "pi-SPTK", "re-CK3", "re-CK2-SPTK"],
+)
+def test_every_spec_field_is_written_and_fingerprinted(spec):
+    before = kernel_fingerprint(kernel_spec_to_dict(spec))
+    for path, obj in spec_objects(spec):
+        changes = field_changes(obj, path[-1] if path else "")
+        # no JSON key reaches the bound similarity, nor a non-SPTK
+        # kernel's sigma block; the composite's sst slot holds SST only
+        fixed = {"sigma"}
+        if isinstance(obj, TreeKernelParams) and obj.kind != "SPTK":
+            fixed.add("sigma_cfg")
+        if path[-1:] == ("sst",):
+            fixed.add("kind")
+        assert set(changes) == {f.name for f in fields(obj)} - fixed, path
+        for name, kw in changes.items():
+            where = ".".join(path + (name,))
+            other = replaced_at(spec, path, replace(obj, **kw))
+            data = kernel_spec_to_dict(other)
+            back = kernel_spec_from_dict(data)
+            assert type(back) is type(other), where
+            assert without_sigma(asdict(back)) == without_sigma(asdict(other)), where
+            assert kernel_fingerprint(data) != before, where

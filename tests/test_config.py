@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from udkernels.combine import CompositeParams, PairKernelParams, kernel_spec_to_dict
-from udkernels.config import EvalConfig, SvmConfig, load_config, parse_config
+from udkernels.combine import CompositeParams, PairKernelParams
+from udkernels.config import EvalConfig, SvmConfig, kernel_spec_to_dict, load_config, parse_config
 from udkernels.errors import ConfigError
 from udkernels.transforms import MweConfig
 

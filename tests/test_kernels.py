@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from udkernels.errors import ConfigError, NumericError
 from udkernels.kernels import (
     TreeKernelParams,
-    brute_force_kernel,
     delta_matrix,
     normalize,
     poly_kernel,
@@ -16,6 +15,8 @@ from udkernels.kernels import (
 )
 from udkernels.lexical import indicator_sigma
 from udkernels.transforms import lex, syn
+
+from oracle import brute_force_kernel, brute_force_sptk
 
 A = syn("a")
 B = syn("a", syn("b"), syn("c"))
@@ -232,6 +233,30 @@ def test_dp_matches_enumeration(t1, t2, lam, mu):
         )
         oracle = brute_force_kernel(t1, t2, kind, lam=lam, mu=mu)
         assert dp == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+def graded_sigma(n1, n2):
+    """1.0 on equal labels, else 0.3, times 0.9 per unit of child-count
+    difference: a similarity that sees whole nodes, not labels alone."""
+    score = 1.0 if n1.label == n2.label else 0.3
+    return score * 0.9 ** abs(len(n1.children) - len(n2.children))
+
+
+def zero_sigma(n1, n2):
+    return 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(t1=small_trees, t2=small_trees, lam=decays, mu=decays)
+def test_sptk_dp_matches_enumeration(t1, t2, lam, mu):
+    for sigma in (indicator_sigma, graded_sigma, zero_sigma):
+        params = TreeKernelParams(kind="SPTK", lam=lam, mu=mu, sigma=sigma, normalize=False)
+        oracle = brute_force_sptk(t1, t2, sigma, lam=lam, mu=mu)
+        assert tree_kernel(t1, t2, params) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+    # under the indicator the two enumerations count the same fragments
+    assert brute_force_sptk(t1, t2, indicator_sigma, lam=lam, mu=mu) == pytest.approx(
+        brute_force_kernel(t1, t2, "PTK", lam=lam, mu=mu), rel=1e-9, abs=1e-12
+    )
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 import itertools
 import struct
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -324,5 +325,5 @@ def test_sigma_config_validation():
     with pytest.raises(ValueError):
         SigmaConfig(oov_policy="nope")
     cfg = SigmaConfig(mode="translate_then_compare", oov_policy="exact_match_fallback")
-    spec = kernel_spec_from_dict({"task": "pi", "base": {"kind": "SPTK", "sigma": cfg.to_dict()}})
+    spec = kernel_spec_from_dict({"task": "pi", "base": {"kind": "SPTK", "sigma": asdict(cfg)}})
     assert spec.base.sigma_cfg == cfg

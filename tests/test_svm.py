@@ -311,6 +311,20 @@ def test_class_weights_scale_the_box():
         assert np.all(binary.alpha <= 1.0 + 1e-12)
 
 
+def test_class_weighted_model_meets_kkt_at_its_weighted_box():
+    rng = np.random.default_rng(0)
+    points = np.vstack([rng.normal(0.0, 1.0, (20, 2)), rng.normal(1.0, 1.0, (20, 2))])
+    gram = points @ points.T
+    labels = ["a"] * 20 + ["b"] * 20
+    ovr = train_ovr(gram, labels, C=1.0, class_weights={"a": 0.25})
+    box = np.array([0.25] * 20 + [1.0] * 20)
+    for cls, binary in ovr.binaries.items():
+        y = [1.0 if lab == cls else -1.0 for lab in labels]
+        # overlapping clusters: some alphas sit at the weighted bound 0.25
+        assert np.any(np.abs(binary.alpha[:20] - 0.25) < 1e-12)
+        assert kkt_violations(gram, y, binary, C=box) == []
+
+
 def test_class_weights_refuse_labels_absent_from_training():
     gram, labels = three_class_problem()
     with pytest.raises(ConfigError, match=r"absent from the training data: \['Nope', 'other'\]"):
@@ -460,6 +474,18 @@ def v2_class(fields: str) -> str:
         (V2_HEAD + '[{"label": 3, "bias": 0, "coeffs": [], "support_idx": []}]}', "string label"),
         (V2_HEAD + '[{"label": "a", "bias": "high", "coeffs": [], "support_idx": []}]}', "high"),
         (v2_class('"coeffs": ["x"], "support_idx": [0]'), "malformed"),
+        # a bias or coefficient must be a finite JSON number, never a bool
+        *[
+            (V2_HEAD + '[{"label": "a", "bias": %s, "coeffs": [], "support_idx": []}]}' % bias,
+             "class 'a' has a bias that is not a finite number")
+            for bias in ('"nan"', '"inf"', "true", "NaN", "Infinity", "-Infinity", "1e400")
+        ],
+        *[
+            (v2_class('"coeffs": [%s], "support_idx": [0]' % coeff),
+             "class 'a' has a coeffs entry that is not a finite number")
+            for coeff in ('"0.5"', "true", "NaN", "-Infinity", "[0.5]", "1" + "0" * 400)
+        ],
+        (v2_class('"coeffs": 0.5, "support_idx": [0]'), "coeffs entry that is not a finite"),
         # version 1 repeated each support per class; such files are refused
         (
             '{"version": "1", "task": "pi", "classes": '
