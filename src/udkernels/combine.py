@@ -15,7 +15,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .kernels import TreeKernelParams, normalize, poly_kernel, subtree_matrix, tree_kernel
+from .kernels import (
+    TreeKernelParams,
+    normalize,
+    normalize_row,
+    poly_kernel,
+    subtree_matrix,
+    tree_kernel,
+)
 from .transforms import LabeledTree, labeled_from_sexpr, labeled_to_sexpr
 
 VARIANTS = ("CK1", "CK2", "CK3")
@@ -185,57 +192,66 @@ def _mirror(values: np.ndarray):
         values[i, :i] = values[:i, i]
 
 
-def _slot_matrix(
-    rows: list, cols: list, kernel, row_ids, col_ids, normalized=True, values=None
-) -> np.ndarray:
-    """kernel(row, col) between the row and column objects of one slot.
-
-    Raw values are filled in row-major order, only the upper triangle
-    when cols is rows, so each pair is evaluated once; values, when
-    given, already holds them. Self values are a square matrix's
-    diagonal, or one kernel(x, x) call per object of a rectangle, and
-    kernels.normalize then maps each cell. The ids name each object's
-    instance when a call fails.
-    """
-    square = cols is rows
-    if values is None:
-        values = np.zeros((len(rows), len(cols)))
-        for i, x in enumerate(rows):
-            for j in range(i if square else 0, len(cols)):
-                values[i, j] = _call(kernel, x, cols[j], row_ids[i], col_ids[j])
-    if normalized:
-        if square:
-            s_row = s_col = values.diagonal().tolist()
-        else:
-            s_row = [_call(kernel, x, x, k, k) for x, k in zip(rows, row_ids)]
-            s_col = [_call(kernel, y, y, k, k) for y, k in zip(cols, col_ids)]
-        for i, s in enumerate(s_row):
+def _finish(values: np.ndarray, square: bool, s_row, s_col) -> np.ndarray:
+    """values normalized in place by the self values s_row and s_col,
+    unless they are None, one row at a time by kernels.normalize_row
+    (the same bits as kernels.normalize on each cell); then a square
+    matrix's upper triangle is mirrored into its lower one."""
+    if s_row is not None:
+        for i, s in enumerate(s_row.tolist()):
             start = i if square else 0
             row = values[i, start:]  # a view, normalized in place
-            row[:] = [normalize(v, s, t) for v, t in zip(row.tolist(), s_col[start:])]
+            row[:] = normalize_row(row, s, s_col[start:])
     if square:
         _mirror(values)
     return values
 
 
-def _tree_matrix(rows: list, cols: list, params: TreeKernelParams, row_ids, col_ids) -> np.ndarray:
-    """tree_kernel values between row and column trees, via _slot_matrix.
+def _slot_matrix(rows: list, cols: list, kernel, row_ids, col_ids, normalized=True) -> np.ndarray:
+    """kernel(row, col) between the row and column objects of one slot.
 
-    SST and PTK raw values come from one kernels.subtree_matrix call; a
-    rectangle's self values, and every SPTK pair, from one tree_kernel
-    call each. All of them share one memo of child-subsequence totals,
-    which kernels._MEMO_CAP bounds.
+    Raw values are filled in row-major order, only the upper triangle
+    when cols is rows, so each pair is evaluated once. Self values are a
+    square matrix's diagonal, or one kernel(x, x) call per object of a
+    rectangle. The ids name each object's instance when a call fails.
+    """
+    square = cols is rows
+    values = np.zeros((len(rows), len(cols)))
+    for i, x in enumerate(rows):
+        for j in range(i if square else 0, len(cols)):
+            values[i, j] = _call(kernel, x, cols[j], row_ids[i], col_ids[j])
+    s_row = s_col = None
+    if normalized and square:
+        s_row = s_col = values.diagonal().copy()
+    elif normalized:
+        s_row = np.array([_call(kernel, x, x, k, k) for x, k in zip(rows, row_ids)])
+        s_col = np.array([_call(kernel, y, y, k, k) for y, k in zip(cols, col_ids)])
+    return _finish(values, square, s_row, s_col)
+
+
+def _tree_matrix(rows: list, cols: list, params: TreeKernelParams, row_ids, col_ids) -> np.ndarray:
+    """tree_kernel values between row and column trees.
+
+    SST and PTK raw values, and a rectangle's self values, come from one
+    kernels.subtree_matrix call; every SPTK pair and self value from one
+    tree_kernel call each, via _slot_matrix. All of them share one memo
+    of child-subsequence totals, which kernels._MEMO_CAP bounds.
     """
     raw = replace(params, normalize=False)
     memo: dict = {}
     kernel = lambda t1, t2: tree_kernel(t1, t2, raw, memo)
-    values = None
-    if params.kind != "SPTK":
-        values = subtree_matrix(rows, cols, raw, memo)
-        # the first non-finite cell fails as its tree_kernel call would
-        for i, j in np.argwhere(~np.isfinite(values))[:1]:
-            _call(kernel, rows[i], cols[j], row_ids[i], col_ids[j])
-    return _slot_matrix(rows, cols, kernel, row_ids, col_ids, params.normalize, values)
+    if params.kind == "SPTK":
+        return _slot_matrix(rows, cols, kernel, row_ids, col_ids, params.normalize)
+    values, s_row, s_col = subtree_matrix(rows, cols, params, memo)
+    # the first non-finite value fails as its tree_kernel call would: a
+    # cell first, then a row tree's self value, then a column tree's
+    for i, j in np.argwhere(~np.isfinite(values))[:1]:
+        _call(kernel, rows[i], cols[j], row_ids[i], col_ids[j])
+    if s_row is not None:
+        for trees, selfs, ids in ((rows, s_row, row_ids), (cols, s_col, col_ids)):
+            for i in np.flatnonzero(~np.isfinite(selfs))[:1]:
+                _call(kernel, trees[i], trees[i], ids[i], ids[i])
+    return _finish(values, cols is rows, s_row, s_col)
 
 
 def _ids(ids, payloads: list, name: str) -> tuple:

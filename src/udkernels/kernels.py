@@ -46,6 +46,16 @@ is a group of one. The rows are dropped before the next column tree. A
 scalar tree_kernel and delta_matrix go through the same table, over
 one row tree.
 
+A normalized rectangle also needs each tree's value against itself,
+and takes it from the same table. The column trees are interned after
+the row trees, and a column's block also fills the rows of the column
+tree's own subtrees that no row tree holds, so its self value is the
+sum of its own rows in the block its cells read. Each row tree's self
+value takes one more column, the tree itself, over only its own ids. A
+row holds the same floats in any table, so a self value has the bits
+of a one-tree table's. normalize_row then normalizes one matrix row
+at a time, with the bits normalize gives each cell.
+
 SPTK keeps one program per tree pair, since its node similarity sees
 whole nodes. It fills one flat array('d') of n1 * n2 floats, the delta
 of nodes i and j at i * n2 + j, and reads a node's child rows through
@@ -257,54 +267,64 @@ class _Subtrees:
             sids.append(s)
         return np.array(sids, dtype=np.intp)
 
-    def column(self, t2: LabeledTree, count: int, params: TreeKernelParams, memo: dict):
-        """The deltas of subtrees 0..count-1 against the nodes of t2, as
-        (block, where): a row tree's (n1, n2) node-pair deltas, in both
-        trees' postorder, are block[where[ids]] for its subtree ids.
+    def column(self, t2: LabeledTree, count: int, params: TreeKernelParams, memo: dict, extra=()):
+        """The deltas of subtrees 0..count-1, and of the ascending ids in
+        extra (all >= count), against the nodes of t2, as (block, where):
+        a row tree's (n1, n2) node-pair deltas, in both trees' postorder,
+        are block[where[ids]] for its subtree ids.
 
-        Each subtree whose bucket key occurs in t2 gets a row of block;
-        every other subtree maps to the shared zero row 0. A row holds
+        Each of those subtrees whose bucket key occurs in t2 gets a row of
+        block; every other id maps to the shared zero row 0. A row holds
         the floats the node-pair program writes for any node rooted at
         that subtree. SST visits only the ids of t2's productions and
         fills their rows in one flat buffer, node of t2 by node of t2 in
         postorder; PTK visits every id and fills one row at a time, in
         ascending id. Either way a pair's child entries are final before
-        the pair reads them.
+        the pair reads them: extra holds ids of t2's own subtrees, and
+        a subtree's children are among them or below count.
         """
         ix2 = t2.index
+        size = extra[-1] + 1 if extra else count
         if self.sst:
-            return self._sst_column(ix2, count, params.lam)
+            return self._sst_column(ix2, count, extra, size, params.lam)
         n2 = len(ix2.children)
-        rows, where = [_zeros(n2)], [0] * count
-        self._ptk_rows(rows, where, ix2, params, memo)
+        rows, where = [_zeros(n2)], [0] * size
+        self._ptk_rows(rows, where, ix2, params, memo, count, extra)
         block = np.frombuffer(b"".join(rows)).reshape(len(rows), n2)
         return block, np.array(where, dtype=np.intp)
 
-    def _sst_column(self, ix2: TreeIndex, count: int, lam: float):
+    def _sst_column(self, ix2: TreeIndex, count: int, extra, size: int, lam: float):
         """column's (block, where) for SST: block views one flat buffer
         of rows of n2 floats, row 0 all zero.
 
         Only subtrees whose production occurs in t2 get a row, taken from
-        the production's ascending ids below count, t2's productions in
-        the order they first occur in its postorder. The rows are filled
-        node of t2 by node of t2, in postorder, so the entries of j's
-        children are final before j reads them; each node visits only
-        the subtrees of its own production (only node pairs with equal
-        productions can share a fragment).
+        the production's ascending ids below count, then its ids in
+        extra, t2's productions in the order they first occur in its
+        postorder. The rows are filled node of t2 by node of t2, in
+        postorder, so the entries of j's children are final before j
+        reads them; each node visits only the subtrees of its own
+        production (only node pairs with equal productions can share a
+        fragment).
         """
         children, children2, n2 = self.children, ix2.children, len(ix2.children)
         prods2, atomic2 = ix2.sst
+        own: dict = {}
+        for s in extra:
+            own.setdefault(self.keys[s], []).append(s)
         kept, groups, rows = [], {}, 1
         for prod in dict.fromkeys(prods2):
             entry = self.by_prod.get(prod)
             if entry is None:
                 continue
-            k = bisect_left(entry, count)
-            kept += entry[:k]
-            groups[prod] = range(rows * n2, (rows + k) * n2, n2), entry
+            ids = entry[: bisect_left(entry, count)]
+            if own:
+                ids += own.get(prod, ())
+            k = len(ids)
+            kept += ids
+            groups[prod] = range(rows * n2, (rows + k) * n2, n2), ids
             rows += k
         buf = _zeros(rows * n2)
-        where = np.zeros(count, dtype=np.intp)
+        where = np.zeros(size, dtype=np.intp)
         where[kept] = np.arange(1, rows)
         offset = (where * n2).tolist()
         for j, (prod, unit) in enumerate(zip(prods2, atomic2)):
@@ -329,14 +349,18 @@ class _Subtrees:
                 buf[off + j] = val
         return np.frombuffer(buf).reshape(rows, n2), where
 
-    def _ptk_rows(self, rows: list, where: list, ix2: TreeIndex, params, memo: dict):
+    def _ptk_rows(self, rows: list, where: list, ix2: TreeIndex, params, memo: dict, count, extra):
         lam, mu, n2 = params.lam, params.mu, len(ix2.children)
         buckets, children2 = ix2.buckets, ix2.children
+        keys, children = self.keys, self.children
         # a pair's delta is mu * gate * total with the exact-label gate 1.0
         # (and mu * 1.0 is mu); a pair with a childless node has no child
         # subsequences, so its total is lam^2
         leaf = mu * (lam * lam)
-        for s, label, kids in zip(range(len(where)), self.keys, self.children):
+        for s, label, kids in itertools.chain(
+            zip(range(count), keys, children),
+            zip(extra, map(keys.__getitem__, extra), map(children.__getitem__, extra)),
+        ):
             cols = buckets.get(label)
             if cols is None:
                 continue
@@ -353,9 +377,23 @@ class _Subtrees:
                 row[j] = mu * _child_total(child_rows, ch2, lam, memo) if ch2 else leaf
 
 
-def subtree_matrix(rows: list, cols: list, params: TreeKernelParams, memo: dict) -> np.ndarray:
-    """Raw SST or PTK values of every row tree against every column tree;
-    when cols is rows, only the upper triangle, and the rest stays 0.
+def _own_ids(sids: np.ndarray, count: int) -> list:
+    """A tree's distinct subtree ids at or above count, ascending."""
+    return sorted(set(sids[sids >= count].tolist()))
+
+
+def _own_sum(block: np.ndarray, where: np.ndarray, sids: np.ndarray) -> float:
+    """A tree's raw kernel against itself from a column over its own
+    ids: its (n, n) deltas, summed as a per-pair program's table."""
+    return float(block.take(where.take(sids), axis=0).sum())
+
+
+def subtree_matrix(rows: list, cols: list, params: TreeKernelParams, memo: dict) -> tuple:
+    """(values, row_self, col_self): raw SST or PTK values of every row
+    tree against every column tree, and, when params.normalize, each
+    tree's raw value against itself (both None otherwise). When cols is
+    rows, values holds only the upper triangle, the rest stays 0, and
+    both self-value arrays are its diagonal.
 
     The row trees are interned into one _Subtrees table. Each column tree
     then gets one block of subtree rows, over the ids its cells need
@@ -373,16 +411,24 @@ def subtree_matrix(rows: list, cols: list, params: TreeKernelParams, memo: dict)
     slice, and are scattered to the rows once per column. The block is
     dropped before the next column. memo holds child-subsequence totals
     (_child_total) and must serve one lam only.
+
+    A rectangle's self values come from the same table. The column trees
+    are interned after the row trees, and a column's block also fills the
+    rows of its own subtrees that no row tree holds, so its self value is
+    the sum of its own rows in that block. Each row tree's comes from one
+    more column, itself, over only its own ids. A row is the same floats
+    in any table, so each self value has the bits of a one-tree table's.
     """
     square = cols is rows
+    selfs = params.normalize
     values = np.zeros((len(rows), len(cols)))
-    if not rows:
-        return values
     table = _Subtrees(params.kind)
     sids, counts = [], []
     for tree in rows:
         sids.append(table.add(tree))
         counts.append(len(table.keys))
+    row_subtrees = len(table.keys)  # the ids the row trees hold
+    col_sids = [table.add(tree) for tree in cols] if selfs and not square else None
     # the row trees sorted stably by node count, so each count's trees
     # hold one run of positions, in ascending row order
     order = sorted(range(len(rows)), key=lambda r: len(sids[r]))
@@ -391,10 +437,16 @@ def subtree_matrix(rows: list, cols: list, params: TreeKernelParams, memo: dict)
         members = list(run)
         runs.append((start, members, n, np.concatenate([sids[r] for r in members])))
         start += len(members)
-    order = np.array(order)
+    order = np.array(order, dtype=np.intp)
+    col_self = np.zeros(len(cols))
     for c, t2 in enumerate(cols):
-        last = c + 1 if square else len(rows)
-        block, where = table.column(t2, counts[last - 1], params, memo)
+        if square:
+            block, where = table.column(t2, counts[c], params, memo)
+        else:
+            extra = () if col_sids is None else _own_ids(col_sids[c], row_subtrees)
+            block, where = table.column(t2, row_subtrees, params, memo, extra)
+            if col_sids is not None:
+                col_self[c] = _own_sum(block, where, col_sids[c])
         column, n2 = np.zeros(len(rows)), block.shape[1]  # in sorted order
         for start, members, n, ids in runs:
             k = bisect_right(members, c) if square else len(members)
@@ -405,7 +457,16 @@ def subtree_matrix(rows: list, cols: list, params: TreeKernelParams, memo: dict)
                 cells = block.take(where.take(ids[a * n : b * n]), axis=0)
                 column[start + a : start + b] = cells.reshape(b - a, n * n2).sum(axis=1)
         values[order, c] = column
-    return values
+    if not selfs:
+        return values, None, None
+    if square:
+        diagonal = values.diagonal().copy()
+        return values, diagonal, diagonal
+    row_self = np.zeros(len(rows))
+    for r, tree in enumerate(rows):
+        block, where = table.column(tree, 0, params, memo, _own_ids(sids[r], 0))
+        row_self[r] = _own_sum(block, where, sids[r])
+    return values, row_self, col_self
 
 
 def _sptk_matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo: dict):
@@ -477,6 +538,26 @@ def normalize(raw: float, s1: float, s2: float) -> float:
     if product == 0.0 or product == math.inf:
         return raw / (math.sqrt(s1) * math.sqrt(s2))
     return raw / math.sqrt(product)
+
+
+def normalize_row(raw: np.ndarray, s1: float, s2: np.ndarray) -> np.ndarray:
+    """normalize(raw[j], s1, s2[j]) for every j, bit for bit, as one row
+    of numpy operations: numpy's multiply, sqrt and divide round as
+    Python's do, and the special cases are applied as masks in the
+    order normalize tests them. No floating-point warning is raised,
+    as normalize raises none."""
+    if s1 <= 0.0:
+        return np.zeros(len(raw))
+    with np.errstate(all="ignore"):
+        product = s1 * s2
+        root = np.sqrt(product)
+        odd = (product == 0.0) | (product == math.inf)
+        if odd.any():
+            root[odd] = math.sqrt(s1) * np.sqrt(s2[odd])
+        out = raw / root
+    out[(raw == s1) & (s2 == s1)] = 1.0
+    out[s2 <= 0.0] = 0.0
+    return out
 
 
 def tree_kernel(

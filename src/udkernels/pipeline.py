@@ -282,12 +282,14 @@ def run_train(cfg: RunConfig, model_out, gram_path=None) -> SvmModel:
         max_passes=cfg.svm.max_passes,
         class_weights=cfg.svm.class_weights or None,
     )
+    # build_model pools only the support vectors' payloads, so only those are encoded
+    supports = sorted({int(i) for binary in ovr.binaries.values() for i in binary.support})
     model = build_model(
         cfg.task,
         kernel_spec_to_dict(cfg.kernel_spec),
         ovr,
         prepared.labels,
-        [payload_to_dict(cfg.task, p) for p in prepared.payloads],
+        {i: payload_to_dict(cfg.task, prepared.payloads[i]) for i in supports},
         training_meta={"fingerprint": fingerprint, "C": cfg.svm.C, "tol": cfg.svm.tol},
     )
     if model_out is not None:

@@ -308,7 +308,10 @@ def build_model(
     payloads,
     training_meta: dict | None = None,
 ) -> SvmModel:
-    """Package a trained one-vs-rest model with its support payloads."""
+    """Package a trained one-vs-rest model with its support payloads.
+
+    payloads[i] is training instance i's payload; only the support
+    vectors' are read, so a dict holding just those serves as well."""
     labels = list(labels)
     pool: list = []
     pool_index: dict = {}

@@ -12,6 +12,8 @@ kernel call: SST, PTK and SPTK all read it, so a tree is walked once.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -339,91 +341,107 @@ class ConstTree:
         return out
 
 
+# a bracketed text's tokens: a bracket, or an atom, a run of characters
+# that are not brackets or whitespace, each one escapable by a backslash.
+# \s is exactly str.isspace() (test_transforms checks every code point).
+_TOKEN = re.compile(r"[()]|(?:[^()\s\\]|\\.)+", re.DOTALL)
+# a character the reader takes as syntax, which _escape puts a backslash before
+_SYNTAX = re.compile(r"[()^\\\s]")
+# in an atom holding a backslash: an escaped character, or an unescaped caret
+_ESCAPE_OR_CARET = re.compile(r"\\(.)|\^", re.DOTALL)
+
+
 def _escape(atom: str) -> str:
-    """atom with a backslash before each character _tokenize would read
+    """atom with a backslash before each character the reader would take
     as syntax: brackets, carets, backslashes and any str.isspace()."""
-    return "".join("\\" + ch if ch in "()^\\" or ch.isspace() else ch for ch in atom)
+    # a function replacement: on Python 3.11, re.sub parses a template
+    # string again on every call, which costs more than the scan
+    return _SYNTAX.sub(_escaped, atom)
 
 
-def _tokenize(line: str, where: str) -> list:
-    """(kind, parts, offset) tokens of a bracketed line. A bracket's kind
-    is "(" or ")" and its parts None; an atom's kind is "atom" and its
-    parts are its unescaped text split at its unescaped carets."""
-    tokens = []
-    parts = None  # the atom being read
-    run = 0  # where its current run of plain characters starts
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch in "()" or ch.isspace():
-            if parts is not None:
-                parts[-1] += line[run:i]
-                tokens.append(("atom", parts, start))
-                parts = None
-            if ch in "()":
-                tokens.append((ch, None, i))
-        elif parts is None or ch in "^\\":
-            if parts is None:
-                parts, start, run = [""], i, i
-            if ch == "^":
-                parts[-1] += line[run:i]
-                parts.append("")
-                run = i + 1
-            elif ch == "\\":
-                if i + 1 == len(line):
-                    raise BracketError(f"{where}, offset {i}: dangling escape")
-                parts[-1] += line[run:i]
-                run = i + 1  # the escaped character opens the next run
-                i += 1
-        i += 1
-    if parts is not None:
-        parts[-1] += line[run:]
-        tokens.append(("atom", parts, start))
-    return tokens
+def _escaped(match: re.Match) -> str:
+    return "\\" + match.group()
+
+
+def _parts(atom: str) -> list:
+    """An atom token's unescaped text, split at its unescaped carets."""
+    if "\\" not in atom:
+        return atom.split("^")
+    parts, start = [""], 0
+    for match in _ESCAPE_OR_CARET.finditer(atom):
+        parts[-1] += atom[start : match.start()]
+        if match.group(1) is None:
+            parts.append("")
+        else:
+            parts[-1] += match.group(1)
+        start = match.end()
+    parts[-1] += atom[start:]
+    return parts
+
+
+class _Refused(Exception):
+    """Raised by a node builder of _parse; _parse reports it with the
+    node's offset."""
 
 
 def _parse(text: str, where: str, build):
     """The one tree written in text.
 
-    build(parts, children, offset) makes each node after its children:
-    children is None for a bare atom and a tuple, maybe empty, for a
-    bracketed node; offset is where the node starts.
+    build(parts, children) makes each node after its children, from the
+    label's parts (its unescaped text split at unescaped carets): children
+    is None for a bare atom and a tuple, maybe empty, for a bracketed
+    node. It may raise _Refused(detail). The reader keeps its own stack
+    of open nodes, so a tree of any depth is read; a token's offset is
+    found only when an error names it.
     """
-    tokens = _tokenize(text, where)
-    if not tokens:
+    # only the last character can be a backslash that escapes nothing
+    if (len(text) - len(text.rstrip("\\"))) % 2:
+        raise BracketError(f"{where}, offset {len(text) - 1}: dangling escape")
+    tokens = _TOKEN.findall(text)
+    end = len(tokens)
+    if not end:
         raise BracketError(f"{where}: empty tree")
-    pos = 0
 
-    def node():
-        nonlocal pos
-        kind, parts, off = tokens[pos]
-        pos += 1
-        if kind == ")":
-            raise BracketError(f"{where}, offset {off}: unexpected ')'")
-        if kind == "atom":
-            return build(parts, None, off)
-        if pos == len(tokens) or tokens[pos][0] != "atom":
-            raise BracketError(f"{where}, offset {off}: missing node label")
-        label = tokens[pos][1]
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos][0] != ")":
-            children.append(node())
-        if pos == len(tokens):
-            raise BracketError(f"{where}, offset {off}: unbalanced parentheses")
-        pos += 1
-        return build(label, tuple(children), off)
+    def fail(detail: str, at: int):
+        offset = next(itertools.islice(_TOKEN.finditer(text), at, None)).start()
+        raise BracketError(f"{where}, offset {offset}: {detail}") from None
 
-    tree = node()
-    if pos != len(tokens):
-        raise BracketError(f"{where}, offset {tokens[pos][2]}: trailing content after tree")
-    return tree
+    stack = []  # open nodes: (label token, children so far, token index)
+    i = 0
+    try:
+        while True:
+            token = tokens[i]
+            if token == "(":
+                if i + 1 == end or tokens[i + 1] in "()":
+                    fail("missing node label", i)
+                stack.append((tokens[i + 1], [], i))
+                i += 2
+            else:
+                if token == ")":
+                    if not stack:
+                        fail("unexpected ')'", i)
+                    label, children, at = stack.pop()
+                    node = build(_parts(label), tuple(children))
+                else:
+                    at = i
+                    node = build(_parts(token), None)
+                i += 1
+                if not stack:
+                    break
+                stack[-1][1].append(node)
+            if i == end:
+                fail("unbalanced parentheses", stack[-1][2])
+    except _Refused as exc:
+        fail(str(exc), at)
+    if i != end:
+        fail("trailing content after tree", i)
+    return node
 
 
 def _parse_const_line(line: str, where: str) -> ConstTree:
     leaves = 0
 
-    def build(parts, children, _off) -> ConstTree:
+    def build(parts, children) -> ConstTree:
         nonlocal leaves
         label = "^".join(parts)  # a caret is plain text in a constituency label
         if children:
@@ -524,12 +542,12 @@ def labeled_to_sexpr(tree: LabeledTree) -> str:
     return f"({atom} {inner})"
 
 
-def _labeled_node(parts, children, off) -> LabeledTree:
+def _labeled_node(parts, children) -> LabeledTree:
     if children is None:
-        raise BracketError(f"<sexpr>, offset {off}: expected '('")
+        raise _Refused("expected '('")
     if len(parts) > 2:
         atom = "^".join(map(_escape, parts))
-        raise BracketError(f"<sexpr>, offset {off}: label {atom!r} has more than one unescaped '^'")
+        raise _Refused(f"label {atom!r} has more than one unescaped '^'")
     if len(parts) == 2:
         return LabeledTree(label=parts[0], kind=LEXICAL, children=children, pos_tag=parts[1])
     return LabeledTree(label=parts[0], kind=SYNTACTIC, children=children)

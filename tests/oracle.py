@@ -6,11 +6,20 @@ udkernels.kernels: brute_force_kernel for SST and PTK, and
 brute_force_sptk for SPTK (Croce, Moschitti and Basili, EMNLP 2011).
 The enumeration is exponential in tree size, so every oracle refuses
 trees of more than _ORACLE_MAX_NODES nodes.
+
+The module also keeps the character-by-character bracket reader and
+writer that udkernels.transforms replaced with a regex scan and an
+explicit stack: reference_labeled_from_sexpr, reference_parse_bracketed,
+reference_labeled_to_sexpr and reference_const_to_bracketed must agree
+with the package's readers and writers on every result and on the type
+and text of every error.
 """
 
 import itertools
 
-from udkernels.transforms import LabeledTree, _escape
+from udkernels.conllu import split_lines
+from udkernels.errors import BracketError
+from udkernels.transforms import LEXICAL, SYNTACTIC, ConstTree, LabeledTree, _escape
 
 _ORACLE_MAX_NODES = 6
 
@@ -155,3 +164,144 @@ def brute_force_sptk(
                         score *= sigma(a, b)
                     total += score
     return total
+
+
+# --- the reference bracket reader and writer --------------------------------
+
+
+def reference_escape(atom: str) -> str:
+    """atom with a backslash before each character reference_tokenize
+    would read as syntax: brackets, carets, backslashes and any
+    str.isspace()."""
+    return "".join("\\" + ch if ch in "()^\\" or ch.isspace() else ch for ch in atom)
+
+
+def reference_tokenize(line: str, where: str) -> list:
+    """(kind, parts, offset) tokens of a bracketed line. A bracket's kind
+    is "(" or ")" and its parts None; an atom's kind is "atom" and its
+    parts are its unescaped text split at its unescaped carets."""
+    tokens = []
+    parts = None  # the atom being read
+    run = 0  # where its current run of plain characters starts
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if ch in "()" or ch.isspace():
+            if parts is not None:
+                parts[-1] += line[run:i]
+                tokens.append(("atom", parts, start))
+                parts = None
+            if ch in "()":
+                tokens.append((ch, None, i))
+        elif parts is None or ch in "^\\":
+            if parts is None:
+                parts, start, run = [""], i, i
+            if ch == "^":
+                parts[-1] += line[run:i]
+                parts.append("")
+                run = i + 1
+            elif ch == "\\":
+                if i + 1 == len(line):
+                    raise BracketError(f"{where}, offset {i}: dangling escape")
+                parts[-1] += line[run:i]
+                run = i + 1  # the escaped character opens the next run
+                i += 1
+        i += 1
+    if parts is not None:
+        parts[-1] += line[run:]
+        tokens.append(("atom", parts, start))
+    return tokens
+
+
+def reference_parse(text: str, where: str, build):
+    """The one tree written in text, by recursive descent over
+    reference_tokenize's tokens.
+
+    build(parts, children, offset) makes each node after its children:
+    children is None for a bare atom and a tuple, maybe empty, for a
+    bracketed node; offset is where the node starts.
+    """
+    tokens = reference_tokenize(text, where)
+    if not tokens:
+        raise BracketError(f"{where}: empty tree")
+    pos = 0
+
+    def node():
+        nonlocal pos
+        kind, parts, off = tokens[pos]
+        pos += 1
+        if kind == ")":
+            raise BracketError(f"{where}, offset {off}: unexpected ')'")
+        if kind == "atom":
+            return build(parts, None, off)
+        if pos == len(tokens) or tokens[pos][0] != "atom":
+            raise BracketError(f"{where}, offset {off}: missing node label")
+        label = tokens[pos][1]
+        pos += 1
+        children = []
+        while pos < len(tokens) and tokens[pos][0] != ")":
+            children.append(node())
+        if pos == len(tokens):
+            raise BracketError(f"{where}, offset {off}: unbalanced parentheses")
+        pos += 1
+        return build(label, tuple(children), off)
+
+    tree = node()
+    if pos != len(tokens):
+        raise BracketError(f"{where}, offset {tokens[pos][2]}: trailing content after tree")
+    return tree
+
+
+def _reference_labeled_node(parts, children, off) -> LabeledTree:
+    if children is None:
+        raise BracketError(f"<sexpr>, offset {off}: expected '('")
+    if len(parts) > 2:
+        atom = "^".join(map(reference_escape, parts))
+        raise BracketError(f"<sexpr>, offset {off}: label {atom!r} has more than one unescaped '^'")
+    if len(parts) == 2:
+        return LabeledTree(label=parts[0], kind=LEXICAL, children=children, pos_tag=parts[1])
+    return LabeledTree(label=parts[0], kind=SYNTACTIC, children=children)
+
+
+def reference_labeled_from_sexpr(text: str) -> LabeledTree:
+    return reference_parse(text, "<sexpr>", _reference_labeled_node)
+
+
+def reference_parse_bracketed(text: str, source: str = "<string>") -> list:
+    trees = []
+    for lineno, line in enumerate(split_lines(text), start=1):
+        if not line.strip():
+            continue
+        leaves = 0
+
+        def build(parts, children, _off) -> ConstTree:
+            nonlocal leaves
+            label = "^".join(parts)
+            if children:
+                return ConstTree(label, children, (children[0].span[0], children[-1].span[1]))
+            leaves += 1
+            return ConstTree(label, span=(leaves, leaves))
+
+        trees.append(reference_parse(line, f"{source}:line {lineno}", build))
+    return trees
+
+
+def reference_labeled_to_sexpr(tree: LabeledTree) -> str:
+    atom = reference_escape(tree.label)
+    if tree.kind == LEXICAL:
+        atom += "^" + reference_escape(tree.pos_tag or "X")
+    if not tree.children:
+        return f"({atom})"
+    return f"({atom} {' '.join(map(reference_labeled_to_sexpr, tree.children))})"
+
+
+def reference_const_to_bracketed(tree: ConstTree) -> str:
+    def bracketed(node: ConstTree) -> str:
+        if "\n" in node.label:
+            raise BracketError(f"constituency label {node.label!r} holds a line feed")
+        if not node.children:
+            return reference_escape(node.label)
+        return f"({reference_escape(node.label)} {' '.join(map(bracketed, node.children))})"
+
+    text = bracketed(tree)
+    return f"({text})" if text.endswith("\r") else text

@@ -155,8 +155,9 @@ def test_identical_instance_scores_four_under_squared_core():
 def count_tree_kernel_calls(monkeypatch) -> Counter:
     """Per-kind count of the tree pairs combine evaluates, one per
     tree_kernel call and one per cell a kernels.subtree_matrix call
-    fills (the upper triangle of a square one), and of the polynomial
-    vector kernel calls under "poly"."""
+    fills (the upper triangle of a square one) or self value it adds (a
+    normalized rectangle's, one per row and column tree), and of the
+    polynomial vector kernel calls under "poly"."""
     calls = Counter()
     real_tree, real_matrix, real_poly = (
         combine.tree_kernel,
@@ -170,7 +171,10 @@ def count_tree_kernel_calls(monkeypatch) -> Counter:
 
     def counted_matrix(rows, cols, params, *args):
         n = len(rows)
-        calls[params.kind] += n * (n + 1) // 2 if cols is rows else n * len(cols)
+        if cols is rows:
+            calls[params.kind] += n * (n + 1) // 2
+        else:
+            calls[params.kind] += n * len(cols) + (n + len(cols) if params.normalize else 0)
         return real_matrix(rows, cols, params, *args)
 
     def counted_poly(*args):

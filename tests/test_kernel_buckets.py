@@ -17,6 +17,7 @@ bit for bit.
 
 import math
 import struct
+from dataclasses import replace
 from array import array
 
 import numpy as np
@@ -606,8 +607,8 @@ def test_subtree_matrix_equals_full_scan_on_shared_subtrees(rows, cols, lam, mu)
     }
     for kind, scan in scans.items():
         params = TreeKernelParams(kind, lam=lam, mu=mu, normalize=False)
-        square = subtree_matrix(rows, rows, params, {})
-        rect = subtree_matrix(rows, cols, params, {})
+        square = subtree_matrix(rows, rows, params, {})[0]
+        rect = subtree_matrix(rows, cols, params, {})[0]
         for i, t1 in enumerate(rows):
             for j, t2 in enumerate(rows):
                 want = float(scan(t1, t2).sum()) if j >= i else 0.0
@@ -621,8 +622,8 @@ def test_subtree_matrix_equals_full_scan_on_shared_subtrees(rows, cols, lam, mu)
         # a memo emptied before every insertion changes no bit
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernels, "_MEMO_CAP", 1)
-            assert subtree_matrix(rows, rows, params, {}).tobytes() == square.tobytes()
-            assert subtree_matrix(rows, cols, params, {}).tobytes() == rect.tobytes()
+            assert subtree_matrix(rows, rows, params, {})[0].tobytes() == square.tobytes()
+            assert subtree_matrix(rows, cols, params, {})[0].tobytes() == rect.tobytes()
 
 
 # --- row trees grouped by node count ----------------------------------------
@@ -672,8 +673,8 @@ def test_grouped_sums_equal_full_scan_bit_for_bit(rows, cols, lam, mu, data):
             [[scan(t1, t2).sum() if j >= i else 0.0 for j, t2 in enumerate(rows)] for i, t1 in enumerate(rows)]
         )
         want_rect = np.array([[scan(t1, t2).sum() for t2 in cols] for t1 in rows])
-        square = subtree_matrix(rows, rows, params, {})
-        rect = subtree_matrix(rows, cols, params, {})
+        square = subtree_matrix(rows, rows, params, {})[0]
+        rect = subtree_matrix(rows, cols, params, {})[0]
         assert square.tobytes() == want_square.tobytes()
         assert rect.tobytes() == want_rect.tobytes()
         # an emptied memo, one tree per gather, or a few, change no bit
@@ -681,8 +682,8 @@ def test_grouped_sums_equal_full_scan_bit_for_bit(rows, cols, lam, mu, data):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(kernels, "_MEMO_CAP", memo_cap)
                 patch.setattr(kernels, "_GATHER_CAP", gather_cap)
-                assert subtree_matrix(rows, rows, params, {}).tobytes() == square.tobytes()
-                assert subtree_matrix(rows, cols, params, {}).tobytes() == rect.tobytes()
+                assert subtree_matrix(rows, rows, params, {})[0].tobytes() == square.tobytes()
+                assert subtree_matrix(rows, cols, params, {})[0].tobytes() == rect.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -755,8 +756,8 @@ def test_sst_production_rows_equal_full_scan_bit_for_bit(forest, lam, gather_cap
     with pytest.MonkeyPatch.context() as patch:
         if gather_cap is not None:
             patch.setattr(kernels, "_GATHER_CAP", gather_cap)
-        square = subtree_matrix(rows, rows, params, {})
-        rect = subtree_matrix(rows, cols, params, {})
+        square = subtree_matrix(rows, rows, params, {})[0]
+        rect = subtree_matrix(rows, cols, params, {})[0]
     assert square.tobytes() == want_square.tobytes()
     assert rect.tobytes() == want_rect.tobytes()
     # the stranger's cells are exactly +0.0
@@ -787,6 +788,43 @@ def test_sst_column_rows_cover_only_ids_below_count(forest, lam):
             for r in range(c + 1):
                 deltas = block[where[sids[r]]]
                 assert_same_matrix(deltas, full_scan_sst(rows[r], t2, lam), rows[r], t2)
+
+
+# --- self values from the shared subtree table -----------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=forests(), cols=forests(), lam=decays, mu=decays, data=st.data())
+def test_rectangle_self_values_equal_scalar_self_kernels_bit_for_bit(rows, cols, lam, mu, data):
+    # the columns hold a row tree object and an equal copy of one, which
+    # share every subtree with the rows, and a tree of strangers, which
+    # shares none; each side is also taken against an empty other side
+    cols = cols + [
+        data.draw(st.sampled_from(rows)),
+        rebuilt(data.draw(st.sampled_from(rows))),
+        data.draw(strangers),
+    ]
+    for kind in ("SST", "PTK"):
+        params = TreeKernelParams(kind, lam=lam, mu=mu)
+        raw = replace(params, normalize=False)
+        for r, c in [(rows, cols), ([], cols), (rows, [])]:
+            values, row_self, col_self = subtree_matrix(r, c, params, {})
+            assert values.tobytes() == subtree_matrix(r, c, raw, {})[0].tobytes()
+            want_row = np.array([tree_kernel(t, t, raw) for t in r], dtype=float)
+            want_col = np.array([tree_kernel(t, t, raw) for t in c], dtype=float)
+            assert row_self.tobytes() == want_row.tobytes()
+            assert col_self.tobytes() == want_col.tobytes()
+            # an emptied memo changes no bit
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernels, "_MEMO_CAP", 1)
+                again = subtree_matrix(r, c, params, {})
+            assert again[1].tobytes() == row_self.tobytes()
+            assert again[2].tobytes() == col_self.tobytes()
+        # a square matrix's self values are its diagonal; unnormalized,
+        # no side has any
+        values, row_self, col_self = subtree_matrix(rows, rows, params, {})
+        assert row_self.tobytes() == col_self.tobytes() == values.diagonal().tobytes()
+        assert subtree_matrix(rows, cols, raw, {})[1:] == (None, None)
 
 
 # --- the per-tree index memo --------------------------------------------------
@@ -883,3 +921,8 @@ def test_tree_matrix_names_the_first_overflowing_pair():
             _tree_matrix(trees, trees, params, ids, ids)
         with pytest.raises(NumericError, match="^kernel failed on pair t x c: SST kernel overflowed"):
             _tree_matrix(trees[:2], [small, spine], params, ids[:2], ("b", "c"))
+        # only a self value overflows: a row tree's fails before a column tree's
+        with pytest.raises(NumericError, match="^kernel failed on pair t x t: SST kernel overflowed"):
+            _tree_matrix([small, spine], [small, small], params, ("s", "t"), ("b", "c"))
+        with pytest.raises(NumericError, match="^kernel failed on pair c x c: SST kernel overflowed"):
+            _tree_matrix([small], [small, spine], params, ("s",), ("b", "c"))

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from udkernels.kernels import (
     TreeKernelParams,
     delta_matrix,
     normalize,
+    normalize_row,
     poly_kernel,
     tree_kernel,
 )
@@ -173,6 +176,49 @@ def test_normalize_stays_finite_when_the_product_under_or_overflows(s1, s2):
     raw = 0.5 * math.sqrt(s1) * math.sqrt(s2)
     value = normalize(raw, s1, s2)
     assert math.isfinite(value) and value == pytest.approx(0.5)
+
+
+# self values <= 0, subnormal and huge ones (whose products under- or
+# overflow), an infinite and a NaN one
+NORMALIZE_SPECIALS = [
+    0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-170, 0.25, 1.0, 3.0, 1e170, 1e300, 1e308, math.inf, math.nan,
+]
+
+
+def same_cells(got: np.ndarray, want: list) -> bool:
+    want = np.array(want, dtype=float)
+    return got.shape == want.shape and all(
+        a.tobytes() == b.tobytes() or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, want)
+    )
+
+
+def normalize_row_quietly(raw, s1, s2):
+    # floating-point warnings raised as errors, as CI runs the tests
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return normalize_row(np.array(raw, dtype=float), s1, np.array(s2, dtype=float))
+
+
+def test_normalize_row_equals_normalize_on_every_special_cell():
+    # every (raw, s2) pair of the specials in one row per s1, raw == s1 == s2 among them
+    pairs = list(itertools.product(NORMALIZE_SPECIALS, repeat=2))
+    raws, s2s = [r for r, _ in pairs], [t for _, t in pairs]
+    for s1 in NORMALIZE_SPECIALS:
+        got = normalize_row_quietly(raws, s1, s2s)
+        assert same_cells(got, [normalize(r, s1, t) for r, t in pairs]), s1
+
+
+finite = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s1=finite, cells=st.lists(st.tuples(finite, finite), max_size=8), data=st.data())
+def test_normalize_row_equals_normalize_bit_for_bit(s1, cells, data):
+    # cells that repeat s1 as raw and s2, where the exact 1.0 applies
+    cells = cells + [(s1, s1)] * data.draw(st.integers(0, 2))
+    raws, s2s = [r for r, _ in cells], [t for _, t in cells]
+    got = normalize_row_quietly(raws, s1, s2s)
+    assert same_cells(got, [normalize(r, s1, t) for r, t in cells])
 
 
 # --- bookkeeping and errors ------------------------------------------------

@@ -29,7 +29,7 @@ from udkernels.pipeline import (
     spec_fingerprint,
     write_gram,
 )
-from udkernels.svm import GramMatrix
+from udkernels.svm import GramMatrix, save_model
 from udkernels.synthetic import write_crosslingual_re, write_pi_corpus, write_re_corpus
 
 
@@ -268,6 +268,47 @@ def test_train_reuses_gram_file(pi_paths, tmp_path):
     run_train(cfg, direct)
     run_train(cfg, reused, gram_path=gram_path)
     assert filecmp.cmp(direct, reused, shallow=False)
+
+
+def test_train_encodes_only_the_support_payloads(re_paths, tmp_path, monkeypatch):
+    import udkernels.pipeline as pipeline
+
+    cfg = re_config(re_paths)
+    encoded, built = [], {}
+    real_train, real_encode, real_build = (
+        pipeline.train_ovr,
+        pipeline.payload_to_dict,
+        pipeline.build_model,
+    )
+
+    def train(*args, **kwargs):
+        # every instance of these small corpora is a support; make the
+        # first two supports of no class
+        ovr = real_train(*args, **kwargs)
+        for binary in ovr.binaries.values():
+            binary.alpha[:2] = 0.0
+        return ovr
+
+    def encode(task, payload):
+        encoded.append(payload)
+        return real_encode(task, payload)
+
+    def build(task, spec, ovr, labels, payloads, **kwargs):
+        built.update(args=(task, spec, ovr, labels), kwargs=kwargs)
+        return real_build(task, spec, ovr, labels, payloads, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_ovr", train)
+    monkeypatch.setattr(pipeline, "payload_to_dict", encode)
+    monkeypatch.setattr(pipeline, "build_model", build)
+    model = run_train(cfg, tmp_path / "model.json")
+    payloads = prepare_split(cfg, load_resources(cfg), "train").payloads
+    # only the supports are encoded
+    assert 0 < len(model.supports) == len(payloads) - 2
+    assert len(encoded) == len(model.supports)
+    # the model file holds the bytes a model pooling from every encoded payload gives
+    every = [real_encode(cfg.task, p) for p in payloads]
+    save_model(real_build(*built["args"], every, **built["kwargs"]), tmp_path / "every.json")
+    assert filecmp.cmp(tmp_path / "model.json", tmp_path / "every.json", shallow=False)
 
 
 def test_train_refuses_unknown_class_weight_before_the_gram(re_paths, monkeypatch):

@@ -1,3 +1,4 @@
+import re
 import sys
 from dataclasses import replace
 
@@ -31,6 +32,12 @@ from udkernels.transforms import (
 )
 
 from conftest import tok, tree
+from oracle import (
+    reference_const_to_bracketed,
+    reference_labeled_from_sexpr,
+    reference_labeled_to_sexpr,
+    reference_parse_bracketed,
+)
 
 
 # --- lexical centered trees ------------------------------------------------
@@ -425,6 +432,82 @@ def test_bracketed_caret_is_plain_text():
 def test_bracket_errors(read, text, message):
     with pytest.raises(BracketError, match=message):
         read(text)
+
+
+# --- the regex reader against the character-by-character reference --------
+
+# brackets, carets, backslashes, spaces, an ASCII separator and U+2028 (both
+# str.isspace()), a line feed, and two letters
+READER_ALPHABET = "()^\\ \x1c \nab"
+reader_texts = st.text(alphabet=READER_ALPHABET, max_size=24)
+# labels over the same alphabet, for the writers
+reader_labels = st.text(alphabet=READER_ALPHABET, min_size=1, max_size=4)
+written_trees = st.recursive(
+    st.builds(
+        lambda label, pos: LabeledTree(label, LEXICAL if pos else SYNTACTIC, (), pos),
+        reader_labels,
+        st.none() | reader_labels,
+    ),
+    lambda kids: st.builds(
+        lambda label, pos, c: LabeledTree(label, LEXICAL if pos else SYNTACTIC, tuple(c), pos),
+        reader_labels,
+        st.none() | reader_labels,
+        st.lists(kids, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def outcome(read, *args):
+    """read(*args), or the type and text of the error it raises."""
+    try:
+        return read(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(reader_texts)
+def test_readers_equal_the_reference_reader(text):
+    # every bracket pair and every bare atom also gets a chance to parse
+    for candidate in (text, f"({text})", f"(a {text})"):
+        assert outcome(labeled_from_sexpr, candidate) == outcome(
+            reference_labeled_from_sexpr, candidate
+        )
+        assert outcome(parse_bracketed, candidate, "f") == outcome(
+            reference_parse_bracketed, candidate, "f"
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_trees)
+def test_writers_equal_the_reference_writer(tree):
+    text = labeled_to_sexpr(tree)
+    assert text == reference_labeled_to_sexpr(tree)
+    assert labeled_from_sexpr(text) == tree
+    # the same shape as a constituency tree; a label holding a line feed
+    # is refused by both writers
+    const = as_const(tree)
+    assert outcome(const_to_bracketed, const) == outcome(reference_const_to_bracketed, const)
+
+
+def as_const(tree: LabeledTree) -> ConstTree:
+    return ConstTree(tree.label, tuple(map(as_const, tree.children)))
+
+
+def test_regex_whitespace_is_exactly_str_isspace():
+    # the reader splits tokens at \s and the writer escapes \s: both rely on
+    # it matching the characters str.isspace() accepts, and no others
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [ch for ch in every if ch.isspace()]
+
+
+def test_reader_takes_a_tree_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    tree = labeled_from_sexpr("(a " * depth + "(b)" + ")" * depth)
+    for _ in range(depth):
+        (tree,) = tree.children
+    assert tree == syn("b")
 
 
 # --- postorder views and path-enclosed trees ----------------------------------
