@@ -229,6 +229,28 @@ def _slot_matrix(rows: list, cols: list, kernel, row_ids, col_ids, normalized=Tr
     return _finish(values, square, s_row, s_col)
 
 
+def _vector_kernel(vectors: list, spec: CompositeParams):
+    """The kernel of the context-vector slot matrix over vectors.
+
+    poly_kernel reads two vectors as float64 arrays, checks that their
+    shapes are equal and the degree valid, then evaluates. When every
+    vector already is a float64 array, all of one shape, and the degree
+    an int >= 1, those checks hold for every pair, so they are made here
+    once and the kernel is poly_kernel's expression alone. Otherwise the
+    kernel is poly_kernel itself, and the first pair that fails its
+    checks raises its error, named.
+    """
+    degree, coef0 = spec.vec_degree, spec.vec_coef0
+    if (
+        type(degree) is int
+        and degree >= 1
+        and all(type(u) is np.ndarray and u.dtype == np.float64 for u in vectors)
+        and len({u.shape for u in vectors}) <= 1
+    ):
+        return lambda u, v: float((float(np.dot(u, v)) + coef0) ** degree)
+    return lambda u, v: poly_kernel(u, v, degree, coef0)
+
+
 def _tree_matrix(rows: list, cols: list, params: TreeKernelParams, row_ids, col_ids) -> np.ndarray:
     """tree_kernel values between row and column trees.
 
@@ -286,11 +308,12 @@ def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> n
         col_trees, col_tree_ids = (row_trees, row_tree_ids) if square else flat(cols, col_ids)
         t = _tree_matrix(row_trees, col_trees, spec.base, row_tree_ids, col_tree_ids)
 
-        def row_kernel(r: int):
+        def cells(r: int, lo: int, hi: int) -> list:
             first, second = t[2 * r].tolist(), t[2 * r + 1].tolist()
-            return lambda c: softmax2(
-                first[2 * c] * second[2 * c + 1], first[2 * c + 1] * second[2 * c], spec.m
-            )
+            return [
+                softmax2(first[2 * c] * second[2 * c + 1], first[2 * c + 1] * second[2 * c], spec.m)
+                for c in range(lo, hi)
+            ]
 
     else:
         required = {"vec": "composite kernel requires entity context vectors"}
@@ -307,24 +330,30 @@ def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> n
 
         pt = _tree_matrix(*slot("lct"), spec.pt, row_ids, col_ids)
         sst = _tree_matrix(*slot("pet"), spec.sst, row_ids, col_ids) if "pet" in required else None
-        poly = lambda u, v: poly_kernel(u, v, spec.vec_degree, spec.vec_coef0)
-        vec = _slot_matrix(*slot("vec"), poly, row_ids, col_ids)
+        vecs = slot("vec")
+        vec = _slot_matrix(*vecs, _vector_kernel([*vecs[0], *vecs[1]], spec), row_ids, col_ids)
+        alpha, beta = spec.alpha, 1.0 - spec.alpha
 
-        def row_kernel(r: int):
-            k_vec, k_pt = vec[r].tolist(), pt[r].tolist()
-            k_sst = None if sst is None else sst[r].tolist()
-            return lambda c: _composite_value(
-                spec, k_vec[c], k_pt[c], None if k_sst is None else k_sst[c]
-            )
+        def cells(r: int, lo: int, hi: int) -> list:
+            # _composite_value's expression over columns lo..hi-1 of row r
+            k_vec, k_pt = vec[r, lo:hi].tolist(), pt[r, lo:hi].tolist()
+            if sst is None:
+                return [(v + p) ** 2 for v, p in zip(k_vec, k_pt)]
+            k_sst = sst[r, lo:hi].tolist()
+            return [alpha * s + beta * (v + p) ** 2 for v, p, s in zip(k_vec, k_pt, k_sst)]
 
     values = np.zeros((len(rows), len(cols)))
-    try:
-        for r in range(len(rows)):
-            cell = row_kernel(r)
-            for c in range(r if square else 0, len(cols)):
-                values[r, c] = cell(c)
-    except Exception as exc:
-        _raise_named(exc, f"{row_ids[r]} x {col_ids[c]}")
+    one = lambda r, c: cells(r, c, c + 1)
+    for r in range(len(rows)):
+        start = r if square else 0
+        try:
+            values[r, start:] = cells(r, start, len(cols))
+        except Exception:
+            # a row's cells raise only as its first failing cell does
+            # alone, so that cell names the pair
+            for c in range(start, len(cols)):
+                _call(one, r, c, row_ids[r], col_ids[c])
+            raise
     if square:
         _mirror(values)
     if not np.all(np.isfinite(values)):

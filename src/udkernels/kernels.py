@@ -19,32 +19,35 @@ lexical-centred tree, every word without dependents. subtree_matrix,
 the one SST/PTK kernel-matrix primitive, therefore interns the nodes of
 its row trees into a table of distinct subtrees, keyed by label and
 child subtree ids, that lives for that call only (the forest-as-DAG
-idea of Aiolli, Da San Martino, Sperduti and Moschitti, ICDM 2006).
-It then takes the column trees one at a time. Per column tree it gives
-one row of n2 deltas to each distinct subtree whose label (PTK) or
+idea of Aiolli, Da San Martino, Sperduti and Moschitti, ICDM 2006). It
+then takes the column trees one at a time. Per column tree it gives one
+row of n2 deltas to each distinct subtree whose label (PTK) or
 production (SST) occurs in that tree; every other subtree shares one
 zero row. SST keeps a map from each production to the ascending ids of
 the subtrees that carry it, so a column tree visits only the subtrees
 that share one of its productions (the fast tree kernel's skip of
-non-matching pairs, applied to the subtree table). Their rows sit in
-one flat array('d'), filled node of the column tree by node, in
-postorder, so the entries a pair reads at its children are final. PTK
-fills one array('d') row per subtree, in ascending id, so children come
-first: its time goes to the child-subsequence totals, not to the scan
-of ids, and on the flat scheme (child rows as memoryview slices) it ran
-slower. A cell is the numpy sum of the (n1, n2) array that stacks those
-rows in the row tree's postorder: the same floats in the same places as
-a per-pair program's delta table, so the same value bit for bit. Row
-trees that share a node count n are summed together: one gather of
-their stacked arrays, viewed as (k, n * n2), then one sum along its
-rows. Each row is the C-contiguous array a lone sum would reduce, and
-numpy sums a contiguous row in the order it sums that array alone, so
-the bits are the same (test_kernel_buckets checks this assumption). A
-gather holds at most _GATHER_CAP floats, or one tree's cells; a larger
-group is summed in chunks. A node count that only one row tree has
-is a group of one. The rows are dropped before the next column tree. A
-scalar tree_kernel and delta_matrix go through the same table, over
-one row tree.
+non-matching pairs, applied to the subtree table). Their rows form one
+numpy array, where each production's subtrees hold one run of rows,
+filled node of the column tree by node, in postorder, so the entries a
+pair reads at its children are final; a node fills its production's
+rows in one pass of elementwise numpy operations per child, which round
+as Python floats do, in the per-pair order, so the bits are the same.
+PTK fills one array('d') row per subtree, in ascending id, so children
+come first: its time goes to the child-subsequence totals, not to the
+scan of ids, and on a flat scheme (child rows as memoryview slices of
+one array('d')) it ran slower. A cell is the numpy sum of the (n1, n2)
+array that stacks those rows in the row tree's postorder: the same
+floats in the same places as a per-pair program's delta table, so the
+same value bit for bit. Row trees that share a node count n are summed
+together: one gather of their stacked arrays, viewed as (k, n * n2),
+then one sum along its rows. Each row is the C-contiguous array a lone
+sum would reduce, and numpy sums a contiguous row in the order it sums
+that array alone, so the bits are the same (test_kernel_buckets checks
+this assumption). A gather holds at most _GATHER_CAP floats, or one
+tree's cells; a larger group is summed in chunks. A node count that
+only one row tree has is a group of one. The rows are dropped before
+the next column tree. A scalar tree_kernel and delta_matrix go through
+the same table, over one row tree.
 
 A normalized rectangle also needs each tree's value against itself,
 and takes it from the same table. The column trees are interned after
@@ -233,21 +236,25 @@ class _Subtrees:
     of first appearance: a child's id is below its parent's, and the
     trees added first hold the lowest ids. Per id the table keeps its
     key, read from the tree's TreeIndex (the label for PTK, the
-    production for SST), and the child ids; SST keeps None instead when
-    every child is a leaf, since such a subtree matches as one unit. SST
-    also maps each production to the ascending ids that carry it, so a
-    column tree visits only the subtrees that share one of its
-    productions.
+    production for SST), and the child ids. SST also marks the subtrees
+    whose children are all leaves, which match as one unit, and maps
+    each production to the ascending ids that carry it, so a column tree
+    visits only the subtrees that share one of its productions. Its
+    first column, once every tree of the call is added, puts every
+    subtree's child ids and unit mark into numpy arrays, so a column
+    fills a production's rows in one pass per child position.
     """
 
-    __slots__ = ("sst", "ids", "keys", "children", "by_prod")
+    __slots__ = ("sst", "ids", "keys", "children", "atomic", "by_prod", "arrays")
 
     def __init__(self, kind: str):
         self.sst = kind == "SST"
         self.ids: dict = {}
         self.keys: list = []
         self.children: list = []
+        self.atomic: list = []
         self.by_prod: dict = {}
+        self.arrays: tuple | None = None
 
     def add(self, tree: LabeledTree) -> np.ndarray:
         """Intern tree's nodes; their subtree ids in postorder."""
@@ -259,13 +266,26 @@ class _Subtrees:
             s = ids.setdefault((key, child_ids), len(ids))
             if s == len(self.keys):
                 self.keys.append(key)
+                self.children.append(child_ids)
                 if self.sst:
                     self.by_prod.setdefault(key, []).append(s)
-                    self.children.append(None if atomic[i] else child_ids)
-                else:
-                    self.children.append(child_ids)
+                    self.atomic.append(atomic[i])
             sids.append(s)
         return np.array(sids, dtype=np.intp)
+
+    def _child_arrays(self) -> tuple:
+        """(starts, flat, units, arity) for SST: every subtree's child
+        ids, in id order, in one flat array that subtree s reads from
+        starts[s]; which subtrees match as one unit; and each subtree's
+        number of children. Built on the first column, once every tree
+        of the call is added, and again only if the table has grown."""
+        if self.arrays is None or len(self.arrays[0]) != len(self.keys):
+            arity = np.fromiter(map(len, self.children), np.intp, len(self.children))
+            starts = np.zeros(len(arity), np.intp)
+            np.cumsum(arity[:-1], out=starts[1:])
+            flat = np.fromiter(itertools.chain(*self.children), np.intp)
+            self.arrays = (starts, flat, np.array(self.atomic, dtype=bool), arity)
+        return self.arrays
 
     def column(self, t2: LabeledTree, count: int, params: TreeKernelParams, memo: dict, extra=()):
         """The deltas of subtrees 0..count-1, and of the ascending ids in
@@ -277,11 +297,12 @@ class _Subtrees:
         block; every other id maps to the shared zero row 0. A row holds
         the floats the node-pair program writes for any node rooted at
         that subtree. SST visits only the ids of t2's productions and
-        fills their rows in one flat buffer, node of t2 by node of t2 in
-        postorder; PTK visits every id and fills one row at a time, in
-        ascending id. Either way a pair's child entries are final before
-        the pair reads them: extra holds ids of t2's own subtrees, and
-        a subtree's children are among them or below count.
+        fills their rows node of t2 by node of t2 in postorder, one
+        production's rows at a time; PTK visits every id and fills one
+        row at a time, in ascending id. Either way a pair's child
+        entries are final before the pair reads them: extra holds ids of
+        t2's own subtrees, and a subtree's children are among them or
+        below count.
         """
         ix2 = t2.index
         size = extra[-1] + 1 if extra else count
@@ -294,20 +315,28 @@ class _Subtrees:
         return block, np.array(where, dtype=np.intp)
 
     def _sst_column(self, ix2: TreeIndex, count: int, extra, size: int, lam: float):
-        """column's (block, where) for SST: block views one flat buffer
-        of rows of n2 floats, row 0 all zero.
+        """column's (block, where) for SST: block is one (rows, n2)
+        array, row 0 all zero.
 
         Only subtrees whose production occurs in t2 get a row, taken from
         the production's ascending ids below count, then its ids in
         extra, t2's productions in the order they first occur in its
-        postorder. The rows are filled node of t2 by node of t2, in
+        postorder; so a production's subtrees hold one run of rows, its
+        group. The block is filled node of t2 by node of t2, in
         postorder, so the entries of j's children are final before j
-        reads them; each node visits only the subtrees of its own
-        production (only node pairs with equal productions can share a
-        fragment).
+        reads them, and each node fills only its own production's group
+        (only node pairs with equal productions can share a fragment).
+        A pair is lam when either node's children are all leaves, else
+        lam times 1 + the child pair's delta, child by child. A group's
+        entries against j are one numpy pass per child position:
+        elementwise IEEE adds and multiplies, in child order, so each
+        entry has the bits of the per-pair program's product. A unit row
+        reads its children from the zero row, and x * (1.0 + 0.0) is x.
+        Overflow gives inf without a warning, as Python floats do.
         """
-        children, children2, n2 = self.children, ix2.children, len(ix2.children)
+        children2, n2 = ix2.children, len(ix2.children)
         prods2, atomic2 = ix2.sst
+        starts, flat, units, arities = self._child_arrays()
         own: dict = {}
         for s in extra:
             own.setdefault(self.keys[s], []).append(s)
@@ -319,35 +348,48 @@ class _Subtrees:
             ids = entry[: bisect_left(entry, count)]
             if own:
                 ids += own.get(prod, ())
-            k = len(ids)
-            kept += ids
-            groups[prod] = range(rows * n2, (rows + k) * n2, n2), ids
-            rows += k
-        buf = _zeros(rows * n2)
+            if ids:
+                kept += ids
+                groups[prod] = rows, rows + len(ids)
+                rows += len(ids)
+        kept = np.array(kept, dtype=np.intp)
+        block = np.zeros((rows, n2))
         where = np.zeros(size, dtype=np.intp)
         where[kept] = np.arange(1, rows)
-        offset = (where * n2).tolist()
-        for j, (prod, unit) in enumerate(zip(prods2, atomic2)):
-            group = groups.get(prod)
-            if group is None:
-                continue
-            offs, ids = group
-            # a node whose production bottoms out in leaves matches as a
-            # single unit, the production itself admits no sub-choices;
-            # so does a subtree whose children are None
-            if unit:
-                for off in offs:
-                    buf[off + j] = lam
-                continue
-            ch2 = children2[j]
-            for off, s in zip(offs, ids):
-                val = lam
-                kids = children[s]
-                if kids is not None:
-                    for c, cj in zip(kids, ch2):
-                        val *= 1.0 + buf[offset[c] + cj]
-                buf[off + j] = val
-        return np.frombuffer(buf).reshape(rows, n2), where
+        # the block rows of the kept subtrees' children, one row per child
+        # position up to the widest kept arity, block row r's at column r;
+        # a unit subtree, and one with fewer children, reads the zero row
+        base, arity = starts[kept], arities[kept]
+        positions = np.arange(arity.max(initial=0))
+        arity[units[kept]] = 0
+        read = positions < arity[:, None]
+        child_rows = np.zeros((len(positions), rows), dtype=np.intp)
+        child_rows.T[1:][read] = where[flat[(base[:, None] + positions)[read]]]
+        with np.errstate(all="ignore"):
+            for j, (prod, unit) in enumerate(zip(prods2, atomic2)):
+                group = groups.get(prod)
+                if group is None:
+                    continue
+                first, last = group
+                # a node whose production bottoms out in leaves matches as
+                # a single unit, the production itself admits no sub-choices
+                if unit:
+                    block[first:last, j] = lam
+                    continue
+                # lam * (1 + d1) * (1 + d2) ..., left to right; IEEE adds
+                # and multiplies commute, so d + 1.0 is 1.0 + d and
+                # (1 + d1) * lam is lam * (1 + d1), bit for bit
+                kids = zip(child_rows, children2[j])
+                at, cj = next(kids)
+                val = block[at[first:last], cj]
+                val += 1.0
+                val *= lam
+                for at, cj in kids:
+                    factor = block[at[first:last], cj]
+                    factor += 1.0
+                    val *= factor
+                block[first:last, j] = val
+        return block, where
 
     def _ptk_rows(self, rows: list, where: list, ix2: TreeIndex, params, memo: dict, count, extra):
         lam, mu, n2 = params.lam, params.mu, len(ix2.children)

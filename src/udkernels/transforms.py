@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .conllu import DepTree, Token, split_lines
 from .errors import BracketError, ConlluError, DataError
@@ -351,9 +351,13 @@ _SYNTAX = re.compile(r"[()^\\\s]")
 _ESCAPE_OR_CARET = re.compile(r"\\(.)|\^", re.DOTALL)
 
 
+@lru_cache(maxsize=1 << 12)
 def _escape(atom: str) -> str:
     """atom with a backslash before each character the reader would take
-    as syntax: brackets, carets, backslashes and any str.isspace()."""
+    as syntax: brackets, carets, backslashes and any str.isspace().
+    The writers escape every label, and labels repeat (every relation
+    and POS leaf of a lexical-centred tree), so the last 4096 distinct
+    atoms are cached: a hit costs less than the scan."""
     # a function replacement: on Python 3.11, re.sub parses a template
     # string again on every call, which costs more than the scan
     return _SYNTAX.sub(_escaped, atom)
@@ -480,12 +484,28 @@ def const_to_bracketed(tree: ConstTree) -> str:
 
 
 def _bracketed(tree: ConstTree) -> str:
-    if "\n" in tree.label:
-        raise BracketError(f"constituency label {tree.label!r} holds a line feed")
-    if tree.is_leaf():
-        return _escape(tree.label)
-    inner = " ".join(_bracketed(c) for c in tree.children)
-    return f"({_escape(tree.label)} {inner})"
+    """tree's bracketed text, written from an explicit stack of nodes
+    still to write and text to put after them, so a tree of any depth is
+    written. Nodes are taken in preorder, so the first label holding a
+    line feed in preorder is the one refused."""
+    parts, stack = [], [tree]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        label = item.label
+        if "\n" in label:
+            raise BracketError(f"constituency label {label!r} holds a line feed")
+        if not item.children:
+            parts.append(_escape(label))
+            continue
+        parts.append("(" + _escape(label))
+        stack.append(")")
+        for child in reversed(item.children):
+            stack.append(child)
+            stack.append(" ")
+    return "".join(parts)
 
 
 def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> ConstTree:
@@ -523,23 +543,52 @@ def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> ConstTree:
 
 
 def const_to_labeled(tree: ConstTree, pos: str | None = None) -> LabeledTree:
-    """Constituency tree as a LabeledTree; leaves become lexical nodes."""
-    if tree.is_leaf():
-        return LabeledTree(label=tree.label, kind=LEXICAL, pos_tag=pos or "X")
-    kids = tuple(const_to_labeled(c, pos=tree.label) for c in tree.children)
-    return LabeledTree(label=tree.label, kind=SYNTACTIC, children=kids)
+    """Constituency tree as a LabeledTree; leaves become lexical nodes,
+    tagged with their parent's label (a leaf root with pos). The walk
+    keeps its own stack, so a tree of any depth is converted: each entry
+    is a node, an iterator over its children not yet converted and those
+    already converted."""
+    if not tree.children:
+        return LabeledTree(tree.label, LEXICAL, (), pos or "X")
+    stack = [(tree, iter(tree.children), [])]
+    while True:
+        node, pending, kids = stack[-1]
+        child = next(pending, None)
+        if child is None:
+            stack.pop()
+            built = LabeledTree(node.label, SYNTACTIC, tuple(kids))
+            if not stack:
+                return built
+            stack[-1][2].append(built)
+        elif child.children:
+            stack.append((child, iter(child.children), []))
+        else:
+            kids.append(LabeledTree(child.label, LEXICAL, (), node.label or "X"))
 
 
 def labeled_to_sexpr(tree: LabeledTree) -> str:
     """Bracketed form of a LabeledTree. Lexical nodes render as
-    label^POS, so the expression parses back to an equal tree."""
-    atom = _escape(tree.label)
-    if tree.kind == LEXICAL:
-        atom += "^" + _escape(tree.pos_tag or "X")
-    if not tree.children:
-        return f"({atom})"
-    inner = " ".join(labeled_to_sexpr(c) for c in tree.children)
-    return f"({atom} {inner})"
+    label^POS, so the expression parses back to an equal tree. Written
+    from an explicit stack, as _bracketed is, so a tree of any depth is
+    written."""
+    parts, stack = [], [tree]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        atom = _escape(item.label)
+        if item.kind == LEXICAL:
+            atom += "^" + _escape(item.pos_tag or "X")
+        if not item.children:
+            parts.append("(" + atom + ")")
+            continue
+        parts.append("(" + atom)
+        stack.append(")")
+        for child in reversed(item.children):
+            stack.append(child)
+            stack.append(" ")
+    return "".join(parts)
 
 
 def _labeled_node(parts, children) -> LabeledTree:

@@ -8,11 +8,12 @@ The enumeration is exponential in tree size, so every oracle refuses
 trees of more than _ORACLE_MAX_NODES nodes.
 
 The module also keeps the character-by-character bracket reader and
-writer that udkernels.transforms replaced with a regex scan and an
-explicit stack: reference_labeled_from_sexpr, reference_parse_bracketed,
-reference_labeled_to_sexpr and reference_const_to_bracketed must agree
-with the package's readers and writers on every result and on the type
-and text of every error.
+the recursive writers and constituency conversion that
+udkernels.transforms replaced with a regex scan and explicit stacks:
+reference_labeled_from_sexpr, reference_parse_bracketed,
+reference_labeled_to_sexpr, reference_const_to_bracketed and
+reference_const_to_labeled must agree with the package's functions on
+every result and on the type and text of every error.
 """
 
 import itertools
@@ -305,3 +306,10 @@ def reference_const_to_bracketed(tree: ConstTree) -> str:
 
     text = bracketed(tree)
     return f"({text})" if text.endswith("\r") else text
+
+
+def reference_const_to_labeled(tree: ConstTree, pos: str | None = None) -> LabeledTree:
+    if not tree.children:
+        return LabeledTree(label=tree.label, kind=LEXICAL, pos_tag=pos or "X")
+    kids = tuple(reference_const_to_labeled(c, pos=tree.label) for c in tree.children)
+    return LabeledTree(label=tree.label, kind=SYNTACTIC, children=kids)

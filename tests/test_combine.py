@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import asdict, fields, is_dataclass, replace
@@ -157,12 +158,13 @@ def count_tree_kernel_calls(monkeypatch) -> Counter:
     tree_kernel call and one per cell a kernels.subtree_matrix call
     fills (the upper triangle of a square one) or self value it adds (a
     normalized rectangle's, one per row and column tree), and of the
-    polynomial vector kernel calls under "poly"."""
+    vector pairs the context-vector slot's kernel evaluates under
+    "poly"."""
     calls = Counter()
-    real_tree, real_matrix, real_poly = (
+    real_tree, real_matrix, real_vector_kernel = (
         combine.tree_kernel,
         combine.subtree_matrix,
-        combine.poly_kernel,
+        combine._vector_kernel,
     )
 
     def counted_tree(t1, t2, params, *args):
@@ -177,13 +179,18 @@ def count_tree_kernel_calls(monkeypatch) -> Counter:
             calls[params.kind] += n * len(cols) + (n + len(cols) if params.normalize else 0)
         return real_matrix(rows, cols, params, *args)
 
-    def counted_poly(*args):
-        calls["poly"] += 1
-        return real_poly(*args)
+    def counted_vector_kernel(*args):
+        kernel = real_vector_kernel(*args)
+
+        def counted(u, v):
+            calls["poly"] += 1
+            return kernel(u, v)
+
+        return counted
 
     monkeypatch.setattr(combine, "tree_kernel", counted_tree)
     monkeypatch.setattr(combine, "subtree_matrix", counted_matrix)
-    monkeypatch.setattr(combine, "poly_kernel", counted_poly)
+    monkeypatch.setattr(combine, "_vector_kernel", counted_vector_kernel)
     return calls
 
 
@@ -365,6 +372,75 @@ def test_kernel_matrix_names_instance_pair_when_sigma_fails():
     with pytest.raises(PairFailure, match=r"pair t0 x 2: .*boom") as info:
         kernel_matrix(test, supports, spec, row_ids=("t0", "t1"))
     assert info.value.code == 7
+
+
+def vector_inputs(*vectors):
+    """CK2 payloads over one-node trees, a, b, ... in order, with the
+    given context vectors."""
+    return [
+        REKernelInput(lct=syn(chr(97 + k)), vec=np.array(v, dtype=float))
+        for k, v in enumerate(vectors)
+    ]
+
+
+# a square matrix over rows, and a rectangle whose one row is rows[0]:
+# each names the first failing pair by its ids
+SQUARE_IDS, RECT_IDS = ("a", "b", "c"), (("r",), ("c0", "c1", "c2"))
+
+
+def fail_both_ways(spec, rows, error, square_pair: str, rect_pair: str, detail: str):
+    ids = SQUARE_IDS[: len(rows)]
+    with pytest.raises(error, match=f"^kernel failed on pair {square_pair}: {detail}"):
+        kernel_matrix(rows, rows, spec, row_ids=ids)
+    with pytest.raises(error, match=f"^kernel failed on pair {rect_pair}: {detail}"):
+        kernel_matrix(rows[:1], rows, spec, RECT_IDS[0], RECT_IDS[1][: len(rows)])
+
+
+def test_vectors_poly_kernel_must_read_give_the_same_matrix():
+    # a list and an int array are read by poly_kernel pair by pair; the
+    # values equal those over float64 arrays
+    floats = vector_inputs([1.0, 2.0], [3.0, 1.0], [0.0, 4.0])
+    others = [
+        replace(floats[0], vec=[1.0, 2.0]),
+        replace(floats[1], vec=np.array([3, 1])),
+        floats[2],
+    ]
+    spec = composite("CK2")
+    square = kernel_matrix(floats, floats, spec).tobytes()
+    rect = kernel_matrix(floats[:2], floats, spec).tobytes()
+    assert kernel_matrix(others, others, spec).tobytes() == square
+    assert kernel_matrix(others[:2], others, spec).tobytes() == rect
+
+
+def test_overflowing_vector_pair_is_named():
+    # (1e70 * 1e70 + 1)^2 is finite; (1e70 * 1e90 + 1)^2 overflows, and
+    # Python's float power raises OverflowError for it
+    rows = vector_inputs([1e70], [1e90])
+    fail_both_ways(composite("CK2"), rows, OverflowError, "a x b", "r x c1", "")
+
+
+def test_overflowing_composite_cell_is_named():
+    # an unnormalized SPTK whose similarity is huge for different labels:
+    # k_pt of a and b is about 6.4e158, finite, and its square overflows
+    sigma = lambda n1, n2: 1.0 if n1.label == n2.label else 1e160
+    spec = CompositeParams(variant="CK2", pt=TreeKernelParams("SPTK", sigma=sigma, normalize=False))
+    rows = vector_inputs([1.0], [2.0])
+    fail_both_ways(spec, rows, OverflowError, "a x b", "r x c1", "")
+
+
+def test_vector_of_another_shape_raises_poly_kernel_error_for_the_first_pair():
+    rows = vector_inputs([1.0, 2.0, 3.0], [0.5, 1.0, 1.0], [1.0, 2.0])
+    detail = re.escape("vector shapes differ: (3,) vs (2,)")
+    fail_both_ways(composite("CK2"), rows, ValueError, "a x c", "r x c2", detail)
+    # a later row fails first in a rectangle when the earlier rows agree
+    detail = re.escape("vector shapes differ: (2,) vs (3,)")
+    with pytest.raises(ValueError, match=f"^kernel failed on pair t1 x s0: {detail}"):
+        kernel_matrix([rows[0], rows[2]], rows[:1], composite("CK2"), ("t0", "t1"), ("s0",))
+    # a degree made invalid after validation fails on the first pair
+    spec = composite("CK2")
+    spec.vec_degree = 0
+    detail = "polynomial degree must be a positive integer, got 0"
+    fail_both_ways(spec, rows[:2], ConfigError, "a x a", "r x c0", detail)
 
 
 def test_normalization_survives_underflowing_self_kernel_product():

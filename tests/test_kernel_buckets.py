@@ -17,6 +17,7 @@ bit for bit.
 
 import math
 import struct
+import warnings
 from dataclasses import replace
 from array import array
 
@@ -788,6 +789,46 @@ def test_sst_column_rows_cover_only_ids_below_count(forest, lam):
             for r in range(c + 1):
                 deltas = block[where[sids[r]]]
                 assert_same_matrix(deltas, full_scan_sst(rows[r], t2, lam), rows[r], t2)
+
+
+def test_sst_group_of_unit_and_deeper_subtrees_against_a_deeper_node():
+    # ATOMIC_NP matches as one unit and NESTED_NP does not, yet both carry
+    # NP -> DT NN, so they hold one group of rows; against NESTED_NP's
+    # root, which is no unit, the unit row stays lam while the deeper one
+    # multiplies in its children's deltas
+    lam = 0.5
+    params = TreeKernelParams("SST", lam=lam, normalize=False)
+    table = kernels._Subtrees("SST")
+    unit, deeper = table.add(ATOMIC_NP)[-1], table.add(NESTED_NP)[-1]
+    assert table.keys[unit] == table.keys[deeper]
+    block, where = table.column(NESTED_NP, len(table.keys), params, {})
+    root = NESTED_NP.size() - 1
+    assert abs(where[deeper] - where[unit]) == 1
+    assert block[where[unit], root] == lam
+    assert block[where[deeper], root] == lam * (1.0 + lam) * (1.0 + lam)
+    rows, cols = [ATOMIC_NP, NESTED_NP, MIXED_NP], [NESTED_NP, MIXED_NP, ATOMIC_NP]
+    want = np.array([[full_scan_sst(t1, t2, lam).sum() for t2 in cols] for t1 in rows])
+    assert subtree_matrix(rows, cols, params, {})[0].tobytes() == want.tobytes()
+
+
+def test_sst_fill_overflows_to_inf_without_a_warning():
+    # the root pair's delta is 2^1100 * (1 + 1) with lam = 1: it overflows
+    # inside the fill, every other delta is 1.0, and the numpy fill must
+    # stay as silent as Python floats are
+    wide = syn("a", syn("b", syn("c")), *[syn(f"x{k}") for k in range(1100)])
+    small = syn("a", syn("b"))
+    params = TreeKernelParams("SST", lam=1.0)
+    raw = replace(params, normalize=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isinf(delta_matrix(wide, wide, raw).values[-1, -1])
+        message = "^SST kernel overflowed; use smaller lambda/mu or normalization$"
+        for p in (params, raw):
+            with pytest.raises(NumericError, match=message):
+                tree_kernel(wide, wide, p)
+        ids = ("s", "w")
+        with pytest.raises(NumericError, match="^kernel failed on pair w x w: SST kernel overflowed"):
+            _tree_matrix([small, wide], [small, wide], params, ids, ids)
 
 
 # --- self values from the shared subtree table -----------------------------

@@ -34,6 +34,7 @@ from udkernels.transforms import (
 from conftest import tok, tree
 from oracle import (
     reference_const_to_bracketed,
+    reference_const_to_labeled,
     reference_labeled_from_sexpr,
     reference_labeled_to_sexpr,
     reference_parse_bracketed,
@@ -489,6 +490,9 @@ def test_writers_equal_the_reference_writer(tree):
     # is refused by both writers
     const = as_const(tree)
     assert outcome(const_to_bracketed, const) == outcome(reference_const_to_bracketed, const)
+    # and converted back, with a leaf root tagged by pos or "X"
+    for pos in (None, "", "P"):
+        assert const_to_labeled(const, pos) == reference_const_to_labeled(const, pos)
 
 
 def as_const(tree: LabeledTree) -> ConstTree:
@@ -508,6 +512,41 @@ def test_reader_takes_a_tree_deeper_than_the_recursion_limit():
     for _ in range(depth):
         (tree,) = tree.children
     assert tree == syn("b")
+
+
+def test_writers_take_a_tree_deeper_than_the_recursion_limit():
+    # a chain of alternating lexical and syntactic nodes, labels that need
+    # escaping, and a leaf at the bottom; compared as text, since == on
+    # nested dataclasses recurses
+    depth = sys.getrecursionlimit() + 100
+    tree = lex("b", "P")
+    for level in range(depth):
+        tree = lex("w(", "V", tree) if level % 2 else syn("a b", tree)
+    levels = ["(a\\ b " if level % 2 == 0 else "(w\\(^V " for level in range(depth)]
+    text = "".join(reversed(levels)) + "(b^P)" + ")" * depth
+    assert labeled_to_sexpr(tree) == text
+    assert labeled_to_sexpr(labeled_from_sexpr(text)) == text
+
+
+def test_constituency_writer_and_conversion_take_a_tree_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    const = ConstTree("w", span=(1, 1))
+    for level in range(depth):
+        const = ConstTree(f"N{level % 3}", (const, ConstTree("x")) if level == 0 else (const,))
+    text = "".join(f"(N{level % 3} " for level in reversed(range(depth))) + "w x" + ")" * depth
+    assert const_to_bracketed(const) == text
+    (again,) = parse_bracketed(text)
+    assert const_to_bracketed(again) == text
+    # the conversion tags each leaf with its parent's label, N0
+    labeled = const_to_labeled(again)
+    want = "".join(f"(N{level % 3} " for level in reversed(range(depth)))
+    assert labeled_to_sexpr(labeled) == want + "(w^N0) (x^N0)" + ")" * depth
+    # a line feed at the bottom is still refused, by label
+    deep = ConstTree("bad\nlabel")
+    for _ in range(depth):
+        deep = ConstTree("N", (deep,))
+    with pytest.raises(BracketError, match="'bad\\\\nlabel' holds a line feed"):
+        const_to_bracketed(deep)
 
 
 # --- postorder views and path-enclosed trees ----------------------------------
