@@ -211,15 +211,23 @@ def _slot_matrix(rows: list, cols: list, kernel, row_ids, col_ids, normalized=Tr
     """kernel(row, col) between the row and column objects of one slot.
 
     Raw values are filled in row-major order, only the upper triangle
-    when cols is rows, so each pair is evaluated once. Self values are a
-    square matrix's diagonal, or one kernel(x, x) call per object of a
-    rectangle. The ids name each object's instance when a call fails.
+    when cols is rows, so each pair is evaluated once; each row in one
+    list comprehension. A row that raises is evaluated again cell by
+    cell, as kernel_matrix does, so the first failing pair in row-major
+    order is named. Self values are a square matrix's diagonal, or one
+    kernel(x, x) call per object of a rectangle. The ids name each
+    object's instance when a call fails.
     """
     square = cols is rows
     values = np.zeros((len(rows), len(cols)))
     for i, x in enumerate(rows):
-        for j in range(i if square else 0, len(cols)):
-            values[i, j] = _call(kernel, x, cols[j], row_ids[i], col_ids[j])
+        start = i if square else 0
+        try:
+            values[i, start:] = [kernel(x, y) for y in cols[start:]]
+        except Exception:
+            for j in range(start, len(cols)):
+                _call(kernel, x, cols[j], row_ids[i], col_ids[j])
+            raise
     s_row = s_col = None
     if normalized and square:
         s_row = s_col = values.diagonal().copy()

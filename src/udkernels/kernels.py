@@ -46,8 +46,9 @@ that array alone, so the bits are the same (test_kernel_buckets checks
 this assumption). A gather holds at most _GATHER_CAP floats, or one
 tree's cells; a larger group is summed in chunks. A node count that
 only one row tree has is a group of one. The rows are dropped before
-the next column tree. A scalar tree_kernel and delta_matrix go through
-the same table, over one row tree.
+the next column tree. A scalar SST or PTK tree_kernel is subtree_matrix
+over one row and one column tree, self values included, and
+delta_matrix goes through the same table, over one row tree.
 
 A normalized rectangle also needs each tree's value against itself,
 and takes it from the same table. The column trees are interned after
@@ -515,9 +516,14 @@ def _sptk_matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, mem
     """The SPTK node-pair deltas of t1 and t2 in postorder: an (n1, n2)
     view of one flat buffer, the delta of nodes i and j at i * n2 + j.
 
-    sigma is opaque, so every node pair is scored, row by row. A row's
-    child rows are memoryview slices of the buffer, taken on the row's
-    first gated pair of nodes that both have children.
+    sigma is opaque, so every node pair is scored, row by row. A gate is
+    a number (float, int, bool or numpy scalar), whose truth value is
+    that of float(gate) != 0, so only nonzero gates are converted by
+    float, and the row holds the floats that testing float(gate) would
+    give. A childless row node has no child subsequences, so its gated
+    pairs are mu * gate * lam^2, in a loop of their own. Other rows read
+    their child rows through memoryview slices of the buffer, taken on
+    the row's first gated pair of nodes that both have children.
     """
     ix1, ix2 = t1.index, t2.index
     children1, children2 = ix1.children, ix2.children
@@ -528,19 +534,26 @@ def _sptk_matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, mem
     delta = _zeros(len(children1) * n2)
     view = memoryview(delta)
     for i, (n1, ch1) in enumerate(zip(ix1.nodes(t1), children1)):
-        row, child_rows = i * n2, None
+        row = i * n2
+        if not ch1:
+            for cell, node2 in enumerate(nodes2, row):
+                gate = sigma(n1, node2)
+                if gate:
+                    delta[cell] = mu * float(gate) * lam2
+            continue
+        child_rows = None
         for j, node2 in enumerate(nodes2):
-            gate = float(sigma(n1, node2))
-            if gate == 0.0:
+            gate = sigma(n1, node2)
+            if not gate:
                 continue
             ch2 = children2[j]
-            if ch1 and ch2:
+            if ch2:
                 if child_rows is None:
                     child_rows = [view[c * n2 : (c + 1) * n2] for c in ch1]
                 total = _child_total(child_rows, ch2, lam, memo)
             else:
                 total = lam2
-            delta[row + j] = mu * gate * total
+            delta[row + j] = mu * float(gate) * total
     return np.frombuffer(delta).reshape(len(children1), n2)
 
 
@@ -555,8 +568,8 @@ def _matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo: di
     return block[where[sids]]
 
 
-def _raw_kernel(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo: dict) -> float:
-    return float(_matrix(t1, t2, params, memo).sum())
+def _sptk_value(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams, memo: dict) -> float:
+    return float(_sptk_matrix(t1, t2, params, memo).sum())
 
 
 def delta_matrix(t1: LabeledTree, t2: LabeledTree, params: TreeKernelParams) -> DeltaMatrix:
@@ -609,18 +622,29 @@ def tree_kernel(
 
     The raw value and both self kernels go through normalize, so a tree
     against itself scores exactly 1.0 and one with a zero self kernel 0.
-    memo holds PTK/SPTK child-subsequence totals across calls that share
-    params.lam (see _child_total); without one, each call uses a fresh dict.
+    SST and PTK take all three from one subtree_matrix([t1], [t2]) call,
+    whose self values have the bits of one-tree tables; SPTK runs its
+    node-pair program once per value. memo holds PTK/SPTK
+    child-subsequence totals across calls that share params.lam (see
+    _child_total); without one, each call uses a fresh dict.
     """
     memo = {} if memo is None else memo
-    raw = _raw_kernel(t1, t2, params, memo)
+    sptk = params.kind == "SPTK"
+    if sptk:
+        raw = _sptk_value(t1, t2, params, memo)
+    else:
+        values, s1, s2 = subtree_matrix([t1], [t2], params, memo)
+        raw = float(values[0, 0])
     if not math.isfinite(raw):
         raise NumericError(
             f"{params.kind} kernel overflowed; use smaller lambda/mu or normalization"
         )
     if not params.normalize:
         return raw
-    s1, s2 = _raw_kernel(t1, t1, params, memo), _raw_kernel(t2, t2, params, memo)
+    if sptk:
+        s1, s2 = _sptk_value(t1, t1, params, memo), _sptk_value(t2, t2, params, memo)
+    else:
+        s1, s2 = float(s1[0]), float(s2[0])
     if not (math.isfinite(s1) and math.isfinite(s2)):
         raise NumericError(f"{params.kind} self kernel overflowed; use smaller lambda/mu")
     return normalize(raw, s1, s2)

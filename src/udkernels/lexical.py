@@ -213,6 +213,14 @@ def indicator_sigma(n1: LabeledTree, n2: LabeledTree) -> float:
     return 1.0 if n1.label == n2.label else 0.0
 
 
+# The most lexical pair scores one sigma's memo holds: a miss on a full
+# memo empties it first. A hit returns the float a miss computes, so the
+# cap bounds memory without changing a value. Repeats of a label pair
+# fall mostly within one row of a kernel matrix, so 2^12 scores keep
+# nearly every hit of the benchmark's Grams, in well under 1 MB.
+_SCORE_CAP = 1 << 12
+
+
 def make_sigma(
     cfg: SigmaConfig,
     store: EmbeddingStore,
@@ -229,9 +237,20 @@ def make_sigma(
     and the cache holds one entry per label. Every score equals
     min(1, max(0, cosine(v1, v2))) on freshly resolved vectors, bit for
     bit.
+
+    A lexical pair that passes the POS test scores by its two labels
+    alone, so the sigma also keeps a memo of those scores, one dict per
+    first label, mapping the second label to the score. It holds at most
+    _SCORE_CAP scores: a miss on a full memo empties it, so its memory
+    stays bounded (a few hundred KB) and no value changes. A pair whose
+    vectors differ in shape raises ValueError on every call and is
+    never stored.
     """
     translate_first = cfg.mode == "translate_then_compare"
+    pos_must_match, fallback = cfg.pos_must_match, cfg.oov_policy == "exact_match_fallback"
     resolved: dict = {}  # label -> (vector, unit vector, score against itself)
+    scores: dict = {}  # first label -> {second label: score}
+    stored = 0  # the scores held in all of scores' dicts
 
     def lookup(label: str) -> tuple:
         entry = resolved.get(label)
@@ -248,19 +267,13 @@ def make_sigma(
             resolved[label] = entry
         return entry
 
-    def sigma(n1: LabeledTree, n2: LabeledTree) -> float:
-        if n1.kind == SYNTACTIC and n2.kind == SYNTACTIC:
-            return 1.0 if n1.label == n2.label else 0.0
-        if n1.kind != LEXICAL or n2.kind != LEXICAL:
-            return 0.0
-        if cfg.pos_must_match and n1.pos_tag != n2.pos_tag:
-            return 0.0
-        v1, a, self_score = lookup(n1.label)
-        v2, b, _ = lookup(n2.label)
+    def score(label1: str, label2: str) -> float:
+        v1, a, self_score = lookup(label1)
+        v2, b, _ = lookup(label2)
         if v1 is None or v2 is None:
-            if cfg.oov_policy == "exact_match_fallback":
-                w1 = n1.label.lower() if cfg.lowercase else n1.label
-                w2 = n2.label.lower() if cfg.lowercase else n2.label
+            if fallback:
+                w1 = label1.lower() if cfg.lowercase else label1
+                w2 = label2.lower() if cfg.lowercase else label2
                 return 1.0 if w1 == w2 else 0.0
             return 0.0
         if v1.shape != v2.shape:
@@ -272,5 +285,32 @@ def make_sigma(
         if a is None or b is None:
             return 0.0
         return min(1.0, max(0.0, float(np.dot(a, b))))
+
+    def remember(label1: str, label2: str) -> float:
+        nonlocal stored
+        value = score(label1, label2)
+        if stored >= _SCORE_CAP:
+            scores.clear()
+            stored = 0
+        scores.setdefault(label1, {})[label2] = value
+        stored += 1
+        return value
+
+    def sigma(n1: LabeledTree, n2: LabeledTree) -> float:
+        # one comparison settles a syntactic node against a lexical one,
+        # the commonest pair; unknown kinds score 0 against everything
+        kind = n1.kind
+        if kind != n2.kind:
+            return 0.0
+        if kind == SYNTACTIC:
+            return 1.0 if n1.label == n2.label else 0.0
+        if kind != LEXICAL or (pos_must_match and n1.pos_tag != n2.pos_tag):
+            return 0.0
+        row = scores.get(n1.label)
+        if row is not None:
+            value = row.get(n2.label)
+            if value is not None:
+                return value
+        return remember(n1.label, n2.label)
 
     return sigma

@@ -14,12 +14,21 @@ reference_labeled_from_sexpr, reference_parse_bracketed,
 reference_labeled_to_sexpr, reference_const_to_bracketed and
 reference_const_to_labeled must agree with the package's functions on
 every result and on the type and text of every error.
+
+reference_make_sigma keeps the node similarity of udkernels.lexical as
+it was before its score memo and kind-first test: every call walks the
+kind, POS and vector branches in turn, over a per-label cache of
+resolved vectors. make_sigma must give the same bits on every pair and
+raise the same error type.
 """
 
 import itertools
 
+import numpy as np
+
 from udkernels.conllu import split_lines
 from udkernels.errors import BracketError
+from udkernels.lexical import _resolve, _unit, cosine
 from udkernels.transforms import LEXICAL, SYNTACTIC, ConstTree, LabeledTree, _escape
 
 _ORACLE_MAX_NODES = 6
@@ -313,3 +322,45 @@ def reference_const_to_labeled(tree: ConstTree, pos: str | None = None) -> Label
         return LabeledTree(label=tree.label, kind=LEXICAL, pos_tag=pos or "X")
     kids = tuple(reference_const_to_labeled(c, pos=tree.label) for c in tree.children)
     return LabeledTree(label=tree.label, kind=SYNTACTIC, children=kids)
+
+
+def reference_make_sigma(cfg, store, dictionary=None):
+    translate_first = cfg.mode == "translate_then_compare"
+    resolved: dict = {}  # label -> (vector, unit vector, score against itself)
+
+    def lookup(label: str) -> tuple:
+        entry = resolved.get(label)
+        if entry is None:
+            vec, shared = _resolve(label, store, dictionary, translate_first, cfg.lowercase)
+            if vec is None:
+                entry = (None, None, 0.0)
+            else:
+                self_score = min(1.0, max(0.0, cosine(vec, vec if shared else vec.copy())))
+                entry = (vec, _unit(vec), self_score)
+            resolved[label] = entry
+        return entry
+
+    def sigma(n1: LabeledTree, n2: LabeledTree) -> float:
+        if n1.kind == SYNTACTIC and n2.kind == SYNTACTIC:
+            return 1.0 if n1.label == n2.label else 0.0
+        if n1.kind != LEXICAL or n2.kind != LEXICAL:
+            return 0.0
+        if cfg.pos_must_match and n1.pos_tag != n2.pos_tag:
+            return 0.0
+        v1, a, self_score = lookup(n1.label)
+        v2, b, _ = lookup(n2.label)
+        if v1 is None or v2 is None:
+            if cfg.oov_policy == "exact_match_fallback":
+                w1 = n1.label.lower() if cfg.lowercase else n1.label
+                w2 = n2.label.lower() if cfg.lowercase else n2.label
+                return 1.0 if w1 == w2 else 0.0
+            return 0.0
+        if v1.shape != v2.shape:
+            raise ValueError(f"vector shapes differ: {v1.shape} vs {v2.shape}")
+        if v1 is v2:
+            return self_score
+        if a is None or b is None:
+            return 0.0
+        return min(1.0, max(0.0, float(np.dot(a, b))))
+
+    return sigma

@@ -428,6 +428,42 @@ def test_overflowing_composite_cell_is_named():
     fail_both_ways(spec, rows, OverflowError, "a x b", "r x c1", "")
 
 
+def test_slot_matrix_names_the_first_failing_pair_in_row_major_order():
+    # kernel(x, y) = x * 10 + y, failing on the pairs in `bad`; a failing
+    # row is filled again cell by cell, which names its first bad pair
+    def slot(rows, cols, bad, normalized=False):
+        calls = []
+
+        def kernel(x, y):
+            calls.append((x, y))
+            if (x, y) in bad:
+                raise ValueError(f"bad {x}{y}")
+            return float(x * 10 + y)
+
+        ids = lambda objs: tuple(f"i{x}" for x in objs)
+        return combine._slot_matrix(rows, cols, kernel, ids(rows), ids(cols), normalized), calls
+
+    objs = [1, 2, 3, 4]
+    # square: only the upper triangle is evaluated, so (3, 2) never fails
+    for bad, pair in [({(2, 4), (2, 3), (3, 3)}, "i2 x i3"), ({(3, 2), (2, 4)}, "i2 x i4")]:
+        with pytest.raises(ValueError, match=f"^kernel failed on pair {pair}: bad"):
+            slot(objs, objs, bad)
+    # rectangle: a later column of an earlier row fails first
+    with pytest.raises(ValueError, match="^kernel failed on pair i1 x i4: bad 14$"):
+        slot(objs[:2], objs, {(2, 1), (1, 4)})
+    with pytest.raises(ValueError, match="^kernel failed on pair i2 x i1: bad 21$"):
+        slot(objs[:2], objs, {(2, 1), (2, 4)})
+    # with nothing failing, each pair is evaluated once, in row-major
+    # order, and the values are those of a cell-by-cell fill
+    values, calls = slot(objs, objs, set())
+    assert calls == [(x, y) for i, x in enumerate(objs) for y in objs[i:]]
+    want = np.array([[x * 10 + y if y >= x else y * 10 + x for y in objs] for x in objs], dtype=float)
+    assert values.tobytes() == want.tobytes()
+    values, calls = slot(objs[:2], objs, set())
+    assert calls == [(x, y) for x in objs[:2] for y in objs]
+    assert values.tobytes() == np.array([[x * 10 + y for y in objs] for x in objs[:2]], dtype=float).tobytes()
+
+
 def test_vector_of_another_shape_raises_poly_kernel_error_for_the_first_pair():
     rows = vector_inputs([1.0, 2.0, 3.0], [0.5, 1.0, 1.0], [1.0, 2.0])
     detail = re.escape("vector shapes differ: (3,) vs (2,)")

@@ -868,6 +868,73 @@ def test_rectangle_self_values_equal_scalar_self_kernels_bit_for_bit(rows, cols,
         assert subtree_matrix(rows, cols, raw, {})[1:] == (None, None)
 
 
+# --- the scalar tree kernel as a one-by-one subtree matrix ----------------
+
+
+def one_tree_kernel(t1, t2, params):
+    """tree_kernel from three one-tree tables: the raw value and both
+    self values each summed from delta_matrix, then normalized."""
+    raw = replace(params, normalize=False)
+    value = lambda a, b: float(delta_matrix(a, b, raw).values.sum())
+    if not params.normalize:
+        return value(t1, t2)
+    return kernels.normalize(value(t1, t2), value(t1, t1), value(t2, t2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(t1=trees, t2=trees, lam=decays, mu=decays)
+def test_scalar_tree_kernel_equals_one_tree_tables_bit_for_bit(t1, t2, lam, mu):
+    for kind in ("SST", "PTK"):
+        for normalized in (True, False):
+            params = TreeKernelParams(kind, lam=lam, mu=mu, normalize=normalized)
+            for a, b in ((t1, t2), (t2, t1), (t1, t1)):
+                assert same_bits(tree_kernel(a, b, params), one_tree_kernel(a, b, params))
+
+
+def test_scalar_tree_kernel_names_an_overflowing_self_value():
+    # the cross value of small and spine is finite, spine's own overflows
+    spine = syn("a", *[syn(f"x{k}") for k in range(64)])
+    for _ in range(16):
+        spine = syn("a", *[syn(f"x{k}") for k in range(64)], spine)
+    small = syn("a", syn("x0"))
+    params = TreeKernelParams("SST", lam=1.0)
+    with np.errstate(over="ignore"):
+        assert math.isfinite(tree_kernel(small, spine, replace(params, normalize=False)))
+        for a, b in ((small, spine), (spine, small)):
+            with pytest.raises(NumericError, match="^SST self kernel overflowed; use smaller lambda/mu$"):
+                tree_kernel(a, b, params)
+
+
+# --- SPTK gates of other numeric types ------------------------------------
+
+# each maker turns a gate drawn from {0, 0.25, 1, 2} into the type or
+# value a sigma may return; nan and inf stand in for the nonzero gates
+GATE_TYPES = {
+    "float64": np.float64,
+    "int": lambda g: int(g),
+    "bool": lambda g: g != 0,
+    "negative zero": lambda g: g if g else -0.0,
+    "nan": lambda g: math.nan if g == 1 else g,
+    "inf": lambda g: math.inf if g == 2 else g,
+}
+
+
+@pytest.mark.parametrize("make", GATE_TYPES.values(), ids=GATE_TYPES.keys())
+@settings(max_examples=40, deadline=None)
+@given(t1=trees, t2=trees, table=st.lists(st.sampled_from([0, 0.25, 1, 2]), min_size=9, max_size=9))
+def test_sptk_gates_of_any_numeric_type_give_the_float_gate_bytes(make, t1, t2, table):
+    # the gate depends on both labels, so childless rows and rows with
+    # children both meet zero and nonzero gates
+    gate = lambda n1, n2: make(table[3 * "abc".index(n1.label) + "abc".index(n2.label)])
+    for a, b in ((t1, t2), (syn("a", t1, syn("b")), t2), (syn("c"), t2)):
+        got = delta_matrix(a, b, TreeKernelParams("SPTK", sigma=gate)).values
+        as_float = lambda n1, n2: float(gate(n1, n2))
+        want = delta_matrix(a, b, TreeKernelParams("SPTK", sigma=as_float)).values
+        assert got.tobytes() == want.tobytes()
+        if all(math.isfinite(float(gate(n1, n2))) for n1 in a.iter_nodes() for n2 in b.iter_nodes()):
+            assert got.tobytes() == full_scan_ptk(a, b, 0.4, 0.4, gate).tobytes()
+
+
 # --- the per-tree index memo --------------------------------------------------
 
 

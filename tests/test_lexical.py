@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracle import reference_make_sigma
+from udkernels import lexical
 from udkernels.config import kernel_spec_from_dict
 from udkernels.errors import EmbeddingError
 from udkernels.lexical import (
     BilingualDictionary,
+    EmbeddingStore,
     SigmaConfig,
     cosine,
     indicator_sigma,
@@ -24,7 +27,7 @@ from udkernels.lexical import (
 )
 from udkernels.conllu import parse_conllu_file
 from udkernels.synthetic import write_crosslingual_re
-from udkernels.transforms import lex, syn, to_lct
+from udkernels.transforms import LabeledTree, lex, syn, to_lct
 
 
 # --- file loading ----------------------------------------------------------
@@ -327,3 +330,128 @@ def test_sigma_config_validation():
     cfg = SigmaConfig(mode="translate_then_compare", oov_policy="exact_match_fallback")
     spec = kernel_spec_from_dict({"task": "pi", "base": {"kind": "SPTK", "sigma": asdict(cfg)}})
     assert spec.base.sigma_cfg == cfg
+
+
+# --- the score memo against the sigma it replaced -------------------------
+
+def memo_store():
+    """Store and dictionary behind DIFF_LABELS: unit, clamped, zero,
+    tiny and huge vectors, two labels sharing one vector object, and
+    translations to a store word, to a word only its capitalized form
+    reaches, and to nothing."""
+    cat = np.array([1.0, 0.0, 0.0])
+    store = EmbeddingStore(
+        dim=3,
+        vectors={
+            "cat": cat,
+            "twin": cat,
+            "Cat": np.array([0.2, 0.9, 0.1]),
+            "feline": np.array([0.9, 0.1, 0.0]),
+            "dog": np.array([0.0, 1.0, 0.0]),
+            "anti": np.array([-1.0, 0.0, 0.0]),
+            "zero": np.zeros(3),
+            "tiny": np.array([1e-170, 2e-170, 3e-170]),
+            "huge": np.array([1e200, 2e200, 3e200]),
+        },
+    )
+    dictionary = BilingualDictionary(
+        entries={"chat": ("cat",), "gato": ("Cat",), "perro": ("dog",), "vide": ("nowhere",)}
+    )
+    return store, dictionary
+
+
+DIFF_LABELS = [
+    "cat", "Cat", "twin", "feline", "dog", "anti", "zero", "tiny", "huge",
+    "chat", "Chat", "gato", "Perro", "vide", "blorp", "Blorp",
+    "cat dog", "Cat feline", "chat blorp", "blorp zero", "huge tiny", "cat cat", "blorp  vide",
+]
+diff_nodes = st.builds(
+    LabeledTree,
+    label=st.sampled_from(DIFF_LABELS),
+    kind=st.sampled_from(["syntactic", "lexical", "other"]),
+    pos_tag=st.sampled_from(["NOUN", "VERB", None]),
+)
+ALL_SIGMA_CONFIGS = [
+    SigmaConfig(mode=m, pos_must_match=p, oov_policy=o, lowercase=c)
+    for m, p, o, c in itertools.product(
+        ("monolingual", "translate_then_compare"), (True, False), ("zero", "exact_match_fallback"), (True, False)
+    )
+]
+
+
+def memo_of(sigma) -> dict:
+    """The score memo a make_sigma closure keeps: first label ->
+    {second label: score}."""
+    cells = dict(zip(sigma.__code__.co_freevars, sigma.__closure__))
+    return cells["scores"].cell_contents
+
+
+def memo_size(sigma) -> int:
+    return sum(map(len, memo_of(sigma).values()))
+
+
+def bits(x) -> bytes:
+    return struct.pack("d", x)
+
+
+@pytest.mark.parametrize("cfg", ALL_SIGMA_CONFIGS, ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(pairs=st.lists(st.tuples(diff_nodes, diff_nodes), min_size=1, max_size=40))
+def test_memoized_sigma_equals_reference_bit_for_bit(cfg, pairs):
+    store, dictionary = memo_store()
+    ref = reference_make_sigma(cfg, store, dictionary)
+    wants = [bits(ref(n1, n2)) for n1, n2 in pairs]
+    sigma = make_sigma(cfg, store, dictionary)
+    # a second sweep answers the pairs the first stored from the memo
+    for _ in range(2):
+        assert [bits(sigma(n1, n2)) for n1, n2 in pairs] == wants
+    assert memo_size(sigma) <= len(pairs)
+    # a memo of two scores empties itself over and over, and still
+    # answers every pair with the same bits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lexical, "_SCORE_CAP", 2)
+        capped = make_sigma(cfg, store, dictionary)
+        for _ in range(2):
+            for (n1, n2), want in zip(pairs, wants):
+                assert bits(capped(n1, n2)) == want
+                assert memo_size(capped) <= 2
+
+
+def test_full_score_memo_empties_on_a_miss():
+    store, dictionary = memo_store()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lexical, "_SCORE_CAP", 2)
+        sigma = make_sigma(SigmaConfig(), store, dictionary)
+        cat, dog, feline = (lex(w, "NOUN") for w in ("cat", "dog", "feline"))
+        sigma(cat, dog)
+        sigma(cat, feline)
+        assert memo_of(sigma) == {"cat": {"dog": 0.0, "feline": sigma(cat, feline)}}
+        # a hit on a full memo keeps it; a miss empties it first
+        sigma(cat, dog)
+        assert memo_size(sigma) == 2
+        sigma(dog, feline)
+        assert memo_of(sigma) == {"dog": {"feline": sigma(dog, feline)}}
+    # syntactic, mixed, POS-gated and unknown-kind pairs are never stored
+    sigma = make_sigma(SigmaConfig(), store, dictionary)
+    sigma(syn("cat"), syn("cat"))
+    sigma(syn("cat"), lex("cat", "NOUN"))
+    sigma(lex("cat", "NOUN"), lex("cat", "VERB"))
+    sigma(LabeledTree("cat", "other"), LabeledTree("cat", "other"))
+    assert memo_of(sigma) == {}
+
+
+def test_vector_shape_mismatch_raises_on_every_call_and_is_never_stored():
+    store, dictionary = memo_store()
+    store.vectors["wide"] = np.array([1.0, 2.0])
+    cat, wide = lex("cat", "NOUN"), lex("wide", "NOUN")
+    sigma = make_sigma(SigmaConfig(), store, dictionary)
+    ref = reference_make_sigma(SigmaConfig(), store, dictionary)
+    for _ in range(3):
+        for f in (sigma, ref):
+            with pytest.raises(ValueError, match=r"^vector shapes differ: \(3,\) vs \(2,\)$"):
+                f(cat, wide)
+            with pytest.raises(ValueError, match=r"^vector shapes differ: \(2,\) vs \(3,\)$"):
+                f(wide, cat)
+        assert memo_of(sigma) == {}
+    assert sigma(wide, wide) == ref(wide, wide) == 1.0
+    assert memo_of(sigma) == {"wide": {"wide": 1.0}}
