@@ -45,8 +45,8 @@ class PairKernelParams:
     m: float = 100.0
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ConfigError(f"softmax sharpness must be positive, got {self.m}")
+        if not 0 < self.m < math.inf:
+            raise ConfigError(f"m (softmax sharpness) must be positive and finite, got {self.m}")
 
 
 def sm_tk(pair_a, pair_b, params: PairKernelParams) -> float:
@@ -121,6 +121,8 @@ class CompositeParams:
         degree = self.vec_degree
         if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
             raise ConfigError(f"degree must be a positive integer, got {degree!r}")
+        if not math.isfinite(self.vec_coef0):
+            raise ConfigError(f"coef0 must be finite, got {self.vec_coef0}")
 
     @property
     def feature_mode(self) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
@@ -285,10 +286,10 @@ def parse_config(raw: dict) -> RunConfig:
         kernel = {**kernel, "task": cfg.task}
     cfg.kernel_spec = kernel_spec_from_dict(kernel)
     svm = cfg.svm
-    if svm.C <= 0:
-        raise ConfigError(f"svm.C must be positive, got {svm.C}")
-    if svm.tol <= 0:
-        raise ConfigError(f"svm.tol must be positive, got {svm.tol}")
+    weights = {f"svm.class_weights.{label}": w for label, w in svm.class_weights.items()}
+    for name, value in {"svm.C": svm.C, "svm.tol": svm.tol, **weights}.items():
+        if not 0 < value < math.inf:  # false for nan too, which json reads from NaN
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
     if svm.max_passes < 1:
         raise ConfigError(f"svm.max_passes must be at least 1, got {svm.max_passes}")
     _check_cross_requirements(cfg)

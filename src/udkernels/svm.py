@@ -63,6 +63,9 @@ def train_binary(
     tol. The bias is then recomputed from free support vectors, or from
     the midpoint of the feasible interval when none exist.
     """
+    for name, value in (("C", C), ("tol", tol)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
     gram = np.asarray(gram, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
@@ -73,6 +76,10 @@ def train_binary(
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise TrainingError("training labels must contain both classes as -1/+1")
     box = np.full(n, float(C)) if sample_C is None else np.asarray(sample_C, dtype=np.float64)
+    bad = np.flatnonzero(~((box > 0) & (box < math.inf)))
+    if len(bad):
+        i = bad[0]
+        raise ConfigError(f"sample_C[{i}] must be positive and finite, got {box[i]}")
 
     alpha = np.zeros(n)
     b = 0.0
@@ -241,7 +248,11 @@ class OvrModel:
 
 
 def check_class_weights(class_weights: dict, labels) -> None:
-    """Refuse class weights for labels the training data does not hold."""
+    """Refuse class weights that are not positive finite numbers, or that
+    name labels the training data does not hold."""
+    for label, weight in class_weights.items():
+        if not 0 < weight < math.inf:
+            raise ConfigError(f"class_weights.{label} must be positive and finite, got {weight}")
     unknown = sorted(set(class_weights) - set(labels))
     if unknown:
         raise ConfigError(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 
 from .conllu import DepTree, Token, to_conllu
-from .transforms import _escape
+from .transforms import ConstTree, const_to_bracketed
 
 
 def _tok(tid, form, lemma, upos, head, deprel, misc=None):
@@ -288,21 +288,17 @@ def write_pseudo_dictionary(path, trees, prefix: str = "x"):
 
 def const_parse_line(tree: DepTree) -> str:
     """Bracketed constituency parse matching a synthetic relation tree."""
-    e = _escape
-    f = [t.form for t in tree.tokens]
+    n = lambda label, *children: ConstTree(label, children)
+    w = [n(t.form) for t in tree.tokens]
     if any(t.deprel == "cop" for t in tree.tokens):
         # the e1 was prep the e2 .
-        return (
-            f"(S (NP (DT {e(f[0])}) (NN {e(f[1])})) "
-            f"(VP (VBD {e(f[2])}) (PP (IN {e(f[3])}) (NP (DT {e(f[4])}) (NN {e(f[5])})))) "
-            f"(PUNCT {e(f[6])}))"
-        )
-    # the e1 verbed the e2 .
-    return (
-        f"(S (NP (DT {e(f[0])}) (NN {e(f[1])})) "
-        f"(VP (VBD {e(f[2])}) (NP (DT {e(f[3])}) (NN {e(f[4])}))) "
-        f"(PUNCT {e(f[5])}))"
-    )
+        pp = n("PP", n("IN", w[3]), n("NP", n("DT", w[4]), n("NN", w[5])))
+        vp, punct = n("VP", n("VBD", w[2]), pp), w[6]
+    else:
+        # the e1 verbed the e2 .
+        vp, punct = n("VP", n("VBD", w[2]), n("NP", n("DT", w[3]), n("NN", w[4]))), w[5]
+    s = n("S", n("NP", n("DT", w[0]), n("NN", w[1])), vp, n("PUNCT", punct))
+    return const_to_bracketed(s)
 
 
 def write_const_parses(path, trees):

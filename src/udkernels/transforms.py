@@ -50,7 +50,7 @@ class LabeledTree:
         return not self.children
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        return sum(1 for _ in self.iter_nodes())
 
     def iter_nodes(self):
         stack = [self]
@@ -112,20 +112,11 @@ class TreeIndex:
         order, self.children = _postorder(tree)
         self.labels = tuple([n.label for n in order])
         self.buckets = _buckets(self.labels)
-        self.below = None
+        order.pop()
+        self.below = tuple(order)
 
     def nodes(self, tree: LabeledTree) -> tuple:
-        """The nodes in postorder, tree last. Only SPTK reads them, so
-        `below` is filled on its first use, from the child positions
-        and not by a second walk: a parent's position is above its
-        children's, so going down from the root, each node is placed
-        before it places its children."""
-        if self.below is None:
-            found = [tree] * len(self.children)
-            for i in range(len(found) - 1, -1, -1):
-                for c, child in zip(self.children[i], found[i].children):
-                    found[c] = child
-            self.below = tuple(found[:-1])
+        """The nodes in postorder, tree last."""
         return (*self.below, tree)
 
     @cached_property
@@ -160,22 +151,34 @@ def to_lct(tree: DepTree, lowercase: bool = True) -> LabeledTree:
     does not reach (a head cycle or a dangling head), raises ConlluError.
     """
     by_id, children = tree._by_id, tree._children
-    reached = []
 
-    def build(node_id: int) -> LabeledTree:
-        reached.append(node_id)
+    def lexical(node_id: int, kids) -> LabeledTree:
         token = by_id[node_id]
         lemma = token.lemma
         word = lemma if lemma not in (None, "", "_") else token.form
         upos = token.upos
-        kids = (
-            LabeledTree(token.deprel),
-            LabeledTree(upos),
-            *map(build, children[node_id]),
-        )
+        kids = (LabeledTree(token.deprel), LabeledTree(upos), *kids)
         return LabeledTree(word.lower() if lowercase else word, LEXICAL, kids, upos)
 
-    lct = build(tree.root_id)
+    root = tree.root_id
+    reached = [root]
+    # tokens with dependents not yet built: the token's id, an iterator
+    # over those dependents and the subtrees of the ones already built
+    stack = [(root, iter(children[root]), [])]
+    while stack:
+        node_id, pending, kids = stack[-1]
+        child = next(pending, None)
+        if child is None:
+            stack.pop()
+            lct = lexical(node_id, kids)
+            if stack:
+                stack[-1][2].append(lct)
+            continue
+        reached.append(child)
+        if children[child]:
+            stack.append((child, iter(children[child]), []))
+        else:
+            kids.append(lexical(child, ()))
     if len(reached) != len(by_id):
         unreached = sorted(by_id.keys() - set(reached))
         raise ConlluError(
@@ -333,11 +336,14 @@ class ConstTree:
         return not self.children
 
     def leaves(self) -> list:
-        if self.is_leaf():
-            return [self]
-        out = []
-        for c in self.children:
-            out.extend(c.leaves())
+        """The leaves left to right, found from an explicit stack."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
+            else:
+                out.append(node)
         return out
 
 
@@ -355,7 +361,7 @@ _ESCAPE_OR_CARET = re.compile(r"\\(.)|\^", re.DOTALL)
 def _escape(atom: str) -> str:
     """atom with a backslash before each character the reader would take
     as syntax: brackets, carets, backslashes and any str.isspace().
-    The writers escape every label, and labels repeat (every relation
+    The writer escapes every label, and labels repeat (every relation
     and POS leaf of a lexical-centred tree), so the last 4096 distinct
     atoms are cached: a hit costs less than the scan."""
     # a function replacement: on Python 3.11, re.sub parses a template
@@ -473,39 +479,44 @@ def parse_bracketed(text: str, source: str = "<string>") -> list:
     return trees
 
 
-def const_to_bracketed(tree: ConstTree) -> str:
-    """tree as one line of bracketed text, which parse_bracketed reads
-    back. A .const file holds one tree a line, so a label holding a line
-    feed raises BracketError. split_lines drops a carriage return that
-    ends a line, so a one-node tree whose label ends in one is written
-    as a bracketed node without children, "(label)"."""
-    text = _bracketed(tree)
-    return f"({text})" if text.endswith("\r") else text
-
-
-def _bracketed(tree: ConstTree) -> str:
-    """tree's bracketed text, written from an explicit stack of nodes
-    still to write and text to put after them, so a tree of any depth is
-    written. Nodes are taken in preorder, so the first label holding a
-    line feed in preorder is the one refused."""
+def _write(tree, atom, bare_leaves: bool) -> str:
+    """tree as bracketed text: a node with children is "(" atom(node),
+    then a space before each child, then ")"; a node without children is
+    "(" atom(node) ")", or its bare atom if bare_leaves. A bare root whose
+    atom ends in a carriage return is bracketed all the same, since
+    split_lines drops one that ends a line. The writer keeps its own
+    stack of nodes still to write and text to put after them, so a tree
+    of any depth is written; atom is called on the nodes in preorder, so
+    an atom that refuses a label refuses the first in that order."""
     parts, stack = [], [tree]
     while stack:
         item = stack.pop()
         if type(item) is str:
             parts.append(item)
-            continue
-        label = item.label
-        if "\n" in label:
-            raise BracketError(f"constituency label {label!r} holds a line feed")
-        if not item.children:
-            parts.append(_escape(label))
-            continue
-        parts.append("(" + _escape(label))
-        stack.append(")")
-        for child in reversed(item.children):
-            stack.append(child)
-            stack.append(" ")
+        elif item.children:
+            parts.append("(" + atom(item))
+            stack.append(")")
+            for child in reversed(item.children):
+                stack.append(child)
+                stack.append(" ")
+        else:
+            text = atom(item)
+            bare = bare_leaves and not (item is tree and text.endswith("\r"))
+            parts.append(text if bare else "(" + text + ")")
     return "".join(parts)
+
+
+def _const_atom(node: ConstTree) -> str:
+    if "\n" in node.label:
+        raise BracketError(f"constituency label {node.label!r} holds a line feed")
+    return _escape(node.label)
+
+
+def const_to_bracketed(tree: ConstTree) -> str:
+    """tree as one line of bracketed text, which parse_bracketed reads
+    back, leaves as bare atoms. A .const file holds one tree a line, so
+    a label holding a line feed raises BracketError."""
+    return _write(tree, _const_atom, True)
 
 
 def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> ConstTree:
@@ -514,7 +525,9 @@ def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> ConstTree:
     Spans are 1-based inclusive token ranges. Every subtree lying fully
     outside [min(starts), max(ends)] is dropped at any depth; the result
     keeps original span annotations. A reversed span, a span outside the
-    tree's leaves or overlapping spans raise DataError.
+    tree's leaves or overlapping spans raise DataError. The pruning keeps
+    its own stack, as const_to_labeled does, so a tree of any depth is
+    pruned.
     """
     for span in (span1, span2):
         if span[0] > span[1]:
@@ -533,13 +546,26 @@ def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> ConstTree:
             break
         node = inner[0]
 
-    def prune(n: ConstTree) -> ConstTree:
-        if n.is_leaf():
-            return n
-        kept = tuple(prune(c) for c in n.children if not (c.span[1] < lo or c.span[0] > hi))
-        return ConstTree(n.label, kept, n.span)
-
-    return prune(node)
+    if not node.children:
+        return node
+    # nodes with children still being pruned: the node, an iterator over
+    # its children not yet visited and the pruned copies of those kept
+    stack = [(node, iter(node.children), [])]
+    while True:
+        n, pending, kept = stack[-1]
+        child = next(pending, None)
+        if child is None:
+            stack.pop()
+            pruned = ConstTree(n.label, tuple(kept), n.span)
+            if not stack:
+                return pruned
+            stack[-1][2].append(pruned)
+        elif child.span[1] < lo or child.span[0] > hi:
+            continue
+        elif child.children:
+            stack.append((child, iter(child.children), []))
+        else:
+            kept.append(child)
 
 
 def const_to_labeled(tree: ConstTree, pos: str | None = None) -> LabeledTree:
@@ -566,29 +592,17 @@ def const_to_labeled(tree: ConstTree, pos: str | None = None) -> LabeledTree:
             kids.append(LabeledTree(child.label, LEXICAL, (), node.label or "X"))
 
 
+def _labeled_atom(node: LabeledTree) -> str:
+    if node.kind == LEXICAL:
+        return _escape(node.label) + "^" + _escape(node.pos_tag or "X")
+    return _escape(node.label)
+
+
 def labeled_to_sexpr(tree: LabeledTree) -> str:
-    """Bracketed form of a LabeledTree. Lexical nodes render as
-    label^POS, so the expression parses back to an equal tree. Written
-    from an explicit stack, as _bracketed is, so a tree of any depth is
-    written."""
-    parts, stack = [], [tree]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            parts.append(item)
-            continue
-        atom = _escape(item.label)
-        if item.kind == LEXICAL:
-            atom += "^" + _escape(item.pos_tag or "X")
-        if not item.children:
-            parts.append("(" + atom + ")")
-            continue
-        parts.append("(" + atom)
-        stack.append(")")
-        for child in reversed(item.children):
-            stack.append(child)
-            stack.append(" ")
-    return "".join(parts)
+    """Bracketed form of a LabeledTree, every node bracketed. Lexical
+    nodes render as label^POS, so the expression parses back to an
+    equal tree."""
+    return _write(tree, _labeled_atom, False)
 
 
 def _labeled_node(parts, children) -> LabeledTree:

@@ -9,11 +9,13 @@ trees of more than _ORACLE_MAX_NODES nodes.
 
 The module also keeps the character-by-character bracket reader and
 the recursive writers and constituency conversion that
-udkernels.transforms replaced with a regex scan and explicit stacks:
+udkernels.transforms replaced with a regex scan and explicit stacks,
+and the text templates that udkernels.synthetic replaced with trees:
 reference_labeled_from_sexpr, reference_parse_bracketed,
-reference_labeled_to_sexpr, reference_const_to_bracketed and
-reference_const_to_labeled must agree with the package's functions on
-every result and on the type and text of every error.
+reference_labeled_to_sexpr, reference_const_to_bracketed,
+reference_const_to_labeled and reference_const_parse_line must agree
+with the package's functions on every result and on the type and text
+of every error.
 
 reference_make_sigma keeps the node similarity of udkernels.lexical as
 it was before its score memo and kind-first test: every call walks the
@@ -29,7 +31,7 @@ import numpy as np
 from udkernels.conllu import split_lines
 from udkernels.errors import BracketError
 from udkernels.lexical import _resolve, _unit, cosine
-from udkernels.transforms import LEXICAL, SYNTACTIC, ConstTree, LabeledTree, _escape
+from udkernels.transforms import LEXICAL, SYNTACTIC, ConstTree, LabeledTree
 
 _ORACLE_MAX_NODES = 6
 
@@ -43,18 +45,18 @@ def _sst_fragments(node: LabeledTree) -> dict:
     indivisible unit.
     """
     if not node.children:
-        return {f"({_escape(node.label)})": 1}
+        return {f"({reference_escape(node.label)})": 1}
     if all(not c.children for c in node.children):
-        inner = " ".join(_escape(c.label) for c in node.children)
-        return {f"({_escape(node.label)} {inner})": 1}
+        inner = " ".join(reference_escape(c.label) for c in node.children)
+        return {f"({reference_escape(node.label)} {inner})": 1}
     options = []
     for child in node.children:
-        opts = [(_escape(child.label), 0)]
+        opts = [(reference_escape(child.label), 0)]
         opts.extend(_sst_fragments(child).items())
         options.append(opts)
     out = {}
     for combo in itertools.product(*options):
-        ser = f"({_escape(node.label)} " + " ".join(s for s, _ in combo) + ")"
+        ser = f"({reference_escape(node.label)} " + " ".join(s for s, _ in combo) + ")"
         out[ser] = 1 + sum(w for _, w in combo)
     return out
 
@@ -67,14 +69,14 @@ def _pt_occurrences(node: LabeledTree) -> list:
     it picks (1 for fragment leaves), which is this side's lambda
     exponent for the embedding.
     """
-    out = [(_escape(node.label), 1, 1)]
+    out = [(reference_escape(node.label), 1, 1)]
     k = len(node.children)
     for r in range(1, k + 1):
         for picks in itertools.combinations(range(k), r):
             span = picks[-1] - picks[0] + 1
             child_occs = [_pt_occurrences(node.children[j]) for j in picks]
             for combo in itertools.product(*child_occs):
-                ser = f"({_escape(node.label)} " + " ".join(c[0] for c in combo) + ")"
+                ser = f"({reference_escape(node.label)} " + " ".join(c[0] for c in combo) + ")"
                 out.append(
                     (ser, span + sum(c[1] for c in combo), 1 + sum(c[2] for c in combo))
                 )
@@ -315,6 +317,26 @@ def reference_const_to_bracketed(tree: ConstTree) -> str:
 
     text = bracketed(tree)
     return f"({text})" if text.endswith("\r") else text
+
+
+def reference_const_parse_line(tree) -> str:
+    """synthetic.const_parse_line as an f-string template per sentence
+    shape, a dependency tree's forms escaped into it."""
+    e = reference_escape
+    f = [t.form for t in tree.tokens]
+    if any(t.deprel == "cop" for t in tree.tokens):
+        # the e1 was prep the e2 .
+        return (
+            f"(S (NP (DT {e(f[0])}) (NN {e(f[1])})) "
+            f"(VP (VBD {e(f[2])}) (PP (IN {e(f[3])}) (NP (DT {e(f[4])}) (NN {e(f[5])})))) "
+            f"(PUNCT {e(f[6])}))"
+        )
+    # the e1 verbed the e2 .
+    return (
+        f"(S (NP (DT {e(f[0])}) (NN {e(f[1])})) "
+        f"(VP (VBD {e(f[2])}) (NP (DT {e(f[3])}) (NN {e(f[4])}))) "
+        f"(PUNCT {e(f[5])}))"
+    )
 
 
 def reference_const_to_labeled(tree: ConstTree, pos: str | None = None) -> LabeledTree:

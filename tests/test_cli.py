@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output files, error reporting."""
 
 import json
+import sys
 
 import pytest
 
@@ -190,6 +191,26 @@ PET_SENTENCE = (
     "2\tb\tb\tX\t_\t_\t1\tdep\t_\t_\n"
     "3\tc\tc\tX\t_\t_\t1\tdep\t_\tEntity=e2\n"
 )
+
+
+def test_transforms_take_inputs_deeper_than_the_recursion_limit(tmp_path):
+    # a head chain for lct; for pet, a parse with one entity leaf at the
+    # bottom of a chain of N nodes, so the pruning walks the whole chain
+    depth = sys.getrecursionlimit() + 100
+    chain = tmp_path / "chain.conllu"
+    heads = [(i, (i + 1) % (depth + 1)) for i in range(1, depth + 1)]
+    rows = "".join(f"{i}\tw\tw\tX\t_\t_\t{h}\tdep\t_\t_\n" for i, h in heads)
+    chain.write_text("# sent_id = c1\n" + rows)
+    out = tmp_path / "chain.lct"
+    assert main(["transform", "lct", "--conllu", str(chain), "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 1 and out.read_text().count("(w^X") == depth
+    src, const = tmp_path / "in.conllu", tmp_path / "in.const"
+    src.write_text(PET_SENTENCE)
+    const.write_text("(S " + "(N " * depth + "a" + ")" * depth + " b (C c))\n")
+    out = tmp_path / "out.pet"
+    args = ["transform", "pet", "--conllu", str(src), "--const", str(const), "--out", str(out)]
+    assert main(args) == 0
+    assert out.read_text() == "(S " + "(N " * depth + "a" + ")" * depth + " b (C c))\n"
 
 
 def test_transform_pet_refuses_a_span_outside_the_parse_as_data_error(tmp_path, capsys):

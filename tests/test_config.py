@@ -9,6 +9,7 @@ import pytest
 from udkernels.combine import CompositeParams, PairKernelParams
 from udkernels.config import EvalConfig, SvmConfig, kernel_spec_to_dict, load_config, parse_config
 from udkernels.errors import ConfigError
+from udkernels.kernels import TreeKernelParams
 from udkernels.transforms import MweConfig
 
 
@@ -327,3 +328,77 @@ def test_composite_degree_must_be_a_positive_integer():
         with pytest.raises(ConfigError, match="degree must be a positive integer"):
             CompositeParams("CK2", vec_degree=degree)
     assert parse_config(re_raw(kernel={"variant": "CK2", "degree": 3})).kernel_spec.vec_degree == 3
+
+
+# --- non-finite and non-positive numbers -------------------------------------
+
+# what json reads from NaN, Infinity and -Infinity, and the non-positive values
+NOT_POSITIVE_FINITE = (float("nan"), float("inf"), float("-inf"), 0.0, -1.0)
+
+
+def with_field(field, value):
+    """A config whose field, a dotted path, holds value."""
+    if field == "kernel.coef0":
+        return re_raw(kernel={"variant": "CK2", "coef0": value})
+    if field == "kernel.m":
+        return pi_raw(kernel={"base": {"kind": "PTK"}, "m": value})
+    if field == "svm.class_weights.Other":
+        return pi_raw(svm={"class_weights": {"Other": value}})
+    return pi_raw(svm={field.split(".")[1]: value})
+
+
+@pytest.mark.parametrize("field", ["svm.C", "svm.tol", "svm.class_weights.Other"])
+@pytest.mark.parametrize("value", NOT_POSITIVE_FINITE)
+def test_svm_numbers_must_be_positive_and_finite(field, value):
+    message = f"^{re.escape(field)} must be positive and finite, got {value}$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(with_field(field, value))
+
+
+@pytest.mark.parametrize("value", NOT_POSITIVE_FINITE)
+def test_softmax_sharpness_must_be_positive_and_finite(value):
+    detail = rf"m \(softmax sharpness\) must be positive and finite, got {value}"
+    with pytest.raises(ConfigError, match=f"^kernel: {detail}$"):
+        parse_config(with_field("kernel.m", value))
+    with pytest.raises(ConfigError, match=f"^{detail}$"):
+        PairKernelParams(base=TreeKernelParams(kind="PTK"), m=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_composite_coef0_must_be_finite(value):
+    with pytest.raises(ConfigError, match=f"^kernel: coef0 must be finite, got {value}$"):
+        parse_config(with_field("kernel.coef0", value))
+    with pytest.raises(ConfigError, match=f"^coef0 must be finite, got {value}$"):
+        CompositeParams("CK2", vec_coef0=value)
+
+
+def test_non_finite_json_numbers_are_refused_when_a_config_file_loads(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(pi_raw(svm={"C": float("nan")})), encoding="utf-8")
+    assert "NaN" in path.read_text(encoding="utf-8")
+    with pytest.raises(ConfigError, match="^svm.C must be positive and finite, got nan$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        ("svm.C", (1e-300, 0.001, 1, 2.5, 1e300)),
+        ("svm.tol", (1e-12, 1e-3, 0.5, 10)),
+        ("svm.class_weights.Other", (1e-9, 0.5, 2, 1e6)),
+        ("kernel.m", (1e-3, 1, 100.0, 1e6)),
+        # a negative coef0 stays allowed
+        ("kernel.coef0", (-5.0, -1e-9, 0, 0.0, 1, 1e10)),
+    ],
+)
+def test_values_accepted_before_the_finite_checks_still_pass(field, values):
+    for value in values:
+        cfg = parse_config(with_field(field, value))
+        held = {
+            "svm.C": lambda: cfg.svm.C,
+            "svm.tol": lambda: cfg.svm.tol,
+            "svm.class_weights.Other": lambda: cfg.svm.class_weights["Other"],
+            "kernel.m": lambda: cfg.kernel_spec.m,
+            "kernel.coef0": lambda: cfg.kernel_spec.vec_coef0,
+        }[field]()
+        assert held == value

@@ -331,6 +331,31 @@ def test_class_weights_refuse_labels_absent_from_training():
         train_ovr(gram, labels, class_weights={"cause": 0.5, "other": 2.0, "Nope": 2.0})
 
 
+NOT_POSITIVE_FINITE = (float("nan"), float("inf"), float("-inf"), 0.0, -1.0)
+
+
+@pytest.mark.parametrize("value", NOT_POSITIVE_FINITE)
+def test_training_refuses_a_box_or_tolerance_that_is_not_positive_and_finite(value):
+    # each used to train a model with no supports and a bias of 0.0
+    gram, y = np.eye(2), [1.0, -1.0]
+    with pytest.raises(ConfigError, match=f"^C must be positive and finite, got {value}$"):
+        train_binary(gram, y, C=value)
+    with pytest.raises(ConfigError, match=f"^tol must be positive and finite, got {value}$"):
+        train_binary(gram, y, tol=value)
+    detail = f"must be positive and finite, got {value}$"
+    with pytest.raises(ConfigError, match=r"^sample_C\[1\] " + detail):
+        train_binary(gram, y, sample_C=[1.0, value])
+    gram, labels = three_class_problem()
+    with pytest.raises(ConfigError, match="^class_weights.cause " + detail):
+        train_ovr(gram, labels, class_weights={"message": 2.0, "cause": value})
+
+
+def test_training_takes_every_positive_finite_box():
+    gram, y = np.eye(2), [1.0, -1.0]
+    for C in (1e-300, 1e-3, 1, 1e300):
+        assert train_binary(gram, y, C=C, tol=1e-12).alpha == pytest.approx([min(C, 1.0)] * 2)
+
+
 def test_build_model_pools_supports():
     gram, labels = three_class_problem()
     payloads = [pair_payload(f"w{i}") for i in range(len(labels))]

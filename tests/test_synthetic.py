@@ -1,6 +1,10 @@
 """Generated corpora: shape, well-formedness, and reproducibility."""
 
 import filecmp
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udkernels.conllu import parse_conllu_file, validate
 from udkernels.datasets import load_pi_dataset, load_re_dataset
@@ -15,6 +19,8 @@ from udkernels.synthetic import (
     write_re_corpus,
 )
 from udkernels.transforms import parse_bracketed
+
+from oracle import reference_const_parse_line
 
 
 def test_pi_corpus_shape():
@@ -67,6 +73,37 @@ def test_const_parses_align_with_sentences():
         assert len(parses) == 1
         leaves = [leaf.label for leaf in parses[0].leaves()]
         assert leaves == [t.form for t in tree.tokens]
+
+
+# one sentence of each shape: a transitive verb, and a copula with a preposition
+SHAPES = {tree.metadata["relation"]: tree for tree in make_re_corpus(n_per_class=1, seed=13)}
+# nonempty forms of brackets, carets, backslashes, whitespace and letters
+form = st.text(alphabet="()^\\ \t\xa0\u2028\rab\xe9", min_size=1, max_size=4)
+
+
+def with_forms(tree, forms):
+    tokens = tuple(replace(t, form=form) for t, form in zip(tree.tokens, forms))
+    return replace(tree, tokens=tokens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SHAPES)), st.lists(form, min_size=7, max_size=7))
+def test_const_parse_line_equals_the_text_template(relation, forms):
+    tree = with_forms(SHAPES[relation], forms)
+    line = const_parse_line(tree)
+    assert line == reference_const_parse_line(tree)
+    (parsed,) = parse_bracketed(line)
+    assert [leaf.label for leaf in parsed.leaves()] == [t.form for t in tree.tokens]
+
+
+def test_const_parse_line_escapes_syntax_in_forms():
+    tree = with_forms(SHAPES["Content-Container"], ["(a", "b)", "c^d", "e\\", "f g", "", "."])
+    want = (
+        "(S (NP (DT \\(a) (NN b\\))) (VP (VBD c\\^d) (PP (IN e\\\\) "
+        "(NP (DT f\\ g) (NN )))) (PUNCT .))"
+    )
+    assert const_parse_line(tree) == reference_const_parse_line(tree) == want
+    assert {tree.metadata["relation"] for tree in SHAPES.values()} == set(RELATIONS)
 
 
 def test_pseudo_translation_prefixes_content_words():

@@ -17,6 +17,7 @@ from udkernels.transforms import (
     ConstTree,
     LabeledTree,
     MweConfig,
+    TreeIndex,
     collapse_mwe,
     const_to_bracketed,
     const_to_labeled,
@@ -120,6 +121,18 @@ def test_lct_equals_reference_builder(dep, lowercase):
     kinds = lambda t: [(n.kind, n.pos_tag) for n in t.iter_nodes()]  # noqa: E731
     assert kinds(lct) == kinds(want)
     assert lct.size() == 3 * len(dep)
+
+
+def test_lct_takes_a_head_chain_deeper_than_the_recursion_limit():
+    # token i hangs from token i + 1, and the last token is the root
+    n = sys.getrecursionlimit() + 100
+    deprel = lambda i: "root" if i == n else "dep"  # noqa: E731
+    tokens = [tok(i, f"W{i}", None, "X", (i + 1) % (n + 1), deprel(i)) for i in range(1, n + 1)]
+    dep = tree("chain", tokens)
+    lct = to_lct(dep)
+    levels = [f"(w{i}^X ({deprel(i)}) (X)" for i in range(n, 0, -1)]
+    assert labeled_to_sexpr(lct) == " ".join(levels) + ")" * n
+    assert lct.size() == 3 * n
 
 
 @pytest.mark.parametrize(
@@ -577,7 +590,7 @@ def test_postorder_matches_reference_walk(tree):
     assert len(order) == len(want_order)
     assert all(a is b for a, b in zip(order, want_order))
     assert children == want_children
-    # the index places the same nodes from its child positions
+    # the index keeps the nodes the walk placed
     nodes = tree.index.nodes(tree)
     assert len(nodes) == len(want_order) and all(a is b for a, b in zip(nodes, want_order))
 
@@ -649,3 +662,67 @@ def test_pet_and_labeled_pet_equal_references_on_the_relation_corpus(tmp_path):
         labeled = const_to_labeled(pet)
         assert labeled == reference_labeled(want)
         assert labeled_to_sexpr(labeled) == labeled_to_sexpr(reference_labeled(want))
+
+
+def reference_size(tree):
+    """LabeledTree.size as it recursed once per level."""
+    return 1 + sum(reference_size(c) for c in tree.children)
+
+
+def reference_leaves(tree):
+    """ConstTree.leaves as it recursed once per level."""
+    if not tree.children:
+        return [tree]
+    return [leaf for c in tree.children for leaf in reference_leaves(c)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_trees, const_trees)
+def test_size_and_leaves_equal_the_recursive_walks(labeled, const):
+    assert labeled.size() == reference_size(labeled)
+    leaves, want = const.leaves(), reference_leaves(const)
+    assert len(leaves) == len(want) and all(a is b for a, b in zip(leaves, want))
+
+
+@st.composite
+def pet_inputs(draw):
+    """A drawn constituency tree with its leaf spans, and two disjoint
+    entity spans within them."""
+    drawn = draw(const_trees.filter(lambda t: len(t.leaves()) > 1))
+    (const,) = parse_bracketed(const_to_bracketed(drawn))
+    n = const.span[1]
+    end = draw(st.integers(1, n - 1))
+    first = (draw(st.integers(1, end)), end)
+    start = draw(st.integers(end + 1, n))
+    second = (start, draw(st.integers(start, n)))
+    return const, *draw(st.permutations([first, second]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pet_inputs())
+def test_pet_equals_the_recursive_pruning(inputs):
+    const, span1, span2 = inputs
+    pet, want = extract_pet(const, span1, span2), reference_pet(const, span1, span2)
+    assert pet == want and const_to_bracketed(pet) == const_to_bracketed(want)
+
+
+def test_pet_size_and_leaves_take_a_parse_deeper_than_the_recursion_limit():
+    # leaves w x deep in a chain of N nodes, y z beside it under S; the
+    # entities x and y keep S as the cover, so the whole chain is pruned
+    depth = sys.getrecursionlimit() + 100
+    chain = "(N " * depth + "w x" + ")" * depth
+    (const,) = parse_bracketed(f"(S {chain} y z)")
+    assert [leaf.label for leaf in const.leaves()] == ["w", "x", "y", "z"]
+    pet = extract_pet(const, (2, 2), (3, 3))
+    assert const_to_bracketed(pet) == "(S " + "(N " * depth + "x" + ")" * depth + " y)"
+    assert const_to_labeled(pet).size() == depth + 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_trees)
+def test_index_nodes_are_the_postorder_walk(tree):
+    index = TreeIndex(tree)
+    nodes, want = index.nodes(tree), _postorder(tree)[0]
+    assert len(nodes) == len(want) and all(a is b for a, b in zip(nodes, want))
+    # the root is put back by nodes(), not kept in the index
+    assert nodes[-1] is tree and all(n is not tree for n in index.below)
