@@ -166,13 +166,14 @@ def _composite_value(params: CompositeParams, k_vec: float, k_pt: float, k_sst=N
 def _raise_named(exc: Exception, pair: str):
     """Re-raise exc, from its handler, with the failing pair named.
 
-    A type that cannot be built from one message gets the message
-    written into the original's args instead, so reporting a failure
-    never raises an error of its own.
+    An ArithmeticError, such as a float power's OverflowError, becomes a
+    NumericError. A type that cannot be built from one message gets the
+    message written into the original's args instead, so reporting a
+    failure never raises an error of its own.
     """
     message = f"kernel failed on pair {pair}: {exc}"
     try:
-        named = type(exc)(message)
+        named = (NumericError if isinstance(exc, ArithmeticError) else type(exc))(message)
     except Exception:
         named = None
     if named is None:
@@ -181,11 +182,20 @@ def _raise_named(exc: Exception, pair: str):
     raise named from exc
 
 
-def _call(kernel, x, y, id1, id2) -> float:
-    try:
-        return kernel(x, y)
-    except Exception as exc:
-        _raise_named(exc, f"{id1} x {id2}")
+def _fill(values: np.ndarray, square: bool, row_cells, pair) -> np.ndarray:
+    """values, filled in place row r from the iterable row_cells(r, start):
+    its cells from column start on, where start is r in a square matrix
+    (the upper triangle) and 0 otherwise. A cell that raises is named by
+    pair(r, c), where c is start plus the cells its row already gave."""
+    for r in range(len(values)):
+        start = r if square else 0
+        row: list = []
+        try:
+            row.extend(row_cells(r, start))
+        except Exception as exc:
+            _raise_named(exc, pair(r, start + len(row)))
+        values[r, start:] = row
+    return values
 
 
 def _mirror(values: np.ndarray):
@@ -212,30 +222,24 @@ def _finish(values: np.ndarray, square: bool, s_row, s_col) -> np.ndarray:
 def _slot_matrix(rows: list, cols: list, kernel, row_ids, col_ids, normalized=True) -> np.ndarray:
     """kernel(row, col) between the row and column objects of one slot.
 
-    Raw values are filled in row-major order, only the upper triangle
-    when cols is rows, so each pair is evaluated once; each row in one
-    list comprehension. A row that raises is evaluated again cell by
-    cell, as kernel_matrix does, so the first failing pair in row-major
-    order is named. Self values are a square matrix's diagonal, or one
-    kernel(x, x) call per object of a rectangle. The ids name each
-    object's instance when a call fails.
+    Raw values are filled by _fill, only the upper triangle when cols is
+    rows. Self values are a square matrix's diagonal; in a rectangle, one
+    kernel(x, x) call per row object and then per column object, also by
+    _fill. The ids name each object's instance when a call fails.
     """
     square = cols is rows
-    values = np.zeros((len(rows), len(cols)))
-    for i, x in enumerate(rows):
-        start = i if square else 0
-        try:
-            values[i, start:] = [kernel(x, y) for y in cols[start:]]
-        except Exception:
-            for j in range(start, len(cols)):
-                _call(kernel, x, cols[j], row_ids[i], col_ids[j])
-            raise
+    cells = lambda r, start: (kernel(rows[r], y) for y in cols[start:])
+    pair = lambda r, c: f"{row_ids[r]} x {col_ids[c]}"
+    values = _fill(np.zeros((len(rows), len(cols))), square, cells, pair)
     s_row = s_col = None
     if normalized and square:
         s_row = s_col = values.diagonal().copy()
     elif normalized:
-        s_row = np.array([_call(kernel, x, x, k, k) for x, k in zip(rows, row_ids)])
-        s_col = np.array([_call(kernel, y, y, k, k) for y, k in zip(cols, col_ids)])
+        # one row whose cell c is object c against itself
+        objs, ids = [*rows, *cols], (*row_ids, *col_ids)
+        diagonal = lambda r, start: (kernel(x, x) for x in objs)
+        selfs = _fill(np.zeros((1, len(objs))), False, diagonal, lambda r, c: f"{ids[c]} x {ids[c]}")
+        s_row, s_col = selfs[0, : len(rows)], selfs[0, len(rows) :]
     return _finish(values, square, s_row, s_col)
 
 
@@ -265,24 +269,26 @@ def _tree_matrix(rows: list, cols: list, params: TreeKernelParams, row_ids, col_
     """tree_kernel values between row and column trees.
 
     SST and PTK raw values, and a rectangle's self values, come from one
-    kernels.subtree_matrix call; every SPTK pair and self value from one
-    tree_kernel call each, via _slot_matrix. All of them share one memo
-    of child-subsequence totals, which kernels._MEMO_CAP bounds.
+    kernels.subtree_matrix call. A non-finite one raises the NumericError
+    its tree_kernel call would, named from its indices: a cell first,
+    then a row tree's self value, then a column tree's. Every SPTK pair
+    and self value is one tree_kernel call, via _slot_matrix. All of them
+    share one memo of child-subsequence totals, which kernels._MEMO_CAP
+    bounds.
     """
-    raw = replace(params, normalize=False)
     memo: dict = {}
-    kernel = lambda t1, t2: tree_kernel(t1, t2, raw, memo)
     if params.kind == "SPTK":
+        raw = replace(params, normalize=False)
+        kernel = lambda t1, t2: tree_kernel(t1, t2, raw, memo)
         return _slot_matrix(rows, cols, kernel, row_ids, col_ids, params.normalize)
     values, s_row, s_col = subtree_matrix(rows, cols, params, memo)
-    # the first non-finite value fails as its tree_kernel call would: a
-    # cell first, then a row tree's self value, then a column tree's
-    for i, j in np.argwhere(~np.isfinite(values))[:1]:
-        _call(kernel, rows[i], cols[j], row_ids[i], col_ids[j])
+    failed = [f"{row_ids[i]} x {col_ids[j]}" for i, j in np.argwhere(~np.isfinite(values))[:1]]
     if s_row is not None:
-        for trees, selfs, ids in ((rows, s_row, row_ids), (cols, s_col, col_ids)):
-            for i in np.flatnonzero(~np.isfinite(selfs))[:1]:
-                _call(kernel, trees[i], trees[i], ids[i], ids[i])
+        for selfs, ids in ((s_row, row_ids), (s_col, col_ids)):
+            failed += [f"{ids[i]} x {ids[i]}" for i in np.flatnonzero(~np.isfinite(selfs))[:1]]
+    if failed:
+        overflowed = f"{params.kind} kernel overflowed; use smaller lambda/mu or normalization"
+        raise NumericError(f"kernel failed on pair {failed[0]}: {overflowed}")
     return _finish(values, cols is rows, s_row, s_col)
 
 
@@ -297,11 +303,12 @@ def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> n
     """Kernel values between every row and every column payload.
 
     Pass one list as rows and cols for a training Gram: only its upper
-    triangle is evaluated and the lower one mirrors it. Failures name
-    the instance pair by row_ids and col_ids (positions by default; a
-    square matrix's columns take the row ids), and a non-finite value
-    raises NumericError. Cells are the scalar expressions of sm_tk and
-    composite_kernel, over Python floats.
+    triangle is evaluated and the lower one mirrors it. Each pair is
+    evaluated once, and the first that fails, in row-major order, is
+    named by row_ids and col_ids (positions by default; a square
+    matrix's columns take the row ids). An overflow or other arithmetic
+    error, and a non-finite value, raise NumericError. Cells are the
+    scalar expressions of sm_tk and composite_kernel, over Python floats.
     """
     if not isinstance(spec, (PairKernelParams, CompositeParams)):
         raise ConfigError(f"unsupported kernel spec {type(spec).__name__}")
@@ -318,12 +325,12 @@ def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> n
         col_trees, col_tree_ids = (row_trees, row_tree_ids) if square else flat(cols, col_ids)
         t = _tree_matrix(row_trees, col_trees, spec.base, row_tree_ids, col_tree_ids)
 
-        def cells(r: int, lo: int, hi: int) -> list:
+        def cells(r: int, start: int):
             first, second = t[2 * r].tolist(), t[2 * r + 1].tolist()
-            return [
+            return (
                 softmax2(first[2 * c] * second[2 * c + 1], first[2 * c + 1] * second[2 * c], spec.m)
-                for c in range(lo, hi)
-            ]
+                for c in range(start, len(cols))
+            )
 
     else:
         required = {"vec": "composite kernel requires entity context vectors"}
@@ -344,26 +351,16 @@ def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> n
         vec = _slot_matrix(*vecs, _vector_kernel([*vecs[0], *vecs[1]], spec), row_ids, col_ids)
         alpha, beta = spec.alpha, 1.0 - spec.alpha
 
-        def cells(r: int, lo: int, hi: int) -> list:
-            # _composite_value's expression over columns lo..hi-1 of row r
-            k_vec, k_pt = vec[r, lo:hi].tolist(), pt[r, lo:hi].tolist()
+        def cells(r: int, start: int):
+            # _composite_value's expression over row r from column start on
+            k_vec, k_pt = vec[r, start:].tolist(), pt[r, start:].tolist()
             if sst is None:
-                return [(v + p) ** 2 for v, p in zip(k_vec, k_pt)]
-            k_sst = sst[r, lo:hi].tolist()
-            return [alpha * s + beta * (v + p) ** 2 for v, p, s in zip(k_vec, k_pt, k_sst)]
+                return ((v + p) ** 2 for v, p in zip(k_vec, k_pt))
+            k_sst = sst[r, start:].tolist()
+            return (alpha * s + beta * (v + p) ** 2 for v, p, s in zip(k_vec, k_pt, k_sst))
 
-    values = np.zeros((len(rows), len(cols)))
-    one = lambda r, c: cells(r, c, c + 1)
-    for r in range(len(rows)):
-        start = r if square else 0
-        try:
-            values[r, start:] = cells(r, start, len(cols))
-        except Exception:
-            # a row's cells raise only as its first failing cell does
-            # alone, so that cell names the pair
-            for c in range(start, len(cols)):
-                _call(one, r, c, row_ids[r], col_ids[c])
-            raise
+    pair = lambda r, c: f"{row_ids[r]} x {col_ids[c]}"
+    values = _fill(np.zeros((len(rows), len(cols))), square, cells, pair)
     if square:
         _mirror(values)
     if not np.all(np.isfinite(values)):

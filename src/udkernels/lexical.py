@@ -56,6 +56,9 @@ def load_embeddings(path, lang: str = "") -> EmbeddingStore:
                 ) from None
             if vec.size == 0:
                 raise EmbeddingError(f"{path}:{lineno}: row has no vector components")
+            if not np.isfinite(vec).all():
+                bad = fields[1 + int(np.flatnonzero(~np.isfinite(vec))[0])]
+                raise EmbeddingError(f"{path}:{lineno}: vector component {bad!r} is not finite")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:

@@ -305,14 +305,24 @@ def run_predict(cfg: RunConfig, model_path, out_path, split: str = "test"):
         spec_fingerprint(cfg.kernel_spec), kernel_fingerprint(model.kernel_spec),
         "model file",
     )
+    source = "given model" if model is model_path else f"model file {model_path}"
     try:
         supports = [payload_from_dict(model.task, p) for p in model.supports]
     except (DataError, KeyError, TypeError, ValueError) as exc:
-        source = "given model" if model is model_path else f"model file {model_path}"
         raise ModelError(f"{source} holds a support payload that does not decode: {exc!r}") from None
     resources = load_resources(cfg)
     spec = bind_sigma(cfg.kernel_spec, cfg, resources)
     prepared = prepare_split(cfg, resources, split)
+    if model.task == "re" and prepared.payloads:
+        # a model trained on embeddings of another size would fail its
+        # first vector pair; name the cause instead
+        want = prepared.payloads[0].vec.shape
+        for support in supports:
+            if support.vec is not None and support.vec.shape != want:
+                raise ModelError(
+                    f"{source} holds context vectors of length {support.vec.size}, "
+                    f"but the configured embeddings give length {want[0]}"
+                )
     # columns are named by support position: supports carry no ids
     values = kernel_matrix(prepared.payloads, supports, spec, prepared.instance_ids)
     labels = []

@@ -460,6 +460,8 @@ def _model_from_dict(data: dict) -> SvmModel:
             )
         if len(coeffs) != len(idx):
             raise ValueError(f"class {label!r} has {len(coeffs)} coeffs for {len(idx)} supports")
+        if any(c.label == label for c in classes):
+            raise ValueError(f"class {label!r} is listed twice")
         classes.append(
             ClassModel(
                 label=label,
@@ -468,6 +470,8 @@ def _model_from_dict(data: dict) -> SvmModel:
                 support_idx=np.array(idx, dtype=int),
             )
         )
+    if len(classes) < 2:
+        raise ValueError(f"a model needs at least 2 classes, got {len(classes)}")
     classes.sort(key=lambda c: c.label)
     return SvmModel(
         task=data["task"],

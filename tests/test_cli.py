@@ -354,6 +354,22 @@ def test_gram_refuses_a_sentence_that_is_not_one_tree(re_setup, capsys, tmp_path
     assert f"error [data]: {message}" in capsys.readouterr().err
 
 
+def test_gram_reports_an_overflowing_vector_pair_as_a_numeric_error(re_setup, capsys, tmp_path):
+    # every vector scaled by 1e150: a context-vector pair's float power
+    # overflows, which used to escape as an OverflowError traceback
+    _, config = re_setup
+    raw = json.loads(config.read_text())
+    scaled = tmp_path / "scaled.txt"
+    rows = [line.split() for line in open(raw["resources"]["embeddings"]["en"], encoding="utf-8")]
+    scaled.write_text("".join(" ".join([w, *(repr(float(x) * 1e150) for x in v)]) + "\n" for w, *v in rows))
+    raw["resources"]["embeddings"]["en"] = str(scaled)
+    broken = tmp_path / "scaled.json"
+    broken.write_text(json.dumps(raw))
+    assert main(["gram", "--config", str(broken), "--out", str(tmp_path / "scaled.gram")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [numeric]: kernel failed on pair ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("variant", ["CK1", "CK3"])
 def test_gram_names_the_sentence_whose_span_is_outside_its_parse(
     re_setup, capsys, tmp_path, variant

@@ -26,7 +26,7 @@ from udkernels.config import (
     kernel_spec_to_dict,
     parse_config,
 )
-from udkernels.errors import ConfigError
+from udkernels.errors import ConfigError, NumericError
 from udkernels.kernels import TreeKernelParams, tree_kernel
 from udkernels.lexical import SigmaConfig, indicator_sigma
 from udkernels.pipeline import bind_sigma, load_resources, prepare_split
@@ -413,10 +413,11 @@ def test_vectors_poly_kernel_must_read_give_the_same_matrix():
 
 
 def test_overflowing_vector_pair_is_named():
-    # (1e70 * 1e70 + 1)^2 is finite; (1e70 * 1e90 + 1)^2 overflows, and
-    # Python's float power raises OverflowError for it
+    # (1e70 * 1e70 + 1)^2 is finite; (1e70 * 1e90 + 1)^2 overflows:
+    # Python's float power raises OverflowError for it, which the matrix
+    # reports as a NumericError
     rows = vector_inputs([1e70], [1e90])
-    fail_both_ways(composite("CK2"), rows, OverflowError, "a x b", "r x c1", "")
+    fail_both_ways(composite("CK2"), rows, NumericError, "a x b", "r x c1", "")
 
 
 def test_overflowing_composite_cell_is_named():
@@ -425,14 +426,16 @@ def test_overflowing_composite_cell_is_named():
     sigma = lambda n1, n2: 1.0 if n1.label == n2.label else 1e160
     spec = CompositeParams(variant="CK2", pt=TreeKernelParams("SPTK", sigma=sigma, normalize=False))
     rows = vector_inputs([1.0], [2.0])
-    fail_both_ways(spec, rows, OverflowError, "a x b", "r x c1", "")
+    fail_both_ways(spec, rows, NumericError, "a x b", "r x c1", "")
 
 
 def test_slot_matrix_names_the_first_failing_pair_in_row_major_order():
-    # kernel(x, y) = x * 10 + y, failing on the pairs in `bad`; a failing
-    # row is filled again cell by cell, which names its first bad pair
+    # kernel(x, y) = x * 10 + y, failing on the pairs in `bad`; the
+    # failing cell's position in its row names it
+    calls = []
+
     def slot(rows, cols, bad, normalized=False):
-        calls = []
+        calls.clear()
 
         def kernel(x, y):
             calls.append((x, y))
@@ -443,16 +446,28 @@ def test_slot_matrix_names_the_first_failing_pair_in_row_major_order():
         ids = lambda objs: tuple(f"i{x}" for x in objs)
         return combine._slot_matrix(rows, cols, kernel, ids(rows), ids(cols), normalized), calls
 
+    def fails(rows, cols, bad, pair, evaluated, normalized=False):
+        # the pairs evaluated are those before the failing one in
+        # row-major order, and it, each once
+        x, y = evaluated[-1]
+        with pytest.raises(ValueError, match=f"^kernel failed on pair {pair}: bad {x}{y}$"):
+            slot(rows, cols, bad, normalized)
+        assert calls == evaluated
+
     objs = [1, 2, 3, 4]
+    upper = [(x, y) for i, x in enumerate(objs) for y in objs[i:]]
+    rect = [(x, y) for x in objs[:2] for y in objs]
     # square: only the upper triangle is evaluated, so (3, 2) never fails
-    for bad, pair in [({(2, 4), (2, 3), (3, 3)}, "i2 x i3"), ({(3, 2), (2, 4)}, "i2 x i4")]:
-        with pytest.raises(ValueError, match=f"^kernel failed on pair {pair}: bad"):
-            slot(objs, objs, bad)
+    fails(objs, objs, {(2, 4), (2, 3), (3, 3)}, "i2 x i3", upper[:6])
+    fails(objs, objs, {(3, 2), (2, 4)}, "i2 x i4", upper[:7])
     # rectangle: a later column of an earlier row fails first
-    with pytest.raises(ValueError, match="^kernel failed on pair i1 x i4: bad 14$"):
-        slot(objs[:2], objs, {(2, 1), (1, 4)})
-    with pytest.raises(ValueError, match="^kernel failed on pair i2 x i1: bad 21$"):
-        slot(objs[:2], objs, {(2, 1), (2, 4)})
+    fails(objs[:2], objs, {(2, 1), (1, 4)}, "i1 x i4", rect[:4])
+    fails(objs[:2], objs, {(2, 1), (2, 4)}, "i2 x i1", rect[:5])
+    # a rectangle's self values: the row objects' first, then the columns'
+    cells = [(1, 3), (1, 4), (2, 3), (2, 4)]
+    fails([1, 2], [3, 4], {(2, 2), (3, 3)}, "i2 x i2", cells + [(1, 1), (2, 2)], normalized=True)
+    selfs = [(1, 1), (2, 2), (3, 3), (4, 4)]
+    fails([1, 2], [3, 4], {(4, 4)}, "i4 x i4", cells + selfs, normalized=True)
     # with nothing failing, each pair is evaluated once, in row-major
     # order, and the values are those of a cell-by-cell fill
     values, calls = slot(objs, objs, set())

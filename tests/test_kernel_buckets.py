@@ -1034,3 +1034,30 @@ def test_tree_matrix_names_the_first_overflowing_pair():
             _tree_matrix([small, spine], [small, small], params, ("s", "t"), ("b", "c"))
         with pytest.raises(NumericError, match="^kernel failed on pair c x c: SST kernel overflowed"):
             _tree_matrix([small], [small, spine], params, ("s",), ("b", "c"))
+
+
+@pytest.mark.parametrize("kind", ["SST", "PTK"])
+def test_tree_matrix_names_an_overflow_from_its_indices(monkeypatch, kind):
+    # the pair is named from the non-finite value's position, in the
+    # same order as above, and no tree_kernel call evaluates it again
+    calls = []
+    real = combine.tree_kernel
+    monkeypatch.setattr(combine, "tree_kernel", lambda *args: calls.append(args) or real(*args))
+    spine = syn("a", *[syn(f"x{k}") for k in range(64)])
+    for _ in range(16):
+        spine = syn("a", *[syn(f"x{k}") for k in range(64)], spine)
+    small = syn("a", syn("x0"))
+    params = TreeKernelParams(kind, lam=1.0, mu=1.0)
+    message = f"{kind} kernel overflowed; use smaller lambda/mu or normalization$"
+    cases = [
+        ([small, spine, spine], None, ("s", "t", "u"), None, "t x t"),
+        ([small, spine], [small, spine], ("s", "t"), ("b", "c"), "t x c"),
+        ([small, spine], [small, small], ("s", "t"), ("b", "c"), "t x t"),
+        ([small], [small, spine], ("s",), ("b", "c"), "c x c"),
+    ]
+    with np.errstate(over="ignore"):
+        for rows, cols, row_ids, col_ids, pair in cases:
+            cols, col_ids = (rows, row_ids) if cols is None else (cols, col_ids)
+            with pytest.raises(NumericError, match=f"^kernel failed on pair {pair}: {message}"):
+                _tree_matrix(rows, cols, params, row_ids, col_ids)
+    assert calls == []

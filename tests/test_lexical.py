@@ -1,4 +1,5 @@
 import itertools
+import re
 import struct
 import warnings
 from dataclasses import asdict
@@ -62,6 +63,15 @@ def test_load_embeddings_rejects_garbage(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("cat one two\n")
     with pytest.raises(EmbeddingError, match="non-numeric"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_load_embeddings_rejects_non_finite_components(tmp_path, token):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"cat 1.0 0.0\ndog 0.5 {token}\n")
+    message = re.escape(f"{path}:2: vector component '{token}' is not finite")
+    with pytest.raises(EmbeddingError, match=f"^{message}$"):
         load_embeddings(path)
 
 

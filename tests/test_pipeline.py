@@ -12,8 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from udkernels.combine import kernel_matrix
+from udkernels.combine import kernel_matrix, payload_from_dict
 from udkernels.config import parse_config
+from udkernels.datasets import write_predictions
 from udkernels.errors import ConfigError, DataError, ModelError
 from udkernels.pipeline import (
     Resources,
@@ -29,7 +30,7 @@ from udkernels.pipeline import (
     spec_fingerprint,
     write_gram,
 )
-from udkernels.svm import GramMatrix, save_model
+from udkernels.svm import GramMatrix, predict, save_model
 from udkernels.synthetic import write_crosslingual_re, write_pi_corpus, write_re_corpus
 
 
@@ -379,6 +380,38 @@ def test_predict_rejects_undecodable_support(pi_paths, tmp_path):
     model_path.write_text(json.dumps(data))
     with pytest.raises(ModelError, match="KeyError"):
         run_predict(cfg, model_path, None)
+
+
+def test_predict_refuses_context_vectors_of_another_length(re_paths, tmp_path):
+    cfg = re_config(re_paths)
+    model_path = tmp_path / "model.json"
+    run_train(cfg, model_path)
+    length = len(json.loads(model_path.read_text())["supports"][0]["vec"])
+    # the same words, each vector written twice over
+    wide = tmp_path / "wide.txt"
+    rows = [line.split() for line in open(re_paths["vectors.txt"], encoding="utf-8")]
+    wide.write_text("".join(" ".join([w, *v, *v]) + "\n" for w, *v in rows))
+    message = (
+        f"model file {model_path} holds context vectors of length {length}, "
+        f"but the configured embeddings give length {2 * length}"
+    )
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        run_predict(re_config({**re_paths, "vectors.txt": str(wide)}), model_path, None)
+
+
+def test_predict_with_matching_context_vectors_writes_the_kernel_rows_predictions(re_paths, tmp_path):
+    # the length check refuses nothing that fits: the predictions are
+    # those of the model's kernel rows against the test split
+    cfg = re_config(re_paths)
+    model = run_train(cfg, None)
+    run_predict(cfg, model, tmp_path / "pred.tsv")
+    resources = load_resources(cfg)
+    test = prepare_split(cfg, resources, "test")
+    supports = [payload_from_dict("re", p) for p in model.supports]
+    values = kernel_matrix(test.payloads, supports, bind_sigma(cfg.kernel_spec, cfg, resources))
+    labels, decisions = zip(*(predict(model, row) for row in values))
+    write_predictions(tmp_path / "want.tsv", test.instance_ids, labels, decisions)
+    assert filecmp.cmp(tmp_path / "pred.tsv", tmp_path / "want.tsv", shallow=False)
 
 
 def test_re_end_to_end(re_paths, tmp_path):

@@ -1,6 +1,7 @@
 """SMO solver, one-vs-rest wrapper, and model persistence."""
 
 import filecmp
+import json
 
 import numpy as np
 import pytest
@@ -443,6 +444,31 @@ def test_model_save_load_roundtrip(tmp_path):
     again = tmp_path / "again.json"
     save_model(loaded, again)
     assert filecmp.cmp(path, again, shallow=False)
+
+
+@pytest.mark.parametrize(
+    "keep, message",
+    [
+        (lambda classes: [], "a model needs at least 2 classes, got 0"),
+        (lambda classes: classes[:1], "a model needs at least 2 classes, got 1"),
+        (lambda classes: [*classes, classes[0]], "class 'cause' is listed twice"),
+    ],
+    ids=["no-class", "one-class", "repeated-class"],
+)
+def test_load_model_refuses_fewer_than_two_classes_or_a_repeated_one(tmp_path, keep, message):
+    # train_ovr writes none of these; predict would label every
+    # instance with the one class, or with None when there is none
+    gram, labels = three_class_problem()
+    ovr = train_ovr(gram, labels, C=1.0)
+    path = tmp_path / "model.json"
+    save_model(build_model("pi", {}, ovr, labels, encoded_payloads(len(labels))), path)
+    data = json.loads(path.read_text())
+    assert data["classes"][0]["label"] == "cause"
+    data["classes"] = keep(data["classes"])
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelError, match=f": {message}$") as info:
+        load_model(path)
+    assert str(info.value).startswith(f"malformed model file {path}: ")
 
 
 def test_model_save_is_deterministic(tmp_path):
