@@ -96,7 +96,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     cfg = load_config(args.config)
-    prepared, labels, _ = run_predict(cfg, args.model, args.out, split=args.split)
+    _, labels, _ = run_predict(cfg, args.model, args.out, split=args.split)
     print(f"wrote {len(labels)} predictions to {args.out}")
     return 0
 

@@ -298,14 +298,14 @@ def run_train(cfg: RunConfig, model_out, gram_path=None) -> SvmModel:
 
 
 def run_predict(cfg: RunConfig, model_path, out_path, split: str = "test"):
-    model = load_model(model_path) if not isinstance(model_path, SvmModel) else model_path
+    model = load_model(model_path)
     if model.task != cfg.task:
         raise ConfigError(f"model solves task {model.task!r}, config says {cfg.task!r}")
     _check_fingerprint(
         spec_fingerprint(cfg.kernel_spec), kernel_fingerprint(model.kernel_spec),
         "model file",
     )
-    source = "given model" if model is model_path else f"model file {model_path}"
+    source = f"model file {model_path}"
     try:
         supports = [payload_from_dict(model.task, p) for p in model.supports]
     except (DataError, KeyError, TypeError, ValueError) as exc:

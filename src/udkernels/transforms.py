@@ -16,6 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .conllu import DepTree, Token, split_lines
 from .errors import BracketError, ConlluError, DataError
@@ -66,28 +67,51 @@ class LabeledTree:
         return TreeIndex(self)
 
 
-def _postorder(tree: LabeledTree) -> tuple:
-    """Nodes in postorder (children before their parents) and, per node,
-    the postorder positions of its children.
+_children = attrgetter("children")
+
+
+def _fold(root, children_of, build):
+    """What build(node, built) returns for root. build is called on each
+    node after its children, where built holds what it returned for
+    those children, left to right: a list that build may change, or an
+    empty sequence for a node without children. children_of(node) gives
+    a node's children, or an empty sequence; a node reached at two
+    positions is built once at each.
 
     The walk keeps its own stack, so a tree of any depth is walked: each
-    entry is a node, an iterator over the children not yet placed and the
-    positions of those already placed.
+    entry is a node, an iterator over its children not yet built and
+    what was built for those already built. A child without children is
+    built where it is met, without an entry of its own.
     """
+    stack = [(root, iter(children_of(root)), [])]
+    while True:
+        node, pending, built = stack[-1]
+        for child in pending:
+            kids = children_of(child)
+            if kids:
+                stack.append((child, iter(kids), []))
+                break
+            built.append(build(child, ()))
+        else:
+            stack.pop()
+            value = build(node, built)
+            if not stack:
+                return value
+            stack[-1][2].append(value)
+
+
+def _postorder(tree: LabeledTree) -> tuple:
+    """Nodes in postorder (children before their parents) and, per node,
+    the postorder positions of its children, found by one _fold."""
     order = []
     children = []
-    stack = [(tree, iter(tree.children), [])]
-    while stack:
-        node, pending, placed = stack[-1]
-        child = next(pending, None)
-        if child is not None:
-            stack.append((child, iter(child.children), []))
-            continue
-        stack.pop()
-        if stack:
-            stack[-1][2].append(len(order))
+
+    def place(node, placed) -> int:
         order.append(node)
         children.append(tuple(placed))
+        return len(children) - 1
+
+    _fold(tree, _children, place)
     return order, tuple(children)
 
 
@@ -150,9 +174,11 @@ def to_lct(tree: DepTree, lowercase: bool = True) -> LabeledTree:
     concern. A sentence without exactly one root, or with tokens the root
     does not reach (a head cycle or a dangling head), raises ConlluError.
     """
-    by_id, children = tree._by_id, tree._children
+    by_id = tree._by_id
+    reached = []
 
     def lexical(node_id: int, kids) -> LabeledTree:
+        reached.append(node_id)
         token = by_id[node_id]
         lemma = token.lemma
         word = lemma if lemma not in (None, "", "_") else token.form
@@ -160,25 +186,7 @@ def to_lct(tree: DepTree, lowercase: bool = True) -> LabeledTree:
         kids = (LabeledTree(token.deprel), LabeledTree(upos), *kids)
         return LabeledTree(word.lower() if lowercase else word, LEXICAL, kids, upos)
 
-    root = tree.root_id
-    reached = [root]
-    # tokens with dependents not yet built: the token's id, an iterator
-    # over those dependents and the subtrees of the ones already built
-    stack = [(root, iter(children[root]), [])]
-    while stack:
-        node_id, pending, kids = stack[-1]
-        child = next(pending, None)
-        if child is None:
-            stack.pop()
-            lct = lexical(node_id, kids)
-            if stack:
-                stack[-1][2].append(lct)
-            continue
-        reached.append(child)
-        if children[child]:
-            stack.append((child, iter(children[child]), []))
-        else:
-            kids.append(lexical(child, ()))
+    lct = _fold(tree.root_id, tree._children.__getitem__, lexical)
     if len(reached) != len(by_id):
         unreached = sorted(by_id.keys() - set(reached))
         raise ConlluError(
@@ -525,9 +533,8 @@ def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> ConstTree:
     Spans are 1-based inclusive token ranges. Every subtree lying fully
     outside [min(starts), max(ends)] is dropped at any depth; the result
     keeps original span annotations. A reversed span, a span outside the
-    tree's leaves or overlapping spans raise DataError. The pruning keeps
-    its own stack, as const_to_labeled does, so a tree of any depth is
-    pruned.
+    tree's leaves or overlapping spans raise DataError. The pruning is
+    a _fold, so a tree of any depth is pruned.
     """
     for span in (span1, span2):
         if span[0] > span[1]:
@@ -546,50 +553,37 @@ def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> ConstTree:
             break
         node = inner[0]
 
-    if not node.children:
-        return node
-    # nodes with children still being pruned: the node, an iterator over
-    # its children not yet visited and the pruned copies of those kept
-    stack = [(node, iter(node.children), [])]
-    while True:
-        n, pending, kept = stack[-1]
-        child = next(pending, None)
-        if child is None:
-            stack.pop()
-            pruned = ConstTree(n.label, tuple(kept), n.span)
-            if not stack:
-                return pruned
-            stack[-1][2].append(pruned)
-        elif child.span[1] < lo or child.span[0] > hi:
-            continue
-        elif child.children:
-            stack.append((child, iter(child.children), []))
-        else:
-            kept.append(child)
+    def inside(n):
+        # the children kept; a leaf's () is returned without a new list
+        kids = n.children
+        return kids and [c for c in kids if lo <= c.span[1] and c.span[0] <= hi]
+
+    def prune(n, kept) -> ConstTree:
+        return ConstTree(n.label, tuple(kept), n.span) if n.children else n
+
+    return _fold(node, inside, prune)
 
 
 def const_to_labeled(tree: ConstTree, pos: str | None = None) -> LabeledTree:
     """Constituency tree as a LabeledTree; leaves become lexical nodes,
-    tagged with their parent's label (a leaf root with pos). The walk
-    keeps its own stack, so a tree of any depth is converted: each entry
-    is a node, an iterator over its children not yet converted and those
-    already converted."""
+    tagged with their parent's label (a leaf root with pos). The tree is
+    walked by _fold, so a tree of any depth is converted."""
     if not tree.children:
         return LabeledTree(tree.label, LEXICAL, (), pos or "X")
-    stack = [(tree, iter(tree.children), [])]
-    while True:
-        node, pending, kids = stack[-1]
-        child = next(pending, None)
-        if child is None:
-            stack.pop()
-            built = LabeledTree(node.label, SYNTACTIC, tuple(kids))
-            if not stack:
-                return built
-            stack[-1][2].append(built)
-        elif child.children:
-            stack.append((child, iter(child.children), []))
-        else:
-            kids.append(LabeledTree(child.label, LEXICAL, (), node.label or "X"))
+    return _fold(tree, _children, _labeled_from_const)
+
+
+def _labeled_from_const(node: ConstTree, built):
+    """const_to_labeled's builder: a leaf is left as it is for its parent,
+    which knows the label to tag it with and converts it in built (a
+    converted inner node always has children)."""
+    if not node.children:
+        return node
+    tag = node.label or "X"
+    for i, kid in enumerate(built):
+        if not kid.children:
+            built[i] = LabeledTree(kid.label, LEXICAL, (), tag)
+    return LabeledTree(node.label, SYNTACTIC, tuple(built))
 
 
 def _labeled_atom(node: LabeledTree) -> str:

@@ -387,7 +387,8 @@ def test_criterion_8_end_to_end_smoke(tmp_path):
 
     pi_paths = write_pi_corpus(tmp_path / "pi", n_pairs=40, seed=13)
     cfg = pi_config(pi_paths)
-    model = run_train(cfg, None)
+    model = tmp_path / "pi-model.json"
+    run_train(cfg, model)
     _, labels, _ = run_predict(cfg, model, None)
     pi_report = run_eval(cfg, labels)
     if pi_report.accuracy < 0.9:
@@ -395,7 +396,8 @@ def test_criterion_8_end_to_end_smoke(tmp_path):
 
     re_paths = write_re_corpus(tmp_path / "re", n_per_class=20, seed=13)
     re_cfg = re_config(re_paths)
-    re_model = run_train(re_cfg, None)
+    re_model = tmp_path / "re-model.json"
+    run_train(re_cfg, re_model)
     _, re_labels, _ = run_predict(re_cfg, re_model, None)
     re_report = run_eval(re_cfg, re_labels)
     if re_report.accuracy < 0.9:

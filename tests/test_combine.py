@@ -30,6 +30,7 @@ from udkernels.errors import ConfigError, NumericError
 from udkernels.kernels import TreeKernelParams, tree_kernel
 from udkernels.lexical import SigmaConfig, indicator_sigma
 from udkernels.pipeline import bind_sigma, load_resources, prepare_split
+from udkernels.svm import GramMatrix
 from udkernels.synthetic import write_crosslingual_re, write_pi_corpus, write_re_corpus
 from udkernels.transforms import lex, syn
 
@@ -532,6 +533,85 @@ def test_kernel_matrix_requires_vectors_and_constituency_trees():
         kernel_matrix([a], [no_pet], composite("CK3"))
     # CK2 never reads constituency trees
     kernel_matrix([a], [no_pet], composite("CK2"))
+
+
+# the square matrices SMO trains on, built by the same kernel_matrix
+
+PAIRS = [
+    (syn("a", syn("b"), syn("c")), syn("a", syn("b"), syn("d"))),
+    (syn("a", syn("b")), syn("x", syn("b", syn("c")))),
+    (syn("a", syn("c")), syn("boom", syn("b"))),
+]
+
+
+def pair_spec(sigma=indicator_sigma):
+    return PairKernelParams(base=TreeKernelParams("SPTK", sigma=sigma))
+
+
+def failing_sigma(error):
+    """Indicator similarity that raises on the node labeled 'boom'."""
+
+    def sigma(n1, n2):
+        if "boom" in (n1.label, n2.label):
+            raise error
+        return indicator_sigma(n1, n2)
+
+    return sigma
+
+
+def test_kernel_matrix_square_values_and_exact_symmetry():
+    spec = pair_spec()
+    values = kernel_matrix(PAIRS, PAIRS, spec, row_ids=("a", "b", "c"))
+    gram = GramMatrix(values=values, instance_ids=("a", "b", "c"), fingerprint="ff")
+    assert values.shape == (3, 3)
+    assert len(gram) == 3
+    assert values[0, 1] == sm_tk(PAIRS[0], PAIRS[1], spec)
+    assert values[2, 2] == sm_tk(PAIRS[2], PAIRS[2], spec)
+    # mirrored from the upper triangle, so symmetric to the bit
+    assert np.array_equal(values, values.T)
+
+
+def test_kernel_matrix_default_ids_and_repeated_builds():
+    # without ids, instances are named by position; repeated builds
+    # give the same bits
+    spec = pair_spec()
+    assert np.array_equal(kernel_matrix(PAIRS, PAIRS, spec), kernel_matrix(PAIRS, PAIRS, spec))
+    with pytest.raises(ValueError, match=r"pair 0 x 2"):
+        kernel_matrix(PAIRS, PAIRS, pair_spec(failing_sigma(ValueError("boom"))))
+
+
+def test_kernel_matrix_refuses_ids_of_another_length():
+    with pytest.raises(ValueError, match="row_ids holds 2 ids for 3 payloads"):
+        kernel_matrix(PAIRS, PAIRS, pair_spec(), row_ids=("a", "b"))
+    with pytest.raises(ValueError, match="col_ids holds 1 ids for 3 payloads"):
+        kernel_matrix(PAIRS[:1], PAIRS, pair_spec(), col_ids=("a",))
+
+
+def test_kernel_matrix_names_the_failing_pair_by_its_ids():
+    spec = pair_spec(failing_sigma(ValueError("boom")))
+    with pytest.raises(ValueError, match=r"a x c"):
+        kernel_matrix(PAIRS, PAIRS, spec, row_ids=("a", "b", "c"))
+
+
+def test_kernel_matrix_names_the_pair_for_any_exception_type():
+    # the type's constructor takes two arguments, so it cannot be rebuilt
+    # from a message; the original is re-raised with the pair named
+    spec = pair_spec(failing_sigma(PairFailure(7, "boom")))
+    with pytest.raises(PairFailure, match=r"0 x 2.*boom") as info:
+        kernel_matrix(PAIRS, PAIRS, spec)
+    assert info.value.code == 7
+
+
+def test_kernel_matrix_rejects_non_finite_values():
+    # an infinite context vector makes the normalized polynomial kernel
+    # inf / inf against any other instance
+    lct = syn("a", syn("b"))
+    inputs = [
+        REKernelInput(lct=lct, vec=np.array([1.0, 0.0])),
+        REKernelInput(lct=lct, vec=np.array([np.inf, 0.0])),
+    ]
+    with pytest.raises(NumericError, match=r"non-finite kernel value at 0 x 1"):
+        kernel_matrix(inputs, inputs, CompositeParams("CK2"))
 
 
 # --- serialization and fingerprints ----------------------------------------

@@ -403,8 +403,9 @@ def test_predict_with_matching_context_vectors_writes_the_kernel_rows_prediction
     # the length check refuses nothing that fits: the predictions are
     # those of the model's kernel rows against the test split
     cfg = re_config(re_paths)
-    model = run_train(cfg, None)
-    run_predict(cfg, model, tmp_path / "pred.tsv")
+    model_path = tmp_path / "model.json"
+    model = run_train(cfg, model_path)
+    run_predict(cfg, model_path, tmp_path / "pred.tsv")
     resources = load_resources(cfg)
     test = prepare_split(cfg, resources, "test")
     supports = [payload_from_dict("re", p) for p in model.supports]
@@ -416,19 +417,21 @@ def test_predict_with_matching_context_vectors_writes_the_kernel_rows_prediction
 
 def test_re_end_to_end(re_paths, tmp_path):
     cfg = re_config(re_paths)
-    model = run_train(cfg, None)
-    _, labels, _ = run_predict(cfg, model, None)
+    model_path = tmp_path / "model.json"
+    run_train(cfg, model_path)
+    _, labels, _ = run_predict(cfg, model_path, None)
     report = run_eval(cfg, labels)
     assert report.n_instances == 4
     assert report.accuracy >= 0.75
 
 
-def test_crosslingual_re_end_to_end(xl_paths):
+def test_crosslingual_re_end_to_end(xl_paths, tmp_path):
     # test split is pseudo-translated; its words reach the pivot
     # vectors only through the dictionary
     cfg = re_config(xl_paths, target_lang="xx")
-    model = run_train(cfg, None)
-    _, labels, _ = run_predict(cfg, model, None)
+    model_path = tmp_path / "model.json"
+    run_train(cfg, model_path)
+    _, labels, _ = run_predict(cfg, model_path, None)
     report = run_eval(cfg, labels)
     assert report.accuracy >= 0.75
 

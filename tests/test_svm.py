@@ -8,20 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udkernels.combine import (
-    CompositeParams,
-    PairKernelParams,
-    REKernelInput,
-    kernel_matrix,
-    payload_to_dict,
-    sm_tk,
-)
+from udkernels.combine import payload_to_dict
 from udkernels.errors import ConfigError, ModelError, NumericError, TrainingError
-from udkernels.kernels import TreeKernelParams
-from udkernels.lexical import indicator_sigma
 from udkernels.svm import (
     ClassModel,
-    GramMatrix,
     SvmModel,
     build_model,
     kkt_violations,
@@ -31,94 +21,7 @@ from udkernels.svm import (
     train_binary,
     train_ovr,
 )
-from udkernels.transforms import labeled_from_sexpr, syn
-
-
-# ---------------------------------------------------------------------------
-# training Gram matrices, built by combine.kernel_matrix
-
-
-PAIRS = [
-    (syn("a", syn("b"), syn("c")), syn("a", syn("b"), syn("d"))),
-    (syn("a", syn("b")), syn("x", syn("b", syn("c")))),
-    (syn("a", syn("c")), syn("boom", syn("b"))),
-]
-
-
-def pair_spec(sigma=indicator_sigma):
-    return PairKernelParams(base=TreeKernelParams("SPTK", sigma=sigma))
-
-
-def failing_sigma(error):
-    """Indicator similarity that raises on the node labeled 'boom'."""
-
-    def sigma(n1, n2):
-        if "boom" in (n1.label, n2.label):
-            raise error
-        return indicator_sigma(n1, n2)
-
-    return sigma
-
-
-def test_compute_gram_values_and_exact_symmetry():
-    spec = pair_spec()
-    values = kernel_matrix(PAIRS, PAIRS, spec, row_ids=("a", "b", "c"))
-    gram = GramMatrix(values=values, instance_ids=("a", "b", "c"), fingerprint="ff")
-    assert values.shape == (3, 3)
-    assert len(gram) == 3
-    assert values[0, 1] == sm_tk(PAIRS[0], PAIRS[1], spec)
-    assert values[2, 2] == sm_tk(PAIRS[2], PAIRS[2], spec)
-    # mirrored from the upper triangle, so symmetric to the bit
-    assert np.array_equal(values, values.T)
-
-
-def test_compute_gram_default_ids_and_thread_independence():
-    # without ids, instances are named by position; repeated builds
-    # give the same bits
-    spec = pair_spec()
-    assert np.array_equal(kernel_matrix(PAIRS, PAIRS, spec), kernel_matrix(PAIRS, PAIRS, spec))
-    with pytest.raises(ValueError, match=r"pair 0 x 2"):
-        kernel_matrix(PAIRS, PAIRS, pair_spec(failing_sigma(ValueError("boom"))))
-
-
-def test_compute_gram_id_length_mismatch():
-    with pytest.raises(ValueError, match="row_ids holds 2 ids for 3 payloads"):
-        kernel_matrix(PAIRS, PAIRS, pair_spec(), row_ids=("a", "b"))
-    with pytest.raises(ValueError, match="col_ids holds 1 ids for 3 payloads"):
-        kernel_matrix(PAIRS[:1], PAIRS, pair_spec(), col_ids=("a",))
-
-
-def test_compute_gram_names_failing_pair():
-    spec = pair_spec(failing_sigma(ValueError("boom")))
-    with pytest.raises(ValueError, match=r"a x c"):
-        kernel_matrix(PAIRS, PAIRS, spec, row_ids=("a", "b", "c"))
-
-
-class PairFailure(Exception):
-    def __init__(self, code, detail):
-        super().__init__(code, detail)
-        self.code = code
-
-
-def test_compute_gram_names_pair_for_any_exception_type():
-    # the type's constructor takes two arguments, so it cannot be rebuilt
-    # from a message; the original is re-raised with the pair named
-    spec = pair_spec(failing_sigma(PairFailure(7, "boom")))
-    with pytest.raises(PairFailure, match=r"0 x 2.*boom") as info:
-        kernel_matrix(PAIRS, PAIRS, spec)
-    assert info.value.code == 7
-
-
-def test_compute_gram_rejects_non_finite():
-    # an infinite context vector makes the normalized polynomial kernel
-    # inf / inf against any other instance
-    lct = syn("a", syn("b"))
-    inputs = [
-        REKernelInput(lct=lct, vec=np.array([1.0, 0.0])),
-        REKernelInput(lct=lct, vec=np.array([np.inf, 0.0])),
-    ]
-    with pytest.raises(NumericError, match=r"non-finite kernel value at 0 x 1"):
-        kernel_matrix(inputs, inputs, CompositeParams("CK2"))
+from udkernels.transforms import labeled_from_sexpr
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from udkernels.transforms import (
     lex,
     parse_bracketed,
     shortest_path,
+    _fold,
     _postorder,
     syn,
     to_lct,
@@ -387,6 +388,12 @@ def test_labeled_sexpr_roundtrip_any_labels(tree):
 
 
 @settings(max_examples=200, deadline=None)
+@given(const_trees, st.none() | labels)
+def test_const_to_labeled_equals_the_recursive_conversion(tree, pos):
+    assert const_to_labeled(tree, pos) == reference_const_to_labeled(tree, pos)
+
+
+@settings(max_examples=200, deadline=None)
 @given(const_trees)
 def test_bracketed_roundtrip_any_labels(tree):
     text = const_to_bracketed(tree)
@@ -565,6 +572,44 @@ def test_constituency_writer_and_conversion_take_a_tree_deeper_than_the_recursio
 # --- postorder views and path-enclosed trees ----------------------------------
 
 
+def test_fold_builds_children_first_left_to_right():
+    calls = []
+
+    def build(node, built):
+        calls.append((node.label, list(built)))
+        return node.label
+
+    tree = syn("r", syn("a", syn("b"), syn("c")), syn("d"))
+    assert _fold(tree, lambda n: n.children, build) == "r"
+    assert calls == [("b", []), ("c", []), ("a", ["b", "c"]), ("d", []), ("r", ["a", "d"])]
+
+
+def test_fold_builds_a_reused_subtree_once_at_each_of_its_positions():
+    shared = syn("t", syn("u"))
+    tree = syn("r", shared, syn("x", shared))
+    calls = []
+
+    def build(node, built):
+        calls.append(node)
+        return len(calls) - 1
+
+    top = _fold(tree, lambda n: n.children, build)
+    assert [n.label for n in calls] == ["u", "t", "u", "t", "x", "r"]
+    assert calls[1] is calls[3] is shared and top == 5
+
+
+def test_fold_builds_a_leaf_root_with_no_children():
+    calls = []
+
+    def build(node, built):
+        calls.append((node, tuple(built)))
+        return "built"
+
+    leaf = syn("leaf")
+    assert _fold(leaf, lambda n: n.children, build) == "built"
+    assert calls == [(leaf, ())]
+
+
 def reference_postorder(tree):
     """The stack walk with an id()-keyed position map that _postorder
     replaced."""
@@ -645,12 +690,6 @@ def reference_pet(tree, span1, span2):
     return prune(node)
 
 
-def reference_labeled(tree, pos=None):
-    if tree.is_leaf():
-        return lex(tree.label, pos or "X")
-    return syn(tree.label, *(reference_labeled(c, pos=tree.label) for c in tree.children))
-
-
 def test_pet_and_labeled_pet_equal_references_on_the_relation_corpus(tmp_path):
     paths = write_re_corpus(tmp_path, n_per_class=8, seed=5)
     instances = load_re_dataset(paths["train.conllu"], const_path=paths["train.const"])
@@ -660,8 +699,8 @@ def test_pet_and_labeled_pet_equal_references_on_the_relation_corpus(tmp_path):
         want = reference_pet(inst.const_tree, inst.e1_span, inst.e2_span)
         assert pet == want and const_to_bracketed(pet) == const_to_bracketed(want)
         labeled = const_to_labeled(pet)
-        assert labeled == reference_labeled(want)
-        assert labeled_to_sexpr(labeled) == labeled_to_sexpr(reference_labeled(want))
+        assert labeled == reference_const_to_labeled(want)
+        assert labeled_to_sexpr(labeled) == labeled_to_sexpr(reference_const_to_labeled(want))
 
 
 def reference_size(tree):
