@@ -12,11 +12,20 @@ the key.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+
+# SHA-256 from the interpreter's own module, as random.py takes sha512:
+# hashlib would map OpenSSL's libcrypto into every run for one digest
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .combine import CompositeParams, PairKernelParams
 from .errors import ConfigError
@@ -255,8 +264,10 @@ def kernel_spec_to_dict(spec) -> dict:
 
 
 def kernel_fingerprint(spec_dict: dict) -> str:
+    """The first 16 hex digits of SHA-256 over spec_dict's JSON with
+    sorted keys and compact separators."""
     canon = json.dumps(spec_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    return _sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 def load_config(path) -> RunConfig:

@@ -9,6 +9,7 @@ refuse to mix artifacts produced under different kernels.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +23,6 @@ from .combine import (
     payload_to_dict,
 )
 from .config import RunConfig, kernel_fingerprint, kernel_spec_to_dict
-from .conllu import DepTree
 from .datasets import load_pi_dataset, load_re_dataset, read_predictions, write_predictions
 from .errors import ConfigError, DataError, ModelError
 from .features import PIInstance, REInstance, build_vo, build_vud
@@ -152,6 +152,8 @@ class PreparedSplit:
 
 
 def _load_split(cfg: RunConfig, split: str):
+    """A split's instances, and the file their ids come from: the pair
+    file for the pair task, the CoNLL-U file for relations."""
     data = cfg.data
     lang = data.source_lang if split == "train" else (data.target_lang or data.source_lang)
     if cfg.task == "pi":
@@ -159,7 +161,7 @@ def _load_split(cfg: RunConfig, split: str):
         bank = data.train if split == "train" else (data.test or data.train)
         if not pairs or not bank:
             raise ConfigError(f"config lacks {split} paths for the pair task")
-        return load_pi_dataset(pairs, bank)
+        return pairs, load_pi_dataset(pairs, bank)
     conllu = data.train if split == "train" else data.test
     if not conllu:
         raise ConfigError(f"config lacks data.{'train' if split == 'train' else 'test'}")
@@ -168,25 +170,32 @@ def _load_split(cfg: RunConfig, split: str):
     const = None
     if needs_const:
         const = data.train_const if split == "train" else data.test_const
-    return load_re_dataset(conllu, const_path=const, lang=lang)
+    return conllu, load_re_dataset(conllu, const_path=const, lang=lang)
 
 
-def _gold(cfg: RunConfig, instances) -> tuple:
-    """Instance ids and gold labels of a loaded split."""
+def _gold(cfg: RunConfig, source, instances) -> tuple:
+    """Instance ids and gold labels of a split loaded from source.
+
+    Predictions are matched to gold by id, so an id that repeats is
+    refused here, before any step spends work on the split.
+    """
     ids = tuple(inst.instance_id for inst in instances)
+    if len(set(ids)) != len(ids):
+        repeated = next(iid for iid, count in Counter(ids).items() if count > 1)
+        raise DataError(f"{source}: instance id {repeated} appears more than once")
     if cfg.task == "pi":
         return ids, tuple("1" if inst.label else "0" for inst in instances)
     return ids, tuple(inst.label for inst in instances)
 
 
 def prepare_split(cfg: RunConfig, resources: Resources, split: str) -> PreparedSplit:
-    instances = _load_split(cfg, split)
+    source, instances = _load_split(cfg, split)
+    instance_ids, labels = _gold(cfg, source, instances)
     if cfg.task == "pi":
         payloads = [prepare_pi_payload(inst, cfg) for inst in instances]
     else:
         mode = cfg.kernel_spec.feature_mode
         payloads = [prepare_re_payload(inst, cfg, resources, mode) for inst in instances]
-    instance_ids, labels = _gold(cfg, instances)
     return PreparedSplit(instance_ids=instance_ids, labels=labels, payloads=payloads)
 
 
@@ -342,7 +351,7 @@ def run_eval(cfg: RunConfig, predictions, split: str = "test") -> EvalReport:
     The gold files are parsed and checked as every step does, but only
     their ids and labels are read: no tree, vector or resource is built.
     """
-    instance_ids, gold = _gold(cfg, _load_split(cfg, split))
+    instance_ids, gold = _gold(cfg, *_load_split(cfg, split))
     if isinstance(predictions, (str,)) or hasattr(predictions, "__fspath__"):
         rows = read_predictions(predictions)
         by_id = {}

@@ -1,7 +1,10 @@
 """Command line interface: exit codes, output files, error reporting."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from udkernels.cli import main
 from udkernels.datasets import read_predictions
 from udkernels.errors import ConfigError
 from udkernels.pipeline import read_gram
+from udkernels.conllu import parse_conllu_file, to_conllu
 from udkernels.synthetic import write_pi_corpus, write_re_corpus
 
 
@@ -385,3 +389,57 @@ def test_gram_names_the_sentence_whose_span_is_outside_its_parse(
     broken.write_text(json.dumps(raw))
     assert main(["gram", "--config", str(broken), "--out", str(tmp_path / "bad.gram")]) == 2
     assert "error [data]: p1: span (3, 3) outside sentence span (1, 2)" in capsys.readouterr().err
+
+
+def test_a_gram_step_loads_no_openssl(pi_setup, tmp_path):
+    # the kernel fingerprint takes SHA-256 from the interpreter's own module
+    _, config = pi_setup
+    script = (
+        "import sys\n"
+        "from udkernels.cli import main\n"
+        "assert main(['gram', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print(sorted(name for name in ('_hashlib', 'hashlib') if name in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config), str(tmp_path / "fresh.gram")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_a_test_split_with_a_repeated_id_stops_predict_and_eval(tmp_path, capsys):
+    paths = write_re_corpus(tmp_path, n_per_class=3, seed=1)
+    trees = parse_conllu_file(paths["test.conllu"])
+    with open(paths["test.conllu"], "w", encoding="utf-8") as handle:
+        for tree in [trees[0], *trees]:
+            handle.write(to_conllu(tree) + "\n")
+    config = tmp_path / "run.json"
+    config.write_text(
+        json.dumps(
+            {
+                "task": "re",
+                "kernel": {"variant": "CK2", "pt": {"kind": "PTK"}},
+                "data": {
+                    "train": paths["train.conllu"],
+                    "test": paths["test.conllu"],
+                    "source_lang": "en",
+                },
+                "resources": {"embeddings": {"en": paths["vectors.txt"]}},
+            }
+        )
+    )
+    model, pred = tmp_path / "model.json", tmp_path / "pred.tsv"
+    assert main(["train", "--config", str(config), "--model", str(model)]) == 0
+    capsys.readouterr()
+    repeated = f"{paths['test.conllu']}: instance id {trees[0].sent_id} appears more than once"
+    want = f"error [data]: {repeated}\n"
+    assert main(["predict", "--config", str(config), "--model", str(model), "--out", str(pred)]) == 2
+    assert capsys.readouterr().err == want
+    assert not pred.exists()
+    pred.write_text("".join(f"{tree.sent_id}\tOther\n" for tree in trees))
+    assert main(["eval", "--config", str(config), "--predictions", str(pred)]) == 2
+    assert capsys.readouterr().err == want

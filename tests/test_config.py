@@ -1,15 +1,28 @@
 """Run configuration parsing and validation."""
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from udkernels.combine import CompositeParams, PairKernelParams
-from udkernels.config import EvalConfig, SvmConfig, kernel_spec_to_dict, load_config, parse_config
+from udkernels.config import (
+    _SPEC_OF,
+    EvalConfig,
+    SvmConfig,
+    kernel_fingerprint,
+    kernel_spec_to_dict,
+    load_config,
+    parse_config,
+)
 from udkernels.errors import ConfigError
 from udkernels.kernels import TreeKernelParams
+from udkernels.lexical import indicator_sigma
 from udkernels.transforms import MweConfig
 
 
@@ -200,6 +213,53 @@ def test_load_config_from_file(tmp_path):
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(scalar)
 
+
+
+SPTK = TreeKernelParams("SPTK", sigma=indicator_sigma)
+# one spec of each class, every tree kernel kind among them
+FINGERPRINTED = [
+    PairKernelParams(base=TreeKernelParams("SST")),
+    PairKernelParams(base=SPTK, m=20.0),
+    CompositeParams("CK1"),
+    CompositeParams("CK2", pt=SPTK),
+    CompositeParams("CK3", alpha=0.5),
+]
+
+
+def hashlib_fingerprint(spec_dict: dict) -> str:
+    canon = json.dumps(spec_dict, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+def test_fingerprint_is_sha256_of_the_canonical_json():
+    assert {type(spec) for spec in FINGERPRINTED} == set(_SPEC_OF.values())
+    for spec in FINGERPRINTED:
+        data = kernel_spec_to_dict(spec)
+        assert kernel_fingerprint(data) == hashlib_fingerprint(data), data
+    # the value Gram headers and model files have carried for this spec
+    assert kernel_fingerprint(kernel_spec_to_dict(CompositeParams("CK2"))) == "a1842134b9fc15cc"
+
+
+def test_fingerprint_falls_back_to_hashlib_without_the_builtin_sha256():
+    script = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib, json
+from udkernels import config
+assert config._sha256 is hashlib.sha256
+print(json.dumps([config.kernel_fingerprint(data) for data in json.load(sys.stdin)]))
+"""
+    specs = [kernel_spec_to_dict(spec) for spec in FINGERPRINTED]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps(specs),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert json.loads(done.stdout) == [hashlib_fingerprint(data) for data in specs]
 
 
 def test_readme_configuration_block_parses():

@@ -7,7 +7,9 @@ without slowing the suite down.
 import filecmp
 import json
 import pickle
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,6 +477,41 @@ def test_eval_reads_only_gold_ids_and_labels(pi_paths, re_paths, monkeypatch, ta
     cfg.data.test = cfg.data.pairs_test = None
     with pytest.raises(ConfigError, match="lacks"):
         run_eval(cfg, predicted)
+
+
+def with_first_row_twice(path, dest) -> Path:
+    """dest: a copy of a pair file or CoNLL-U file whose first pair or
+    sentence is listed twice."""
+    text = Path(path).read_text(encoding="utf-8")
+    if str(path).endswith(".tsv"):
+        first = next(row for row in text.splitlines(keepends=True) if not row.startswith("#"))
+    else:
+        first = text[: text.index("\n\n") + 2]
+    dest.write_text(first + text, encoding="utf-8")
+    return dest
+
+
+@pytest.mark.parametrize("task", ["pi", "re"])
+def test_a_repeated_instance_id_stops_every_step(pi_paths, re_paths, tmp_path, task):
+    if task == "pi":
+        cfg, keys = pi_config(pi_paths), {"train": "pairs_train", "test": "pairs_test"}
+    else:
+        cfg, keys = re_config(re_paths), {"train": "train", "test": "test"}
+    model = tmp_path / "model.json"
+    run_train(cfg, model)
+    steps = {
+        "train": [lambda c: run_gram(c, None), lambda c: run_train(c, None)],
+        "test": [lambda c: run_predict(c, model, None), lambda c: run_eval(c, [])],
+    }
+    for split, key in keys.items():
+        path = Path(getattr(cfg.data, key))
+        copy = with_first_row_twice(path, tmp_path / f"{split}-{path.name}")
+        repeated = prepare_split(cfg, load_resources(cfg), split).instance_ids[0]
+        broken = replace(cfg, data=replace(cfg.data, **{key: str(copy)}))
+        want = re.escape(f"{copy}: instance id {repeated} appears more than once")
+        for step in steps[split]:
+            with pytest.raises(DataError, match=want):
+                step(broken)
 
 
 def test_missing_split_paths_are_reported(pi_paths, re_paths):
