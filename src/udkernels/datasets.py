@@ -78,7 +78,9 @@ def load_re_dataset(conllu_path, const_path=None, lang: str = "") -> list:
 def load_pi_dataset(pairs_path, conllu_path) -> list:
     """Paraphrase pairs from a TSV file over a sentence bank.
 
-    Rows are ``label<TAB>sent_a<TAB>sent_b`` with label 1 or 0.
+    Rows are ``label<TAB>sent_a<TAB>sent_b`` with label 1 or 0. A pair's
+    instance id joins its two sent_ids with ``::``; two different pairs
+    whose ids coincide, because a sent_id holds ``::``, are refused.
     """
     trees = parse_conllu_file(conllu_path)
     by_id = {}
@@ -87,6 +89,7 @@ def load_pi_dataset(pairs_path, conllu_path) -> list:
             raise DataError(f"{conllu_path}: duplicate sent_id {tree.sent_id}")
         by_id[tree.sent_id] = tree
     instances = []
+    pair_at = {}  # instance id -> (line, sent_a, sent_b) of its first pair
     with open(pairs_path, encoding="utf-8", newline="") as handle:
         lines = split_lines(handle.read())
     for lineno, line in enumerate(lines, start=1):
@@ -103,7 +106,15 @@ def load_pi_dataset(pairs_path, conllu_path) -> list:
         for sid in (sid_a, sid_b):
             if sid not in by_id:
                 raise DataError(f"{pairs_path}:{lineno}: unknown sent_id {sid!r}")
-        instances.append(PIInstance(by_id[sid_a], by_id[sid_b], label=raw_label == "1"))
+        instance = PIInstance(by_id[sid_a], by_id[sid_b], label=raw_label == "1")
+        first = pair_at.setdefault(instance.instance_id, (lineno, sid_a, sid_b))
+        if first[1:] != (sid_a, sid_b):
+            raise DataError(
+                f"{pairs_path}:{lineno}: pair ({sid_a!r}, {sid_b!r}) has the instance id "
+                f"{instance.instance_id!r} of the pair ({first[1]!r}, {first[2]!r}) on line "
+                f"{first[0]}, because a sent_id holds '::'"
+            )
+        instances.append(instance)
     return instances
 
 

@@ -3,7 +3,10 @@
 Three fragment spaces are supported. SST counts production-closed
 fragments: a node either keeps all of its children or stops. PTK counts
 any order-preserving fragment, scoring child subsequences with a
-gap-weighted subsequence recursion. SPTK is PTK with the exact-label
+gap-weighted subsequence recursion, which at each subsequence length
+fills only the cells where a subsequence of that length can end (all
+of them when the length-1 sum is not finite, as an inf or nan child
+delta makes it). SPTK is PTK with the exact-label
 gate replaced by a node similarity score, so lexically different but
 related nodes can still match.
 
@@ -165,6 +168,16 @@ def _subseq_sum(rows: list, ch2: tuple, lam: float) -> float:
 
     span counts positions from the first to the last picked child
     inclusive, so gaps inside a subsequence decay the term.
+
+    A subsequence of length p ends at child p or later, so level p's
+    terms lie in rows and columns >= p and their prefix sums in rows and
+    columns >= p - 1; every cell outside that triangle is an exact zero
+    (+0.0 in the prefix sums, +-0.0 among the terms, which leave a level
+    sum unchanged). The recursion fills only the triangle when the
+    level-1 sum is finite, which it can be only if every child delta is
+    finite. A skipped cell would multiply an inf or nan delta by zero to
+    nan, so otherwise every cell is filled; the bits are the full
+    table's either way.
     """
     a, b = len(rows), len(ch2)
     lam2 = lam * lam
@@ -183,23 +196,26 @@ def _subseq_sum(rows: list, ch2: tuple, lam: float) -> float:
         T.append([0.0, *[lam2 * v for v in d]])
     # numpy sums the zero-padded table, so its pairwise order is unchanged
     total = float(np.array(T).sum())
-    for _ in range(2, min(a, b) + 1):
+    finite = math.isfinite(total)
+    for p in range(2, min(a, b) + 1):
+        # the first row and column that level p - 1 can hold
+        s = p - 1 if finite else 1
         # R: lam-discounted 2d prefix sums of T, so extending both
         # subsequences by one picked child costs lam^(gap+1) per side;
         # only rows < a and columns < b are ever read
-        R = [zeros]
-        for x in range(1, a):
+        R = [zeros] * s
+        for x in range(s, a):
             t, up = T[x], R[x - 1]
             r = [0.0] * b
-            for y in range(1, b):
+            for y in range(s, b):
                 r[y] = t[y] + lam * up[y] + lam * r[y - 1] - lam2 * up[y - 1]
             R.append(r)
-        T = [zeros, zeros]
+        T = [zeros] * (s + 1)
         level = 0.0
-        for x in range(2, a + 1):
+        for x in range(s + 1, a + 1):
             row, prev = D[x - 1], R[x - 1]
             t = [0.0] * (b + 1)
-            for y in range(2, b + 1):
+            for y in range(s + 1, b + 1):
                 d = row[y - 1]
                 if d != 0.0:
                     v = d * lam2 * prev[y - 1]

@@ -357,11 +357,13 @@ def run_eval(cfg: RunConfig, predictions, split: str = "test") -> EvalReport:
         by_id = {}
         for iid, label in rows:
             if iid in by_id:
-                raise DataError(f"duplicate prediction for {iid}")
+                raise DataError(f"{predictions}: duplicate prediction for {iid}")
             by_id[iid] = label
         missing = [iid for iid in instance_ids if iid not in by_id]
         if missing:
-            raise DataError(f"predictions missing for {missing[0]} (+{len(missing) - 1} more)")
+            raise DataError(
+                f"{predictions}: predictions missing for {missing[0]} (+{len(missing) - 1} more)"
+            )
         predicted = [by_id[iid] for iid in instance_ids]
     else:
         predicted = list(predictions)

@@ -191,6 +191,26 @@ def test_pi_duplicate_bank_id(tmp_path):
         load_pi_dataset(pairs, bank)
 
 
+def test_pi_pairs_whose_ids_coincide_through_a_double_colon(tmp_path):
+    tokens = PI_BANK.split("\n\n")[0].split("\n", 1)[1]
+    sids = ("x::y", "z", "x", "y::z")
+    bank = write(
+        tmp_path / "bank.conllu", "\n\n".join(f"# sent_id = {sid}\n{tokens}" for sid in sids) + "\n"
+    )
+    # one such pair, and one pair listed twice, keep their joined ids; the
+    # repeat is refused later, as a repeated instance id of the split
+    alone = write(tmp_path / "alone.tsv", "1\tx::y\tz\n0\tx::y\tz\n")
+    assert [i.instance_id for i in load_pi_dataset(alone, bank)] == ["x::y::z", "x::y::z"]
+    # x::y + z and x + y::z both join to x::y::z
+    pairs = write(tmp_path / "pairs.tsv", "1\tx::y\tz\n0\tx\ty::z\n")
+    with pytest.raises(DataError) as excinfo:
+        load_pi_dataset(pairs, bank)
+    assert str(excinfo.value) == (
+        f"{pairs}:2: pair ('x', 'y::z') has the instance id 'x::y::z' of the pair "
+        "('x::y', 'z') on line 1, because a sent_id holds '::'"
+    )
+
+
 def test_prediction_roundtrip(tmp_path):
     path = tmp_path / "pred.tsv"
     decisions = [{"b": 0.5, "a": -1.25}, {"a": 2.0, "b": 0.125}]

@@ -286,30 +286,59 @@ def same_bits(x, y):
 
 
 # mixed magnitudes with many exact zeros, as child deltas are in practice
-cells = st.one_of(
+finite_cells = st.one_of(
     st.just(0.0),
     st.floats(min_value=1e-12, max_value=1e6),
     st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=True),
     st.sampled_from([5e-324, 1e-300, 0.16, 0.064, 1.0]),
 )
-N_NODES = 10
-children = st.lists(st.integers(0, N_NODES - 1), min_size=1, max_size=10).map(tuple)
+# and the deltas that overflow a level, or turn a zero prefix sum into
+# nan: the recursion skips such cells only while every delta is finite
+cells = st.one_of(
+    finite_cells,
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e300, -1e300, 1e308]),
+)
+N_NODES = 12
+children = st.lists(st.integers(0, N_NODES - 1), min_size=1, max_size=12).map(tuple)
+# half the tables all finite, so the skipped cells are exercised too
+tables = st.one_of(
+    *(
+        st.lists(c, min_size=N_NODES * N_NODES, max_size=N_NODES * N_NODES)
+        for c in (finite_cells, cells)
+    )
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    cells=st.lists(cells, min_size=N_NODES * N_NODES, max_size=N_NODES * N_NODES),
+    cells=tables,
     ch1=children,
     ch2=children,
     lam=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
 )
 def test_subseq_sum_matches_numpy_reference_bit_for_bit(cells, ch1, ch2, lam):
     delta = np.array(cells).reshape(N_NODES, N_NODES)
+    flat = array("d", cells)
+    # every pair of suffixes of the child lists: dropping leading children
+    # moves each delta across the bounds of the cells the recursion skips
+    for i in range(len(ch1)):
+        for j in range(len(ch2)):
+            with np.errstate(all="ignore"):
+                got = _subseq_sum(child_rows(flat, N_NODES, ch1[i:]), ch2[j:], lam)
+                want = reference_subseq_sum(delta, ch1[i:], ch2[j:], lam)
+            assert type(got) is float
+            assert same_bits(got, want), (i, j)
+
+
+def test_subseq_sum_keeps_the_nan_of_an_inf_delta_times_a_zero_prefix_sum():
+    # level 2 reaches inf through the inf delta; at level 3 the full table
+    # multiplies that delta by a zero prefix sum, which gives nan
+    delta = np.array([[0.0, 0.0, 0.0], [0.16, 0.0, 0.0], [0.0, math.inf, 0.0]])
+    rows = [array("d", r) for r in delta]
     with np.errstate(all="ignore"):
-        got = _subseq_sum(child_rows(array("d", cells), N_NODES, ch1), ch2, lam)
-        want = reference_subseq_sum(delta, ch1, ch2, lam)
-    assert type(got) is float
-    assert same_bits(got, want)
+        want = reference_subseq_sum(delta, (0, 1, 2), (0, 1, 2), 0.4)
+    assert math.isnan(want)
+    assert same_bits(_subseq_sum(rows, (0, 1, 2), 0.4), want)
 
 
 @pytest.mark.parametrize(

@@ -447,11 +447,15 @@ def test_run_eval_prediction_file_checks(pi_paths, tmp_path):
     path = tmp_path / "pred.tsv"
     first = prepared.instance_ids[0]
     path.write_text(f"{first}\t1\n{first}\t0\n")
-    with pytest.raises(DataError, match="duplicate prediction"):
+    with pytest.raises(DataError, match="duplicate prediction") as excinfo:
         run_eval(cfg, path)
+    assert str(excinfo.value) == f"{path}: duplicate prediction for {first}"
     path.write_text(f"{first}\t1\n")
-    with pytest.raises(DataError, match="predictions missing for"):
+    with pytest.raises(DataError, match="predictions missing for") as excinfo:
         run_eval(cfg, path)
+    missing = len(prepared.instance_ids) - 1
+    second = prepared.instance_ids[1]
+    assert str(excinfo.value) == f"{path}: predictions missing for {second} (+{missing - 1} more)"
 
 
 @pytest.mark.parametrize("task", ["pi", "re"])
