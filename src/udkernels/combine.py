@@ -9,6 +9,7 @@ optionally a constituency tree kernel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -18,7 +19,7 @@ from .errors import ConfigError, NumericError
 from .kernels import (
     TreeKernelParams,
     normalize,
-    normalize_row,
+    normalize_rows,
     poly_kernel,
     subtree_matrix,
     tree_kernel,
@@ -204,31 +205,55 @@ def _mirror(values: np.ndarray):
         values[i, :i] = values[:i, i]
 
 
+# Cells per normalization block in _finish: whole rows, at least one,
+# so its temporaries stay a fixed size however large the matrix grows.
+_BLOCK_CELLS = 1 << 12
+
+
 def _finish(values: np.ndarray, square: bool, s_row, s_col) -> np.ndarray:
     """values normalized in place by the self values s_row and s_col,
-    unless they are None, one row at a time by kernels.normalize_row
-    (the same bits as kernels.normalize on each cell); then a square
-    matrix's upper triangle is mirrored into its lower one."""
+    unless they are None; then a square matrix's upper triangle is
+    mirrored into its lower one.
+
+    kernels.normalize_rows normalizes a block of whole rows at a time,
+    as many as _BLOCK_CELLS cells hold (at least one row), with the bits
+    kernels.normalize gives each cell. A square block starts at its
+    first row's diagonal: the cells it holds left of a later row's
+    diagonal are normalized too, and the mirror then overwrites them.
+    """
     if s_row is not None:
-        for i, s in enumerate(s_row.tolist()):
+        step = max(1, _BLOCK_CELLS // max(1, values.shape[1]))
+        for i in range(0, len(values), step):
             start = i if square else 0
-            row = values[i, start:]  # a view, normalized in place
-            row[:] = normalize_row(row, s, s_col[start:])
+            block = values[i : i + step, start:]  # a view, normalized in place
+            block[:] = normalize_rows(block, s_row[i : i + step], s_col[start:])
     if square:
         _mirror(values)
     return values
 
 
-def _slot_matrix(rows: list, cols: list, kernel, row_ids, col_ids, normalized=True) -> np.ndarray:
-    """kernel(row, col) between the row and column objects of one slot.
+def _pairwise(rows: list, cols: list, kernel) -> tuple:
+    """The cells and self values of a slot whose kernel is called pair
+    by pair: cells(r, start) gives kernel(rows[r], y) for each column
+    object y from start on, and selfs() kernel(x, x) for each row object
+    x and then each column object."""
+    cells = lambda r, start: (kernel(rows[r], y) for y in cols[start:])
+    selfs = lambda: (kernel(x, x) for x in [*rows, *cols])
+    return cells, selfs
 
-    Raw values are filled by _fill, only the upper triangle when cols is
-    rows. Self values are a square matrix's diagonal; in a rectangle, one
-    kernel(x, x) call per row object and then per column object, also by
-    _fill. The ids name each object's instance when a call fails.
+
+def _slot_matrix(rows: list, cols: list, cells, selfs, row_ids, col_ids, normalized=True) -> np.ndarray:
+    """One slot's kernel values between its row and column objects, from
+    the row functions cells and selfs (see _pairwise).
+
+    Raw values are filled by _fill from cells, only the upper triangle
+    when cols is rows. Self values are a square matrix's diagonal; in a
+    rectangle, the values selfs() gives, also filled by _fill. The ids
+    name each object's instance when a value fails. _finish then
+    normalizes the matrix (unless normalized is false) and mirrors a
+    square one.
     """
     square = cols is rows
-    cells = lambda r, start: (kernel(rows[r], y) for y in cols[start:])
     pair = lambda r, c: f"{row_ids[r]} x {col_ids[c]}"
     values = _fill(np.zeros((len(rows), len(cols))), square, cells, pair)
     s_row = s_col = None
@@ -236,33 +261,70 @@ def _slot_matrix(rows: list, cols: list, kernel, row_ids, col_ids, normalized=Tr
         s_row = s_col = values.diagonal().copy()
     elif normalized:
         # one row whose cell c is object c against itself
-        objs, ids = [*rows, *cols], (*row_ids, *col_ids)
-        diagonal = lambda r, start: (kernel(x, x) for x in objs)
-        selfs = _fill(np.zeros((1, len(objs))), False, diagonal, lambda r, c: f"{ids[c]} x {ids[c]}")
-        s_row, s_col = selfs[0, : len(rows)], selfs[0, len(rows) :]
+        ids = (*row_ids, *col_ids)
+        self_pair = lambda r, c: f"{ids[c]} x {ids[c]}"
+        s = _fill(np.zeros((1, len(ids))), False, lambda r, start: selfs(), self_pair)[0]
+        s_row, s_col = s[: len(rows)], s[len(rows) :]
     return _finish(values, square, s_row, s_col)
 
 
-def _vector_kernel(vectors: list, spec: CompositeParams):
-    """The kernel of the context-vector slot matrix over vectors.
+def _vector_cells(rows: list, cols: list, spec: CompositeParams) -> tuple:
+    """The cells and self values of the context-vector slot, as
+    _slot_matrix reads them: poly_kernel(u, v, degree, coef0) of each
+    pair.
 
     poly_kernel reads two vectors as float64 arrays, checks that their
     shapes are equal and the degree valid, then evaluates. When every
-    vector already is a float64 array, all of one shape, and the degree
-    an int >= 1, those checks hold for every pair, so they are made here
-    once and the kernel is poly_kernel's expression alone. Otherwise the
-    kernel is poly_kernel itself, and the first pair that fails its
-    checks raises its error, named.
+    vector already is a contiguous 1-D float64 array, all of one length,
+    and the degree an int >= 1, those checks hold for every pair, so
+    they are made here once. The row and column vectors are then stacked
+    once, and each row's dots are one np.vecdot call, which runs the
+    inner loop np.dot runs and so gives the same bits; a rectangle's
+    self values are one np.vecdot of the stacked vectors with
+    themselves. A cell stays poly_kernel's Python float expression over
+    its dot, so a power that overflows raises at its pair. A dot that is
+    not finite is taken again by np.dot, which warns as a per-pair dot
+    does, at its pair. Otherwise every pair is one poly_kernel call, and
+    the first pair that fails its checks raises its error, named.
     """
     degree, coef0 = spec.vec_degree, spec.vec_coef0
-    if (
+    vectors = [*rows, *cols]
+    if not (
         type(degree) is int
         and degree >= 1
-        and all(type(u) is np.ndarray and u.dtype == np.float64 for u in vectors)
+        and all(
+            type(u) is np.ndarray and u.dtype == np.float64 and u.ndim == 1 and u.flags.c_contiguous
+            for u in vectors
+        )
         and len({u.shape for u in vectors}) <= 1
     ):
-        return lambda u, v: float((float(np.dot(u, v)) + coef0) ** degree)
-    return lambda u, v: poly_kernel(u, v, degree, coef0)
+        return _pairwise(rows, cols, lambda u, v: poly_kernel(u, v, degree, coef0))
+    dim = len(vectors[0]) if vectors else 0
+    stack = lambda vs: np.array(vs, dtype=np.float64).reshape(len(vs), dim)
+    row_stack = stack(rows)
+    col_stack = row_stack if cols is rows else stack(cols)
+
+    def polys(dots: np.ndarray, left, right):
+        # (dot + coef0) ** degree per dot of left[k] and right[k]
+        if np.isfinite(dots).all():
+            return ((d + coef0) ** degree for d in dots.tolist())
+        return (
+            ((d if math.isfinite(d) else float(np.dot(u, v))) + coef0) ** degree
+            for d, u, v in zip(dots.tolist(), left, right)
+        )
+
+    def cells(r: int, start: int):
+        with np.errstate(all="ignore"):
+            dots = np.vecdot(row_stack[r], col_stack[start:])
+        return polys(dots, itertools.repeat(rows[r]), cols[start:])
+
+    def selfs():
+        every = stack(vectors)
+        with np.errstate(all="ignore"):
+            dots = np.vecdot(every, every)
+        return polys(dots, vectors, vectors)
+
+    return cells, selfs
 
 
 def _tree_matrix(rows: list, cols: list, params: TreeKernelParams, row_ids, col_ids) -> np.ndarray:
@@ -280,7 +342,7 @@ def _tree_matrix(rows: list, cols: list, params: TreeKernelParams, row_ids, col_
     if params.kind == "SPTK":
         raw = replace(params, normalize=False)
         kernel = lambda t1, t2: tree_kernel(t1, t2, raw, memo)
-        return _slot_matrix(rows, cols, kernel, row_ids, col_ids, params.normalize)
+        return _slot_matrix(rows, cols, *_pairwise(rows, cols, kernel), row_ids, col_ids, params.normalize)
     values, s_row, s_col = subtree_matrix(rows, cols, params, memo)
     failed = [f"{row_ids[i]} x {col_ids[j]}" for i, j in np.argwhere(~np.isfinite(values))[:1]]
     if s_row is not None:
@@ -308,7 +370,12 @@ def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> n
     named by row_ids and col_ids (positions by default; a square
     matrix's columns take the row ids). An overflow or other arithmetic
     error, and a non-finite value, raise NumericError. Cells are the
-    scalar expressions of sm_tk and composite_kernel, over Python floats.
+    scalar expressions of sm_tk and composite_kernel, over Python floats,
+    read from one matrix per slot: the trees of a pair, or a composite
+    kernel's LCTs, constituency fragments and context vectors, whose
+    dots are taken a row at a time by np.vecdot (see _vector_cells).
+    Each slot matrix is normalized in row blocks of at most
+    _BLOCK_CELLS cells (or one row), so no temporary grows with n².
     """
     if not isinstance(spec, (PairKernelParams, CompositeParams)):
         raise ConfigError(f"unsupported kernel spec {type(spec).__name__}")
@@ -348,7 +415,7 @@ def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> n
         pt = _tree_matrix(*slot("lct"), spec.pt, row_ids, col_ids)
         sst = _tree_matrix(*slot("pet"), spec.sst, row_ids, col_ids) if "pet" in required else None
         vecs = slot("vec")
-        vec = _slot_matrix(*vecs, _vector_kernel([*vecs[0], *vecs[1]], spec), row_ids, col_ids)
+        vec = _slot_matrix(*vecs, *_vector_cells(*vecs, spec), row_ids, col_ids)
         alpha, beta = spec.alpha, 1.0 - spec.alpha
 
         def cells(r: int, start: int):

@@ -60,8 +60,9 @@ tree's own subtrees that no row tree holds, so its self value is the
 sum of its own rows in the block its cells read. Each row tree's self
 value takes one more column, the tree itself, over only its own ids. A
 row holds the same floats in any table, so a self value has the bits
-of a one-tree table's. normalize_row then normalizes one matrix row
-at a time, with the bits normalize gives each cell.
+of a one-tree table's. normalize_rows then normalizes a block of whole
+matrix rows at a time (combine._finish bounds its cells), with the bits
+normalize gives each cell.
 
 SPTK keeps one program per tree pair, since its node similarity sees
 whole nodes. It fills one flat array('d') of n1 * n2 floats, the delta
@@ -611,23 +612,24 @@ def normalize(raw: float, s1: float, s2: float) -> float:
     return raw / math.sqrt(product)
 
 
-def normalize_row(raw: np.ndarray, s1: float, s2: np.ndarray) -> np.ndarray:
-    """normalize(raw[j], s1, s2[j]) for every j, bit for bit, as one row
-    of numpy operations: numpy's multiply, sqrt and divide round as
-    Python's do, and the special cases are applied as masks in the
-    order normalize tests them. No floating-point warning is raised,
-    as normalize raises none."""
-    if s1 <= 0.0:
-        return np.zeros(len(raw))
+def normalize_rows(raw: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """normalize(raw[i, j], s1[i], s2[j]) for every cell of a 2-D block,
+    bit for bit, as one block of numpy operations: numpy's multiply, sqrt
+    and divide round as Python's do, and the special cases are applied as
+    masks in the order normalize tests them. No floating-point warning
+    is raised, as normalize raises none."""
+    rows = s1[:, None]
     with np.errstate(all="ignore"):
-        product = s1 * s2
+        product = rows * s2
         root = np.sqrt(product)
         odd = (product == 0.0) | (product == math.inf)
         if odd.any():
-            root[odd] = math.sqrt(s1) * np.sqrt(s2[odd])
+            i, j = np.nonzero(odd)
+            root[i, j] = np.sqrt(s1[i]) * np.sqrt(s2[j])
         out = raw / root
-    out[(raw == s1) & (s2 == s1)] = 1.0
-    out[s2 <= 0.0] = 0.0
+    out[(raw == rows) & (s2 == rows)] = 1.0
+    out[:, s2 <= 0.0] = 0.0
+    out[s1 <= 0.0] = 0.0
     return out
 
 

@@ -73,7 +73,7 @@ def train_binary(
         raise TrainingError(f"gram shape {gram.shape} does not match {n} labels")
     if not np.all(np.isfinite(gram)):
         raise NumericError("gram matrix contains non-finite entries")
-    if set(np.unique(y)) != {-1.0, 1.0}:
+    if set(y.ravel().tolist()) != {-1.0, 1.0}:
         raise TrainingError("training labels must contain both classes as -1/+1")
     box = np.full(n, float(C)) if sample_C is None else np.asarray(sample_C, dtype=np.float64)
     bad = np.flatnonzero(~((box > 0) & (box < math.inf)))

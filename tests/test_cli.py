@@ -411,6 +411,28 @@ def test_a_gram_step_loads_no_openssl(pi_setup, tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_a_train_step_loads_no_numpy_ma(pi_setup, tmp_path):
+    # np.unique imports numpy.ma; the label check reads a plain set instead
+    _, config = pi_setup
+    script = (
+        "import sys\n"
+        "from udkernels.cli import main\n"
+        "config, gram, model = sys.argv[1:]\n"
+        "assert main(['gram', '--config', config, '--out', gram]) == 0\n"
+        "assert main(['train', '--config', config, '--model', model, '--gram', gram]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config), str(tmp_path / "fresh.gram"), str(tmp_path / "model.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_a_test_split_with_a_repeated_id_stops_predict_and_eval(tmp_path, capsys):
     paths = write_re_corpus(tmp_path, n_per_class=3, seed=1)
     trees = parse_conllu_file(paths["test.conllu"])

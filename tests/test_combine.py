@@ -6,7 +6,7 @@ from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from udkernels import combine
@@ -159,13 +159,13 @@ def count_tree_kernel_calls(monkeypatch) -> Counter:
     tree_kernel call and one per cell a kernels.subtree_matrix call
     fills (the upper triangle of a square one) or self value it adds (a
     normalized rectangle's, one per row and column tree), and of the
-    vector pairs the context-vector slot's kernel evaluates under
-    "poly"."""
+    vector cells and self values the context-vector slot's row functions
+    give under "poly"."""
     calls = Counter()
-    real_tree, real_matrix, real_vector_kernel = (
+    real_tree, real_matrix, real_vector_cells = (
         combine.tree_kernel,
         combine.subtree_matrix,
-        combine._vector_kernel,
+        combine._vector_cells,
     )
 
     def counted_tree(t1, t2, params, *args):
@@ -180,18 +180,18 @@ def count_tree_kernel_calls(monkeypatch) -> Counter:
             calls[params.kind] += n * len(cols) + (n + len(cols) if params.normalize else 0)
         return real_matrix(rows, cols, params, *args)
 
-    def counted_vector_kernel(*args):
-        kernel = real_vector_kernel(*args)
-
-        def counted(u, v):
+    def counted(values):
+        for value in values:
             calls["poly"] += 1
-            return kernel(u, v)
+            yield value
 
-        return counted
+    def counted_vector_cells(*args):
+        cells, selfs = real_vector_cells(*args)
+        return (lambda r, start: counted(cells(r, start))), (lambda: counted(selfs()))
 
     monkeypatch.setattr(combine, "tree_kernel", counted_tree)
     monkeypatch.setattr(combine, "subtree_matrix", counted_matrix)
-    monkeypatch.setattr(combine, "_vector_kernel", counted_vector_kernel)
+    monkeypatch.setattr(combine, "_vector_cells", counted_vector_cells)
     return calls
 
 
@@ -421,6 +421,135 @@ def test_overflowing_vector_pair_is_named():
     fail_both_ways(composite("CK2"), rows, NumericError, "a x b", "r x c1", "")
 
 
+def test_overflowing_vector_dot_is_named_at_its_pair():
+    # degree 1, so no power overflows: a dot of 1e160 and 1e160 or 1e200
+    # overflows itself. The row path takes that dot again with np.dot,
+    # which warns at its pair as a per-pair dot does; under
+    # warnings-as-errors the warning is raised there, named
+    spec = composite("CK2", vec_degree=1)
+    square = vector_inputs([1.0], [1e160], [1e200])
+    detail = "overflow encountered in dot"
+    cases = [
+        (square, square, SQUARE_IDS, SQUARE_IDS, "b x b"),
+        (vector_inputs([1e160]), vector_inputs([1.0], [1e100], [1e200]), *RECT_IDS, "r x c2"),
+        # a rectangle's self values: the column vector against itself
+        (vector_inputs([1.0]), vector_inputs([1e200]), ("r",), ("c0",), "c0 x c0"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows, cols, row_ids, col_ids, pair in cases:
+            with pytest.raises(RuntimeWarning, match=f"^kernel failed on pair {pair}: {detail}$"):
+                kernel_matrix(rows, cols, spec, row_ids, col_ids)
+    # otherwise each overflowing dot warns once: b.b, b.c and c.c
+    with pytest.warns(RuntimeWarning) as record:
+        kernel_matrix(square, square, spec)
+    assert [str(w.message) for w in record] == [detail] * 3
+
+
+def per_pair_slot(rows: list, cols: list, degree: int, coef0: float, row_ids, col_ids, selfs: bool):
+    """The context-vector slot's raw matrix as per-pair np.dot calls give
+    it, or the first pair whose value raises (as warnings-as-errors
+    raises an overflowing dot) with its error: the cells in row-major
+    order, then, if selfs, a rectangle's self values, row vectors
+    first."""
+    poly = lambda u, v: float((float(np.dot(u, v)) + coef0) ** degree)
+    square = cols is rows
+    values = np.zeros((len(rows), len(cols)))
+    pairs = [(r, c) for r in range(len(rows)) for c in range(r if square else 0, len(cols))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            for r, c in pairs:
+                pair = f"{row_ids[r]} x {col_ids[c]}"
+                values[r, c] = poly(rows[r], cols[c])
+            if selfs and not square:
+                for x, name in zip([*rows, *cols], [*row_ids, *col_ids]):
+                    pair = f"{name} x {name}"
+                    poly(x, x)
+        except (OverflowError, RuntimeWarning) as exc:
+            return None, (pair, exc)
+    if square:
+        values = np.triu(values) + np.triu(values, 1).T
+    return values, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_vector_slot_equals_per_pair_dots_bit_for_bit(data):
+    # separately allocated vectors of one odd or even length, each at its
+    # own magnitude, 1e-150 to 1e150, so self products underflow and
+    # powers overflow
+    dim = data.draw(st.integers(1, 300), label="dim")
+    degree = data.draw(st.sampled_from([1, 2, 3]), label="degree")
+    coef0 = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="coef0")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def vectors(count: int) -> list:
+        return [
+            np.array((rng.standard_normal(dim) * 10.0 ** data.draw(st.integers(-150, 150))).tolist())
+            for _ in range(count)
+        ]
+
+    rows = vectors(data.draw(st.integers(1, 4)))
+    cols = rows if data.draw(st.booleans(), label="square") else vectors(data.draw(st.integers(1, 4)))
+    ids = lambda objs, name: tuple(f"{name}{k}" for k in range(len(objs)))
+    row_ids, col_ids = ids(rows, "r"), ids(cols, "r" if cols is rows else "c")
+    variant = data.draw(st.sampled_from(["CK2", "CK3"]), label="variant")
+    spec = composite(variant, vec_degree=degree, vec_coef0=coef0)
+    payloads = lambda vs: [REKernelInput(lct=syn("a"), vec=v, pet=syn("p")) for v in vs]
+    row_payloads = payloads(rows)
+    col_payloads = row_payloads if cols is rows else payloads(cols)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = lambda: combine._slot_matrix(
+            rows, cols, *combine._vector_cells(rows, cols, spec), row_ids, col_ids, normalized=False
+        )
+        matrix = lambda: kernel_matrix(row_payloads, col_payloads, spec, row_ids, col_ids)
+        # the raw slot takes no self values; kernel_matrix's normalized one does
+        for build, selfs in ((raw, False), (matrix, True)):
+            want, failed = per_pair_slot(rows, cols, degree, coef0, row_ids, col_ids, selfs)
+            if failed is not None:
+                pair, exc = failed
+                error = RuntimeWarning if isinstance(exc, RuntimeWarning) else NumericError
+                with pytest.raises(error, match=f"^kernel failed on pair {pair}: {re.escape(str(exc))}$"):
+                    build()
+        event("a pair fails" if failed else "every pair evaluates")
+        if failed is not None:
+            return
+        assert raw().tobytes() == want.tobytes()
+        got = matrix()
+    # and each cell, normalized and combined, is composite_kernel's
+    for r, a in enumerate(row_payloads):
+        for c, b in enumerate(col_payloads):
+            assert got[r, c].tobytes() == np.float64(composite_kernel(a, b, spec)).tobytes()
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_normalization_blocks_leave_kernel_matrix_bytes_unchanged(tmp_path, monkeypatch, run):
+    spec, train, test = prepared_run(tmp_path, run)
+    square = kernel_matrix(train, train, spec).tobytes()
+    rect = kernel_matrix(test, train, spec).tobytes()
+    blocks = []
+    real = combine.normalize_rows
+
+    def recorded(raw, s1, s2):
+        blocks.append(raw.shape)
+        return real(raw, s1, s2)
+
+    monkeypatch.setattr(combine, "normalize_rows", recorded)
+    n = (2 if run == "pi" else 1) * len(train)  # trees per row and column
+    # a row per block, then blocks that split the matrices mid-way and
+    # leave a shorter last block
+    for cap in (1, 3 * n + 1, n * n // 2):
+        monkeypatch.setattr(combine, "_BLOCK_CELLS", cap)
+        blocks.clear()
+        assert kernel_matrix(train, train, spec).tobytes() == square
+        assert kernel_matrix(test, train, spec).tobytes() == rect
+        # every block is whole rows within the bound, or one row
+        assert blocks and all(k * width <= max(cap, width) for k, width in blocks)
+        assert any(k > 1 for k, _ in blocks) == (cap > 1)
+
+
 def test_overflowing_composite_cell_is_named():
     # an unnormalized SPTK whose similarity is huge for different labels:
     # k_pt of a and b is about 6.4e158, finite, and its square overflows
@@ -445,7 +574,8 @@ def test_slot_matrix_names_the_first_failing_pair_in_row_major_order():
             return float(x * 10 + y)
 
         ids = lambda objs: tuple(f"i{x}" for x in objs)
-        return combine._slot_matrix(rows, cols, kernel, ids(rows), ids(cols), normalized), calls
+        cells, selfs = combine._pairwise(rows, cols, kernel)
+        return combine._slot_matrix(rows, cols, cells, selfs, ids(rows), ids(cols), normalized), calls
 
     def fails(rows, cols, bad, pair, evaluated, normalized=False):
         # the pairs evaluated are those before the failing one in

@@ -12,7 +12,7 @@ from udkernels.kernels import (
     TreeKernelParams,
     delta_matrix,
     normalize,
-    normalize_row,
+    normalize_rows,
     poly_kernel,
     tree_kernel,
 )
@@ -188,37 +188,56 @@ NORMALIZE_SPECIALS = [
 def same_cells(got: np.ndarray, want: list) -> bool:
     want = np.array(want, dtype=float)
     return got.shape == want.shape and all(
-        a.tobytes() == b.tobytes() or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, want)
+        a.tobytes() == b.tobytes() or (math.isnan(a) and math.isnan(b))
+        for a, b in zip(got.ravel(), want.ravel())
     )
 
 
-def normalize_row_quietly(raw, s1, s2):
+def normalize_rows_quietly(raw, s1, s2):
     # floating-point warnings raised as errors, as CI runs the tests
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return normalize_row(np.array(raw, dtype=float), s1, np.array(s2, dtype=float))
+        return normalize_rows(
+            np.array(raw, dtype=float).reshape(len(s1), len(s2)),
+            np.array(s1, dtype=float),
+            np.array(s2, dtype=float),
+        )
 
 
-def test_normalize_row_equals_normalize_on_every_special_cell():
+def test_normalize_rows_equals_normalize_on_every_special_cell():
     # every (raw, s2) pair of the specials in one row per s1, raw == s1 == s2 among them
     pairs = list(itertools.product(NORMALIZE_SPECIALS, repeat=2))
     raws, s2s = [r for r, _ in pairs], [t for _, t in pairs]
     for s1 in NORMALIZE_SPECIALS:
-        got = normalize_row_quietly(raws, s1, s2s)
-        assert same_cells(got, [normalize(r, s1, t) for r, t in pairs]), s1
+        got = normalize_rows_quietly(raws, [s1], s2s)
+        assert same_cells(got, [[normalize(r, s1, t) for r, t in pairs]]), s1
+    # and one block per raw value: a row per s1, a column per s2
+    n = len(NORMALIZE_SPECIALS)
+    for raw in NORMALIZE_SPECIALS:
+        raws = [raw] * n * n
+        got = normalize_rows_quietly(raws, NORMALIZE_SPECIALS, NORMALIZE_SPECIALS)
+        want = [[normalize(raw, s1, s2) for s2 in NORMALIZE_SPECIALS] for s1 in NORMALIZE_SPECIALS]
+        assert same_cells(got, want), raw
 
 
 finite = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
+special = st.sampled_from(NORMALIZE_SPECIALS)
 
 
 @settings(max_examples=300, deadline=None)
-@given(s1=finite, cells=st.lists(st.tuples(finite, finite), max_size=8), data=st.data())
-def test_normalize_row_equals_normalize_bit_for_bit(s1, cells, data):
-    # cells that repeat s1 as raw and s2, where the exact 1.0 applies
-    cells = cells + [(s1, s1)] * data.draw(st.integers(0, 2))
-    raws, s2s = [r for r, _ in cells], [t for _, t in cells]
-    got = normalize_row_quietly(raws, s1, s2s)
-    assert same_cells(got, [normalize(r, s1, t) for r, t in cells])
+@given(data=st.data())
+def test_normalize_rows_equals_normalize_bit_for_bit(data):
+    # a block of rows, some with s1 <= 0, some columns with s2 <= 0, and
+    # cells that repeat their row's s1 as raw and s2, where the exact 1.0
+    # applies
+    value = st.one_of(finite, special)
+    s1 = data.draw(st.lists(value, min_size=1, max_size=5), label="s1")
+    s2 = data.draw(st.lists(value, max_size=6), label="s2")
+    s2 += [s1[data.draw(st.integers(0, len(s1) - 1))] for _ in range(data.draw(st.integers(0, 2)))]
+    raw = [[data.draw(st.one_of(value, st.just(a))) for _ in s2] for a in s1]
+    got = normalize_rows_quietly([x for row in raw for x in row], s1, s2)
+    want = [[normalize(raw[i][j], a, b) for j, b in enumerate(s2)] for i, a in enumerate(s1)]
+    assert same_cells(got, want)
 
 
 # --- bookkeeping and errors ------------------------------------------------
