@@ -19,6 +19,9 @@ import numpy as np
 from .errors import ConfigError, ModelError, NumericError, TrainingError
 
 MODEL_VERSION = "2"
+# the solver stops after this many sweeps even if some instance still
+# violates its KKT condition
+_MAX_SWEEPS = 1000
 
 
 @dataclass
@@ -53,15 +56,15 @@ def train_binary(
     C: float = 1.0,
     tol: float = 1e-3,
     max_passes: int = 10,
-    max_sweeps: int = 1000,
     sample_C=None,
 ) -> BinaryModel:
     """Solve the soft-margin dual for labels in {-1, +1}.
 
     Sweeps the training set until max_passes consecutive sweeps produce
     no update, meaning every instance satisfies its KKT condition within
-    tol. The bias is then recomputed from free support vectors, or from
-    the midpoint of the feasible interval when none exist.
+    tol, or until _MAX_SWEEPS sweeps. The bias is then recomputed from
+    free support vectors, or from the midpoint of the feasible interval
+    when none exist.
     """
     for name, value in (("C", C), ("tol", tol)):
         if not 0 < value < math.inf:
@@ -163,7 +166,7 @@ def train_binary(
 
     clean = 0
     sweeps = 0
-    while clean < max_passes and sweeps < max_sweeps:
+    while clean < max_passes and sweeps < _MAX_SWEEPS:
         changed = 0
         for i in range(n):
             if examine(i):

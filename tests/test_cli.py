@@ -82,6 +82,24 @@ def test_errors_exit_2_with_category(pi_setup, capsys, tmp_path):
     assert "absent.json" in err
 
 
+def test_predict_refuses_a_model_whose_support_tree_lost_its_last_bracket(
+    pi_setup, capsys, tmp_path
+):
+    _, config = pi_setup
+    model = tmp_path / "model.json"
+    assert main(["train", "--config", str(config), "--model", str(model)]) == 0
+    stored = json.loads(model.read_text())
+    stored["supports"][0]["a"] = stored["supports"][0]["a"][:-1]
+    model.write_text(json.dumps(stored))
+    capsys.readouterr()
+    pred = tmp_path / "pred.tsv"
+    assert main(["predict", "--config", str(config), "--model", str(model), "--out", str(pred)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [model]: ")
+    assert "does not decode" in err
+    assert not pred.exists()
+
+
 def test_verbose_reraises(pi_setup, tmp_path):
     with pytest.raises(ConfigError):
         main(

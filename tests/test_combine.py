@@ -469,7 +469,9 @@ def per_pair_slot(rows: list, cols: list, degree: int, coef0: float, row_ids, co
         except (OverflowError, RuntimeWarning) as exc:
             return None, (pair, exc)
     if square:
-        values = np.triu(values) + np.triu(values, 1).T
+        # copied, not added to a zero, so a -0.0 cell keeps its sign
+        lower = np.tril_indices(len(rows), -1)
+        values[lower] = values.T[lower]
     return values, None
 
 
