@@ -119,9 +119,7 @@ class CompositeParams:
             raise ConfigError("composite sst slot must hold an SST kernel")
         if self.pt.kind not in ("PTK", "SPTK"):
             raise ConfigError("composite pt slot must hold a PTK or SPTK kernel")
-        degree = self.vec_degree
-        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
-            raise ConfigError(f"degree must be a positive integer, got {degree!r}")
+        _check_degree(self.vec_degree)
         if not math.isfinite(self.vec_coef0):
             raise ConfigError(f"coef0 must be finite, got {self.vec_coef0}")
 
@@ -130,6 +128,16 @@ class CompositeParams:
         """Entity context flavor: surface windows for CK1, dependency
         contexts for CK2 and CK3."""
         return "V_o" if self.variant == "CK1" else "V_ud"
+
+    @property
+    def reads_constituency(self) -> bool:
+        """Whether the kernel adds alpha * K_sst on constituency fragments (CK1, CK3)."""
+        return self.variant != "CK2"
+
+
+def _check_degree(degree):
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+        raise ConfigError(f"degree must be a positive integer, got {degree!r}")
 
 
 def composite_kernel(a: REKernelInput, b: REKernelInput, params: CompositeParams) -> float:
@@ -145,7 +153,7 @@ def composite_kernel(a: REKernelInput, b: REKernelInput, params: CompositeParams
     k_pt = tree_kernel(a.lct, b.lct, params.pt)
     poly = lambda u, v: poly_kernel(u, v, params.vec_degree, params.vec_coef0)
     k_vec = normalize(poly(a.vec, b.vec), poly(a.vec, a.vec), poly(b.vec, b.vec))
-    if params.variant == "CK2":
+    if not params.reads_constituency:
         return _composite_value(params, k_vec, k_pt)
     if a.pet is None or b.pet is None:
         raise ConfigError(f"{params.variant} requires constituency trees for both instances")
@@ -271,34 +279,19 @@ def _slot_matrix(rows: list, cols: list, cells, selfs, row_ids, col_ids, normali
 def _vector_cells(rows: list, cols: list, spec: CompositeParams) -> tuple:
     """The cells and self values of the context-vector slot, as
     _slot_matrix reads them: poly_kernel(u, v, degree, coef0) of each
-    pair.
+    pair of the vectors kernel_matrix has checked.
 
-    poly_kernel reads two vectors as float64 arrays, checks that their
-    shapes are equal and the degree valid, then evaluates. When every
-    vector already is a contiguous 1-D float64 array, all of one length,
-    and the degree an int >= 1, those checks hold for every pair, so
-    they are made here once. The row and column vectors are then stacked
-    once, and each row's dots are one np.vecdot call, which runs the
-    inner loop np.dot runs and so gives the same bits; a rectangle's
-    self values are one np.vecdot of the stacked vectors with
-    themselves. A cell stays poly_kernel's Python float expression over
-    its dot, so a power that overflows raises at its pair. A dot that is
-    not finite is taken again by np.dot, which warns as a per-pair dot
-    does, at its pair. Otherwise every pair is one poly_kernel call, and
-    the first pair that fails its checks raises its error, named.
+    The vectors are stacked once into C-contiguous float64 rows, so no
+    value depends on a vector's memory layout. Each row's dots are one
+    np.vecdot call, which runs the inner loop np.dot runs and so gives
+    poly_kernel's bits; a rectangle's self values are one np.vecdot of
+    the stacked vectors with themselves. A cell stays poly_kernel's
+    Python float expression over its dot, so a power that overflows
+    raises at its pair. A dot that is not finite is taken again by
+    np.dot on its stacked rows, which warns as a per-pair dot does.
     """
     degree, coef0 = spec.vec_degree, spec.vec_coef0
     vectors = [*rows, *cols]
-    if not (
-        type(degree) is int
-        and degree >= 1
-        and all(
-            type(u) is np.ndarray and u.dtype == np.float64 and u.ndim == 1 and u.flags.c_contiguous
-            for u in vectors
-        )
-        and len({u.shape for u in vectors}) <= 1
-    ):
-        return _pairwise(rows, cols, lambda u, v: poly_kernel(u, v, degree, coef0))
     dim = len(vectors[0]) if vectors else 0
     stack = lambda vs: np.array(vs, dtype=np.float64).reshape(len(vs), dim)
     row_stack = stack(rows)
@@ -316,13 +309,13 @@ def _vector_cells(rows: list, cols: list, spec: CompositeParams) -> tuple:
     def cells(r: int, start: int):
         with np.errstate(all="ignore"):
             dots = np.vecdot(row_stack[r], col_stack[start:])
-        return polys(dots, itertools.repeat(rows[r]), cols[start:])
+        return polys(dots, itertools.repeat(row_stack[r]), col_stack[start:])
 
     def selfs():
         every = stack(vectors)
         with np.errstate(all="ignore"):
             dots = np.vecdot(every, every)
-        return polys(dots, vectors, vectors)
+        return polys(dots, every, every)
 
     return cells, selfs
 
@@ -376,6 +369,11 @@ def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> n
     dots are taken a row at a time by np.vecdot (see _vector_cells).
     Each slot matrix is normalized in row blocks of at most
     _BLOCK_CELLS cells (or one row), so no temporary grows with n².
+
+    Composite payloads are checked first, and a refusal names the
+    instance: a missing vector or constituency fragment (ConfigError),
+    or a vector that, read as float64, is not 1-D or not as long as the
+    first (ValueError). The degree must be an int >= 1 (ConfigError).
     """
     if not isinstance(spec, (PairKernelParams, CompositeParams)):
         raise ConfigError(f"unsupported kernel spec {type(spec).__name__}")
@@ -401,12 +399,19 @@ def kernel_matrix(rows: list, cols: list, spec, row_ids=None, col_ids=None) -> n
 
     else:
         required = {"vec": "composite kernel requires entity context vectors"}
-        if spec.variant != "CK2":
+        if spec.reads_constituency:
             required["pet"] = f"{spec.variant} requires constituency trees for both instances"
+        named = [*zip(row_ids, rows), *zip(col_ids, cols)]
         for attr, message in required.items():
-            for iid, payload in [*zip(row_ids, rows), *zip(col_ids, cols)]:
+            for iid, payload in named:
                 if getattr(payload, attr) is None:
                     raise ConfigError(f"{message} (instance {iid} has none)")
+        vectors = [np.asarray(payload.vec, dtype=np.float64) for _, payload in named]
+        for (iid, _), vec in zip(named, vectors):
+            if vec.ndim != 1 or vec.shape != vectors[0].shape:
+                shapes = f"instance {iid} has shape {vec.shape}, the first {vectors[0].shape}"
+                raise ValueError(f"context vectors must be 1-D and as long as the first: {shapes}")
+        _check_degree(spec.vec_degree)
 
         def slot(attr: str) -> tuple:
             objects = [getattr(x, attr) for x in rows]

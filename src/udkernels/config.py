@@ -318,7 +318,7 @@ def _needs_embeddings(cfg: RunConfig) -> bool:
 
 def _check_cross_requirements(cfg: RunConfig):
     spec = cfg.kernel_spec
-    if isinstance(spec, CompositeParams) and spec.variant in ("CK1", "CK3"):
+    if isinstance(spec, CompositeParams) and spec.reads_constituency:
         if cfg.data.train and not cfg.data.train_const:
             raise ConfigError(f"data.train_const is required for variant {spec.variant}")
         if cfg.data.test and not cfg.data.test_const:

@@ -669,9 +669,10 @@ def tree_kernel(
 
 
 def poly_kernel(u, v, degree: int = 2, coef0: float = 1.0) -> float:
-    """(u . v + coef0) ** degree on plain feature vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    """(u . v + coef0) ** degree on plain feature vectors, read as
+    C-contiguous float64 arrays: combine.kernel_matrix's bits on any layout."""
+    u = np.asarray(u, dtype=np.float64, order="C")
+    v = np.asarray(v, dtype=np.float64, order="C")
     if u.shape != v.shape:
         raise ValueError(f"vector shapes differ: {u.shape} vs {v.shape}")
     if degree < 1 or int(degree) != degree:

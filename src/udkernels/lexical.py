@@ -20,7 +20,6 @@ from .transforms import LEXICAL, SYNTACTIC, LabeledTree
 class EmbeddingStore:
     dim: int
     vectors: dict
-    lang: str = ""
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -29,17 +28,20 @@ class EmbeddingStore:
         return self.vectors.get(word)
 
 
-def load_embeddings(path, lang: str = "") -> EmbeddingStore:
+def load_embeddings(path) -> EmbeddingStore:
     """Load a text embedding file: optional `count dim` header, then
-    one `word v1 .. vd` row per line. The word is the first field."""
+    one `word v1 .. vd` row per line. The word is the first field.
+    Fields are separated by ASCII whitespace only, as in fastText files,
+    so a word keeps any other character, such as U+00A0 or U+2028, and
+    numbers are read in ASCII digits."""
     vectors: dict = {}
     dim = None
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
+            # bytes.split breaks at ASCII whitespace only, str.split at any
+            fields = raw.encode("utf-8").split()
+            if not fields:
                 continue
-            fields = line.split()
             if lineno == 1 and len(fields) == 2:
                 try:
                     int(fields[0])
@@ -47,7 +49,7 @@ def load_embeddings(path, lang: str = "") -> EmbeddingStore:
                     continue
                 except ValueError:
                     pass
-            word = fields[0]
+            word = fields[0].decode("utf-8")
             try:
                 vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
             except ValueError:
@@ -57,7 +59,7 @@ def load_embeddings(path, lang: str = "") -> EmbeddingStore:
             if vec.size == 0:
                 raise EmbeddingError(f"{path}:{lineno}: row has no vector components")
             if not np.isfinite(vec).all():
-                bad = fields[1 + int(np.flatnonzero(~np.isfinite(vec))[0])]
+                bad = fields[1 + int(np.flatnonzero(~np.isfinite(vec))[0])].decode("utf-8")
                 raise EmbeddingError(f"{path}:{lineno}: vector component {bad!r} is not finite")
             if dim is None:
                 dim = vec.size
@@ -68,22 +70,18 @@ def load_embeddings(path, lang: str = "") -> EmbeddingStore:
             vectors[word] = vec
     if not vectors:
         raise EmbeddingError(f"{path}: no embedding rows")
-    return EmbeddingStore(dim=dim, vectors=vectors, lang=lang)
+    return EmbeddingStore(dim=dim, vectors=vectors)
 
 
 @dataclass
 class BilingualDictionary:
     entries: dict
-    source_lang: str = ""
-    target_lang: str = ""
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def load_dictionary(
-    path, source_lang: str = "", target_lang: str = "", lowercase: bool = True
-) -> BilingualDictionary:
+def load_dictionary(path, lowercase: bool = True) -> BilingualDictionary:
     """Load a `source<TAB>target` file; repeated sources accumulate
     ranked targets in file order."""
     entries: dict = {}
@@ -104,11 +102,7 @@ def load_dictionary(
         bucket = entries.setdefault(src, [])
         if tgt not in bucket:
             bucket.append(tgt)
-    return BilingualDictionary(
-        entries={k: tuple(v) for k, v in entries.items()},
-        source_lang=source_lang,
-        target_lang=target_lang,
-    )
+    return BilingualDictionary(entries={k: tuple(v) for k, v in entries.items()})
 
 
 def translate(dictionary: BilingualDictionary, word: str, lowercase: bool = True):

@@ -61,18 +61,10 @@ class Resources:
 
 
 def load_resources(cfg: RunConfig) -> Resources:
-    stores = {
-        lang: load_embeddings(path, lang=lang)
-        for lang, path in sorted(cfg.resources.embeddings.items())
-    }
+    stores = {lang: load_embeddings(p) for lang, p in sorted(cfg.resources.embeddings.items())}
     dictionary = None
     if cfg.resources.dictionary:
-        dictionary = load_dictionary(
-            cfg.resources.dictionary,
-            source_lang=cfg.data.target_lang,
-            target_lang=cfg.data.source_lang,
-            lowercase=cfg.features.lowercase,
-        )
+        dictionary = load_dictionary(cfg.resources.dictionary, lowercase=cfg.features.lowercase)
     return Resources(stores=stores, dictionary=dictionary)
 
 
@@ -166,26 +158,28 @@ def _load_split(cfg: RunConfig, split: str):
     if not conllu:
         raise ConfigError(f"config lacks data.{'train' if split == 'train' else 'test'}")
     spec = cfg.kernel_spec
-    needs_const = isinstance(spec, CompositeParams) and spec.variant in ("CK1", "CK3")
-    const = None
-    if needs_const:
-        const = data.train_const if split == "train" else data.test_const
+    reads = isinstance(spec, CompositeParams) and spec.reads_constituency
+    const = (data.train_const if split == "train" else data.test_const) if reads else None
     return conllu, load_re_dataset(conllu, const_path=const, lang=lang)
 
 
 def _gold(cfg: RunConfig, source, instances) -> tuple:
     """Instance ids and gold labels of a split loaded from source.
 
-    Predictions are matched to gold by id, so an id that repeats is
-    refused here, before any step spends work on the split.
+    Predictions are matched to gold by id, in a file that separates id
+    and label by a tab, so an id that repeats, or an id or label holding
+    a tab, is refused here, before any step spends work on the split.
     """
     ids = tuple(inst.instance_id for inst in instances)
     if len(set(ids)) != len(ids):
         repeated = next(iid for iid, count in Counter(ids).items() if count > 1)
         raise DataError(f"{source}: instance id {repeated} appears more than once")
-    if cfg.task == "pi":
-        return ids, tuple("1" if inst.label else "0" for inst in instances)
-    return ids, tuple(inst.label for inst in instances)
+    pi = cfg.task == "pi"
+    labels = tuple(("1" if inst.label else "0") if pi else inst.label for inst in instances)
+    for iid, label in zip(ids, labels):
+        if "\t" in iid + label:
+            raise DataError(f"{source}: instance {iid!r} holds a tab in its id or label")
+    return ids, labels
 
 
 def prepare_split(cfg: RunConfig, resources: Resources, split: str) -> PreparedSplit:

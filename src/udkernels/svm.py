@@ -452,6 +452,8 @@ def _model_from_dict(data: dict) -> SvmModel:
         label, idx, bias, coeffs = cls["label"], cls["support_idx"], cls["bias"], cls["coeffs"]
         if not isinstance(label, str) or not isinstance(idx, list):
             raise ValueError("a class needs a string label and a support_idx list")
+        if "\t" in label:
+            raise ValueError(f"class {label!r} holds a tab in its label")
         if not _finite(bias):
             raise ValueError(f"class {label!r} has a bias that is not a finite number: {bias!r}")
         if not isinstance(coeffs, list) or not all(map(_finite, coeffs)):

@@ -139,4 +139,4 @@ def unit_store():
         "common": np.array([0.0, 0.3, 0.3]),
         "and": np.array([0.1, 0.2, 0.1]),
     }
-    return EmbeddingStore(dim=3, vectors=vectors, lang="en")
+    return EmbeddingStore(dim=3, vectors=vectors)

@@ -483,3 +483,50 @@ def test_a_test_split_with_a_repeated_id_stops_predict_and_eval(tmp_path, capsys
     pred.write_text("".join(f"{tree.sent_id}\tOther\n" for tree in trees))
     assert main(["eval", "--config", str(config), "--predictions", str(pred)]) == 2
     assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("key", ["sent_id", "relation"])
+def test_a_tab_in_an_instance_id_or_label_stops_gram_and_predict(tmp_path, capsys, key):
+    # a predictions row is split at tabs: an id "re001<TAB>x" read back as
+    # id re001 with label x, and eval then missed the instance
+    paths = write_re_corpus(tmp_path, n_per_class=3, seed=1)
+    config = tmp_path / "run.json"
+    raw = {
+        "task": "re",
+        "kernel": {"variant": "CK2", "pt": {"kind": "PTK"}},
+        "data": {"train": paths["train.conllu"], "test": paths["test.conllu"], "source_lang": "en"},
+        "resources": {"embeddings": {"en": paths["vectors.txt"]}},
+    }
+    config.write_text(json.dumps(raw))
+    model, pred = tmp_path / "model.json", tmp_path / "pred.tsv"
+    assert main(["train", "--config", str(config), "--model", str(model)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "tab.conllu"
+    text = Path(paths["test.conllu"]).read_text(encoding="utf-8")
+    first = next(line for line in text.split("\n") if line.startswith(f"# {key} = "))
+    bad.write_text(text.replace(first, first + "\tx", 1), encoding="utf-8")
+    instance = next(t.sent_id for t in parse_conllu_file(bad))
+    want = f"error [data]: {bad}: instance {instance!r} holds a tab in its id or label\n"
+    raw["data"].update(train=str(bad), test=str(bad))
+    config.write_text(json.dumps(raw))
+    assert main(["gram", "--config", str(config), "--out", str(tmp_path / "tab.gram")]) == 2
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "tab.gram").exists()
+    assert main(["predict", "--config", str(config), "--model", str(model), "--out", str(pred)]) == 2
+    assert capsys.readouterr().err == want
+    assert not pred.exists()
+
+
+def test_predict_refuses_a_model_class_label_holding_a_tab(re_setup, capsys, tmp_path):
+    _, config = re_setup
+    model, pred = tmp_path / "model.json", tmp_path / "pred.tsv"
+    assert main(["train", "--config", str(config), "--model", str(model)]) == 0
+    data = json.loads(model.read_text())
+    label = data["classes"][0]["label"] + "\tx"
+    data["classes"][0]["label"] = label
+    model.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["predict", "--config", str(config), "--model", str(model), "--out", str(pred)]) == 2
+    refused = f"class {label!r} holds a tab in its label"
+    assert capsys.readouterr().err == f"error [model]: malformed model file {model}: {refused}\n"
+    assert not pred.exists()

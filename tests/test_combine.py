@@ -398,8 +398,8 @@ def fail_both_ways(spec, rows, error, square_pair: str, rect_pair: str, detail: 
 
 
 def test_vectors_poly_kernel_must_read_give_the_same_matrix():
-    # a list and an int array are read by poly_kernel pair by pair; the
-    # values equal those over float64 arrays
+    # a list and an int array are read as float64 arrays, so the values
+    # equal those over float64 arrays
     floats = vector_inputs([1.0, 2.0], [3.0, 1.0], [0.0, 4.0])
     others = [
         replace(floats[0], vec=[1.0, 2.0]),
@@ -526,6 +526,63 @@ def test_vector_slot_equals_per_pair_dots_bit_for_bit(data):
             assert got[r, c].tobytes() == np.float64(composite_kernel(a, b, spec)).tobytes()
 
 
+LAYOUTS = ("contiguous", "strided", "Fortran column", "Fortran row")
+
+
+def laid_out(values: np.ndarray, layout: str) -> np.ndarray:
+    """A float64 vector holding values, laid out in memory as layout
+    names: its own contiguous array, every other element of one twice
+    as long (big[::2]), or a column or a row of a Fortran-order matrix
+    (a contiguous slice of a larger buffer, or a view strided by the
+    matrix's row count). Every element outside the view is NaN."""
+    dim = len(values)
+    if layout == "contiguous":
+        return values.copy()
+    if layout == "strided":
+        big = np.full(2 * dim, np.nan)
+        big[::2] = values
+        return big[::2]
+    matrix = np.asfortranarray(np.full((3, dim) if layout == "Fortran row" else (dim, 3), np.nan))
+    view = matrix[1] if layout == "Fortran row" else matrix[:, 1]
+    view[:] = values
+    return view
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_vector_slot_values_do_not_depend_on_memory_layout(data):
+    # each vector at its own magnitude, 1e-40 to 1e40, and in one of
+    # LAYOUTS: the matrix has the bytes of the one over contiguous copies
+    dim = data.draw(st.integers(1, 300), label="dim")
+    degree = data.draw(st.sampled_from([1, 2, 3]), label="degree")
+    coef0 = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="coef0")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def payloads(count: int) -> list:
+        out = []
+        for _ in range(count):
+            values = rng.standard_normal(dim) * 10.0 ** data.draw(st.integers(-40, 40))
+            layout = data.draw(st.sampled_from(LAYOUTS), label="layout")
+            out.append(REKernelInput(lct=syn("a"), vec=laid_out(values, layout), pet=syn("p")))
+        return out
+
+    rows, cols = payloads(data.draw(st.integers(1, 4))), payloads(data.draw(st.integers(1, 4)))
+    event("a view" if any(p.vec.base is not None for p in [*rows, *cols]) else "no view")
+    spec = composite(data.draw(st.sampled_from(["CK2", "CK3"])), vec_degree=degree, vec_coef0=coef0)
+    copies = lambda ps: [replace(p, vec=np.array(p.vec.tolist())) for p in ps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got_rows, got_cols in ((rows, rows), (rows, cols)):
+            got = kernel_matrix(got_rows, got_cols, spec)
+            want_rows = copies(got_rows)
+            want_cols = want_rows if got_cols is got_rows else copies(got_cols)
+            assert got.tobytes() == kernel_matrix(want_rows, want_cols, spec).tobytes()
+            # and composite_kernel, the scalar reference, gives each cell
+            for r, a in enumerate(got_rows):
+                for c, b in enumerate(got_cols):
+                    assert got[r, c].tobytes() == np.float64(composite_kernel(a, b, spec)).tobytes()
+
+
 @pytest.mark.parametrize("run", RUNS)
 def test_normalization_blocks_leave_kernel_matrix_bytes_unchanged(tmp_path, monkeypatch, run):
     spec, train, test = prepared_run(tmp_path, run)
@@ -612,19 +669,37 @@ def test_slot_matrix_names_the_first_failing_pair_in_row_major_order():
     assert values.tobytes() == np.array([[x * 10 + y for y in objs] for x in objs[:2]], dtype=float).tobytes()
 
 
-def test_vector_of_another_shape_raises_poly_kernel_error_for_the_first_pair():
+def test_vector_of_another_shape_is_refused_by_instance_before_any_pair(monkeypatch):
+    # kernel_matrix checks every vector against the first, rows then
+    # columns, before it evaluates any slot
+    monkeypatch.setattr(combine, "_tree_matrix", lambda *args: pytest.fail("a slot was evaluated"))
     rows = vector_inputs([1.0, 2.0, 3.0], [0.5, 1.0, 1.0], [1.0, 2.0])
-    detail = re.escape("vector shapes differ: (3,) vs (2,)")
-    fail_both_ways(composite("CK2"), rows, ValueError, "a x c", "r x c2", detail)
-    # a later row fails first in a rectangle when the earlier rows agree
-    detail = re.escape("vector shapes differ: (2,) vs (3,)")
-    with pytest.raises(ValueError, match=f"^kernel failed on pair t1 x s0: {detail}"):
-        kernel_matrix([rows[0], rows[2]], rows[:1], composite("CK2"), ("t0", "t1"), ("s0",))
-    # a degree made invalid after validation fails on the first pair
     spec = composite("CK2")
+
+    def refused(iid: str, shape: tuple, first: tuple = (3,)):
+        message = "context vectors must be 1-D and as long as the first: "
+        message += f"instance {iid} has shape {shape}, the first {first}"
+        return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+    with refused("c", (2,)):
+        kernel_matrix(rows, rows, spec, row_ids=SQUARE_IDS)
+    with refused("c2", (2,)):
+        kernel_matrix(rows[:1], rows, spec, *RECT_IDS)
+    # a later row is refused when the earlier rows agree
+    with refused("t1", (2,)):
+        kernel_matrix([rows[0], rows[2]], rows[:1], spec, ("t0", "t1"), ("s0",))
+    # a vector that is not 1-D is refused, the first one too
+    flat = replace(rows[0], vec=np.ones((1, 3)))
+    with refused("s0", (1, 3)):
+        kernel_matrix(rows[:2], [flat], spec, ("t0", "t1"), ("s0",))
+    with refused("t0", (1, 3), (1, 3)):
+        kernel_matrix([flat], rows[:1], spec, ("t0",), ("s0",))
+    # a degree made invalid after validation is refused before any pair
     spec.vec_degree = 0
-    detail = "polynomial degree must be a positive integer, got 0"
-    fail_both_ways(spec, rows[:2], ConfigError, "a x a", "r x c0", detail)
+    pair = rows[:2]
+    for cols, col_ids in ((pair, None), (rows[:1], ("c0",))):
+        with pytest.raises(ConfigError, match="^degree must be a positive integer, got 0$"):
+            kernel_matrix(pair, cols, spec, ("a", "b"), col_ids)
 
 
 def test_normalization_survives_underflowing_self_kernel_product():

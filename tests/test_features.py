@@ -126,7 +126,6 @@ def test_vud_merges_fixed_chain(farsi_audits_tree):
             "بود": np.array([0.2, 0.2]),
             "بازیافت": np.array([0.6, 0.6]),
         },
-        lang="fa",
     )
     inst = REInstance(dep_tree=farsi_audits_tree, e1=4, e2=7, label="Message-Topic")
     blocks = build_vud(inst, store, FeatureConfig()).reshape(5, 2)

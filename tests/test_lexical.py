@@ -37,7 +37,7 @@ from udkernels.transforms import LabeledTree, lex, syn, to_lct
 def test_load_embeddings_plain(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("cat 1.0 0.0\ndog 0.0 1.0\n")
-    store = load_embeddings(path, lang="en")
+    store = load_embeddings(path)
     assert store.dim == 2
     assert len(store) == 2
     assert store.get("cat").tolist() == [1.0, 0.0]
@@ -50,6 +50,23 @@ def test_load_embeddings_with_header(tmp_path):
     store = load_embeddings(path)
     assert store.dim == 3
     assert len(store) == 2
+
+
+def test_load_embeddings_splits_fields_at_ascii_whitespace_only(tmp_path):
+    # str.split broke each of these words apart, and the row was then
+    # refused as non-numeric; tabs, runs of spaces and a trailing space
+    # still separate fields, and a lone carriage return still ends a line
+    path = tmp_path / "vec.txt"
+    rows = "new\u00a0york 0.5 0.25\nline\u2028sep\t1\t 2 \nfile\x1csep  3 4\rcat 5 6\n"
+    path.write_bytes(rows.encode("utf-8"))
+    store = load_embeddings(path)
+    assert store.dim == 2
+    assert {word: vec.tolist() for word, vec in store.vectors.items()} == {
+        "new\u00a0york": [0.5, 0.25],
+        "line\u2028sep": [1.0, 2.0],
+        "file\x1csep": [3.0, 4.0],
+        "cat": [5.0, 6.0],
+    }
 
 
 def test_load_embeddings_dimension_mismatch(tmp_path):
@@ -85,7 +102,7 @@ def test_load_embeddings_rejects_empty(tmp_path):
 def test_load_dictionary_ranks_by_file_order(tmp_path):
     path = tmp_path / "dict.tsv"
     path.write_text("Chat\tcat\nchat\tfeline\nchien\tdog\n")
-    d = load_dictionary(path, source_lang="fr", target_lang="en")
+    d = load_dictionary(path)
     assert translate(d, "chat") == "cat"
     assert d.entries["chat"] == ("cat", "feline")
     assert translate(d, "CHAT") == "cat"
@@ -156,7 +173,6 @@ def small_store():
             "dog": np.array([0.0, 1.0]),
             "feline": np.array([0.9, 0.1]),
         },
-        lang="en",
     )
 
 
