@@ -5,12 +5,14 @@
 
 Runs CHECKOUT's own scripts/ and src/, so a checkout without this script
 is checked the same way: the experiment runs (Gram, model, predictions,
-eval report), the synthetic corpora with their lct and pet transforms,
-the transforms of a sentence deeper than the recursion limit, an xl
---soft run through the relaxed sigma branches, and node-pair delta
-tables. Then writes OUT/manifest.tsv, one sorted line per artifact: its
-path relative to OUT, its SHA-256 and its size. OUT must be absent or
-empty, and a failing command stops the script before the manifest exists.
+eval report, and for the cross-lingual runs the predictions and eval
+report of the source-language train split too), the synthetic corpora
+with their lct and pet transforms, the transforms of a sentence deeper
+than the recursion limit, an xl --soft run through the relaxed sigma
+branches, and node-pair delta tables. Then writes OUT/manifest.tsv, one
+sorted line per artifact: its path relative to OUT, its SHA-256 and its
+size. OUT must be absent or empty, and a failing command stops the
+script before the manifest exists.
 """
 
 import glob
@@ -65,6 +67,16 @@ def main(checkout: str, out: str) -> int:
         run(*CLI, "eval", "--config", config, "--predictions", predictions, "--format", "json",
             stdout=f"{run_dir}/eval.json")
         artifacts += [f"{run_dir}/{file}" for file in RUN_FILES]
+        if spec.startswith("xl"):
+            # the train split is in the source language, so a config that
+            # sets target_lang must not translate it
+            train_predictions = f"{run_dir}/train-predictions.tsv"
+            train_eval = f"{run_dir}/train-eval.json"
+            run(*CLI, "predict", "--config", config, "--model", f"{run_dir}/model.json",
+                "--split", "train", "--out", train_predictions)
+            run(*CLI, "eval", "--config", config, "--predictions", train_predictions,
+                "--split", "train", "--format", "json", stdout=train_eval)
+            artifacts += [train_predictions, train_eval]
 
     # one sentence whose token i hangs from token i + 1, and a parse of it
     # whose first leaf sits at the bottom of a chain of as many N nodes

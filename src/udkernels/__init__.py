@@ -71,7 +71,6 @@ from .transforms import (
     LabeledTree,
     MweConfig,
     collapse_mwe,
-    const_to_labeled,
     extract_pet,
     labeled_from_sexpr,
     labeled_to_sexpr,

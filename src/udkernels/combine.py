@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .kernels import (
     TreeKernelParams,
+    _check_degree,
     normalize,
     normalize_rows,
     poly_kernel,
@@ -133,11 +134,6 @@ class CompositeParams:
     def reads_constituency(self) -> bool:
         """Whether the kernel adds alpha * K_sst on constituency fragments (CK1, CK3)."""
         return self.variant != "CK2"
-
-
-def _check_degree(degree):
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
-        raise ConfigError(f"degree must be a positive integer, got {degree!r}")
 
 
 def composite_kernel(a: REKernelInput, b: REKernelInput, params: CompositeParams) -> float:

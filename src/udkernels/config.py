@@ -329,5 +329,3 @@ def _check_cross_requirements(cfg: RunConfig):
     if sigma_cfg is not None and sigma_cfg.mode == "translate_then_compare":
         if not cfg.resources.dictionary:
             raise ConfigError("resources.dictionary is required for translate_then_compare")
-    if cfg.features.translate and not cfg.resources.dictionary:
-        raise ConfigError("resources.dictionary is required when features.translate is on")

@@ -37,7 +37,7 @@ def _span_head(tree: DepTree, span) -> int:
     return heads[0] if len(heads) == 1 else hi
 
 
-def load_re_dataset(conllu_path, const_path=None, lang: str = "") -> list:
+def load_re_dataset(conllu_path, const_path=None) -> list:
     """Relation instances from a CoNLL-U file, plus optional parses.
 
     Every sentence must name its relation and mark both entities. When
@@ -69,7 +69,6 @@ def load_re_dataset(conllu_path, const_path=None, lang: str = "") -> list:
                 e1_span=span1,
                 e2_span=span2,
                 const_tree=const_trees[index] if const_trees else None,
-                lang=lang or tree.metadata.get("lang", ""),
             )
         )
     return instances

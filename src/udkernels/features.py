@@ -29,7 +29,6 @@ class REInstance:
     e1_span: tuple | None = None
     e2_span: tuple | None = None
     const_tree: ConstTree | None = None
-    lang: str = ""
 
     def __post_init__(self):
         if self.e1 == self.e2:
@@ -62,7 +61,6 @@ class FeatureConfig:
     window: int = 3
     exclude_punct: bool = True
     mwe: MweConfig = field(default_factory=MweConfig)
-    translate: bool = False
     lowercase: bool = True
     use_forms: bool = False
 
@@ -77,7 +75,8 @@ class FeatureConfig:
 def _mean_of_words(
     words, store: EmbeddingStore, dictionary, cfg: FeatureConfig
 ) -> np.ndarray:
-    """Mean vector of a word group; OOV members contribute zeros.
+    """Mean vector of a word group; OOV members contribute zeros. A word
+    missing from the store is looked up through dictionary, when given.
 
     Words are summed in sorted order so the result depends only on the
     multiset of words, not on their surface arrangement.
@@ -86,7 +85,7 @@ def _mean_of_words(
         return np.zeros(store.dim)
     total = np.zeros(store.dim)
     for word in sorted(words):
-        vec = resolve_vector(word, store, dictionary, cfg.translate, cfg.lowercase)
+        vec = resolve_vector(word, store, dictionary, cfg.lowercase)
         if vec is not None:
             total = total + vec
     return total / len(words)

@@ -668,6 +668,11 @@ def tree_kernel(
     return normalize(raw, s1, s2)
 
 
+def _check_degree(degree):
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+        raise ConfigError(f"degree must be a positive integer, got {degree!r}")
+
+
 def poly_kernel(u, v, degree: int = 2, coef0: float = 1.0) -> float:
     """(u . v + coef0) ** degree on plain feature vectors, read as
     C-contiguous float64 arrays: combine.kernel_matrix's bits on any layout."""
@@ -675,6 +680,5 @@ def poly_kernel(u, v, degree: int = 2, coef0: float = 1.0) -> float:
     v = np.asarray(v, dtype=np.float64, order="C")
     if u.shape != v.shape:
         raise ValueError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    if degree < 1 or int(degree) != degree:
-        raise ConfigError(f"polynomial degree must be a positive integer, got {degree}")
-    return float((float(np.dot(u, v)) + coef0) ** int(degree))
+    _check_degree(degree)
+    return float((float(np.dot(u, v)) + coef0) ** degree)

@@ -152,19 +152,19 @@ def resolve_vector(
     word: str,
     store: EmbeddingStore,
     dictionary: BilingualDictionary | None = None,
-    translate_first: bool = False,
     lowercase: bool = True,
 ):
     """Embedding for a word, None when out of vocabulary.
 
-    Lookup order: the word itself in the store, then its dictionary
-    translation when translate_first is set. Space-joined multiword keys
-    fall back to averaging whichever member tokens resolve.
+    Lookup order: the word itself in the store, then its first-ranked
+    dictionary translation when a dictionary is given. Space-joined
+    multiword keys fall back to averaging whichever member tokens
+    resolve.
     """
-    return _resolve(word, store, dictionary, translate_first, lowercase)[0]
+    return _resolve(word, store, dictionary, lowercase)[0]
 
 
-def _resolve(word, store, dictionary, translate_first, lowercase) -> tuple:
+def _resolve(word, store, dictionary, lowercase) -> tuple:
     """(vector, shared) for resolve_vector: shared when the vector is
     the store's own object, False for a multiword average, which is
     built afresh on every call, or for None."""
@@ -172,7 +172,7 @@ def _resolve(word, store, dictionary, translate_first, lowercase) -> tuple:
     vec = store.get(key)
     if vec is not None:
         return vec, True
-    if translate_first and dictionary is not None:
+    if dictionary is not None:
         target = translate(dictionary, key, lowercase=False)
         if target is not None:
             vec = store.get(target.lower() if lowercase else target)
@@ -180,7 +180,7 @@ def _resolve(word, store, dictionary, translate_first, lowercase) -> tuple:
                 return vec, True
     if " " in key:
         parts = [
-            resolve_vector(p, store, dictionary, translate_first, lowercase=False)
+            resolve_vector(p, store, dictionary, lowercase=False)
             for p in key.split(" ")
             if p
         ]
@@ -226,9 +226,10 @@ def make_sigma(
     """Node similarity bound to an embedding store and dictionary.
 
     Syntactic pairs score 1 on equal labels. Lexical pairs with the
-    same POS score the cosine of their vectors clamped to [0, 1];
-    non-pivot words reach the store through the dictionary. Everything
-    else scores 0.
+    same POS score the cosine of their vectors clamped to [0, 1]. In
+    translate_then_compare mode a word missing from the store reaches
+    it through the dictionary; the monolingual mode never reads the
+    dictionary. Everything else scores 0.
 
     Each lexical label is resolved and unit-normalized once per sigma,
     and the cache holds one entry per label. Every score equals
@@ -243,7 +244,8 @@ def make_sigma(
     vectors differ in shape raises ValueError on every call and is
     never stored.
     """
-    translate_first = cfg.mode == "translate_then_compare"
+    if cfg.mode != "translate_then_compare":
+        dictionary = None
     pos_must_match, fallback = cfg.pos_must_match, cfg.oov_policy == "exact_match_fallback"
     resolved: dict = {}  # label -> (vector, unit vector, score against itself)
     scores: dict = {}  # first label -> {second label: score}
@@ -252,7 +254,7 @@ def make_sigma(
     def lookup(label: str) -> tuple:
         entry = resolved.get(label)
         if entry is None:
-            vec, shared = _resolve(label, store, dictionary, translate_first, cfg.lowercase)
+            vec, shared = _resolve(label, store, dictionary, cfg.lowercase)
             if vec is None:
                 entry = (None, None, 0.0)
             else:

@@ -44,7 +44,7 @@ from .svm import (
     save_model,
     train_ovr,
 )
-from .transforms import const_to_labeled, extract_pet, to_lct
+from .transforms import extract_pet, to_lct
 
 
 @dataclass
@@ -114,25 +114,20 @@ def _instance_pet(inst: REInstance):
     if inst.const_tree is None:
         return None
     try:
-        pet = extract_pet(inst.const_tree, inst.e1_span, inst.e2_span)
+        return extract_pet(inst.const_tree, inst.e1_span, inst.e2_span)
     except DataError as exc:
         raise DataError(f"{inst.dep_tree.sent_id}: {exc}") from None
-    return const_to_labeled(pet)
 
 
 def prepare_re_payload(
-    inst: REInstance, cfg: RunConfig, resources: Resources, feature_mode: str
+    inst: REInstance, cfg: RunConfig, resources: Resources, feature_mode: str, dictionary
 ) -> REKernelInput:
     store = pivot_store(cfg, resources)
     # the tree before the vector: to_lct refuses a sentence whose heads do
     # not form one tree, where the vector's head paths fail uncategorized
     lct = to_lct(inst.dep_tree, lowercase=cfg.features.lowercase)
     build = build_vo if feature_mode == "V_o" else build_vud
-    features = cfg.features
-    if inst.lang and cfg.data.source_lang and inst.lang != cfg.data.source_lang:
-        # non-pivot side reaches the pivot space through the dictionary
-        features = replace(features, translate=True)
-    vec = build(inst, store, features, resources.dictionary)
+    vec = build(inst, store, cfg.features, dictionary)
     return REKernelInput(lct=lct, vec=vec, pet=_instance_pet(inst))
 
 
@@ -147,7 +142,6 @@ def _load_split(cfg: RunConfig, split: str):
     """A split's instances, and the file their ids come from: the pair
     file for the pair task, the CoNLL-U file for relations."""
     data = cfg.data
-    lang = data.source_lang if split == "train" else (data.target_lang or data.source_lang)
     if cfg.task == "pi":
         pairs = data.pairs_train if split == "train" else data.pairs_test
         bank = data.train if split == "train" else (data.test or data.train)
@@ -160,7 +154,7 @@ def _load_split(cfg: RunConfig, split: str):
     spec = cfg.kernel_spec
     reads = isinstance(spec, CompositeParams) and spec.reads_constituency
     const = (data.train_const if split == "train" else data.test_const) if reads else None
-    return conllu, load_re_dataset(conllu, const_path=const, lang=lang)
+    return conllu, load_re_dataset(conllu, const_path=const)
 
 
 def _gold(cfg: RunConfig, source, instances) -> tuple:
@@ -183,13 +177,19 @@ def _gold(cfg: RunConfig, source, instances) -> tuple:
 
 
 def prepare_split(cfg: RunConfig, resources: Resources, split: str) -> PreparedSplit:
+    """A split's ids, gold labels and payloads. Only a test split whose
+    data.target_lang is set and differs from a set data.source_lang looks
+    context-vector words missing from the pivot store up through
+    resources.dictionary."""
     source, instances = _load_split(cfg, split)
     instance_ids, labels = _gold(cfg, source, instances)
     if cfg.task == "pi":
         payloads = [prepare_pi_payload(inst, cfg) for inst in instances]
     else:
-        mode = cfg.kernel_spec.feature_mode
-        payloads = [prepare_re_payload(inst, cfg, resources, mode) for inst in instances]
+        mode, data = cfg.kernel_spec.feature_mode, cfg.data
+        crosses = split != "train" and data.source_lang and data.target_lang not in ("", data.source_lang)
+        dictionary = resources.dictionary if crosses else None
+        payloads = [prepare_re_payload(inst, cfg, resources, mode, dictionary) for inst in instances]
     return PreparedSplit(instance_ids=instance_ids, labels=labels, payloads=payloads)
 
 

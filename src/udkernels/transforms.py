@@ -3,8 +3,9 @@
 Dependency trees become lexical-centered trees (LCT) where every token
 contributes a lexical node plus two syntactic children (dependency
 relation, then POS) followed by the subtrees of its dependents in
-surface order. Constituency trees are parsed from bracketed text and
-can be reduced to the smallest subtree enclosing two entity spans.
+surface order. Constituency trees are parsed from bracketed text; the
+path-enclosed tree (PET), the smallest subtree enclosing two entity
+spans, is cut from one as a LabeledTree.
 
 A LabeledTree keeps one postorder index, TreeIndex, built on its first
 kernel call: SST, PTK and SPTK all read it, so a tree is walked once.
@@ -514,27 +515,31 @@ def _write(tree, atom, bare_leaves: bool) -> str:
     return "".join(parts)
 
 
-def _const_atom(node: ConstTree) -> str:
+def _const_atom(node) -> str:
     if "\n" in node.label:
         raise BracketError(f"constituency label {node.label!r} holds a line feed")
     return _escape(node.label)
 
 
-def const_to_bracketed(tree: ConstTree) -> str:
+def const_to_bracketed(tree) -> str:
     """tree as one line of bracketed text, which parse_bracketed reads
-    back, leaves as bare atoms. A .const file holds one tree a line, so
-    a label holding a line feed raises BracketError."""
+    back, leaves as bare atoms. Only labels and children are read, so a
+    ConstTree and the PET extract_pet gives are written alike. A .const
+    file holds one tree a line, so a label holding a line feed raises
+    BracketError."""
     return _write(tree, _const_atom, True)
 
 
-def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> ConstTree:
-    """Smallest subtree covering both spans, outside branches pruned.
+def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> LabeledTree:
+    """Path-enclosed tree: the smallest subtree covering both spans,
+    outside branches pruned, as the LabeledTree the kernels read.
 
     Spans are 1-based inclusive token ranges. Every subtree lying fully
-    outside [min(starts), max(ends)] is dropped at any depth; the result
-    keeps original span annotations. A reversed span, a span outside the
-    tree's leaves or overlapping spans raise DataError. The pruning is
-    a _fold, so a tree of any depth is pruned.
+    outside [min(starts), max(ends)] is dropped at any depth; leaves
+    become lexical nodes tagged with their parent's label, and no span
+    is kept. A reversed span, a span outside the tree's leaves or
+    overlapping spans raise DataError. Pruning and labelling are one
+    _fold, so a tree of any depth is taken.
     """
     for span in (span1, span2):
         if span[0] > span[1]:
@@ -546,6 +551,7 @@ def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> ConstTree:
     lo = min(span1[0], span2[0])
     hi = max(span1[1], span2[1])
 
+    # a parsed leaf covers one token, so the PET's root has children
     node = tree
     while True:
         inner = [c for c in node.children if c.span[0] <= lo and hi <= c.span[1]]
@@ -558,23 +564,11 @@ def extract_pet(tree: ConstTree, span1: tuple, span2: tuple) -> ConstTree:
         kids = n.children
         return kids and [c for c in kids if lo <= c.span[1] and c.span[0] <= hi]
 
-    def prune(n, kept) -> ConstTree:
-        return ConstTree(n.label, tuple(kept), n.span) if n.children else n
-
-    return _fold(node, inside, prune)
-
-
-def const_to_labeled(tree: ConstTree, pos: str | None = None) -> LabeledTree:
-    """Constituency tree as a LabeledTree; leaves become lexical nodes,
-    tagged with their parent's label (a leaf root with pos). The tree is
-    walked by _fold, so a tree of any depth is converted."""
-    if not tree.children:
-        return LabeledTree(tree.label, LEXICAL, (), pos or "X")
-    return _fold(tree, _children, _labeled_from_const)
+    return _fold(node, inside, _labeled_from_const)
 
 
 def _labeled_from_const(node: ConstTree, built):
-    """const_to_labeled's builder: a leaf is left as it is for its parent,
+    """extract_pet's builder: a leaf is left as it is for its parent,
     which knows the label to tag it with and converts it in built (a
     converted inner node always has children)."""
     if not node.children:

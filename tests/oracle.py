@@ -347,13 +347,14 @@ def reference_const_to_labeled(tree: ConstTree, pos: str | None = None) -> Label
 
 
 def reference_make_sigma(cfg, store, dictionary=None):
-    translate_first = cfg.mode == "translate_then_compare"
+    if cfg.mode != "translate_then_compare":
+        dictionary = None
     resolved: dict = {}  # label -> (vector, unit vector, score against itself)
 
     def lookup(label: str) -> tuple:
         entry = resolved.get(label)
         if entry is None:
-            vec, shared = _resolve(label, store, dictionary, translate_first, cfg.lowercase)
+            vec, shared = _resolve(label, store, dictionary, cfg.lowercase)
             if vec is None:
                 entry = (None, None, 0.0)
             else:

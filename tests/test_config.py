@@ -191,10 +191,14 @@ def test_translate_then_compare_requires_dictionary():
     parse_config(raw)
 
 
-def test_feature_translate_requires_dictionary():
-    raw = re_raw(features={"translate": True})
-    with pytest.raises(ConfigError, match="dictionary is required when features.translate"):
-        parse_config(raw)
+def test_features_translate_is_an_unknown_field():
+    # the split decides translation, so no features key turns it on, with
+    # a dictionary configured or without one
+    for resources in ({}, {"dictionary": "dict.tsv"}):
+        raw = re_raw(features={"translate": True})
+        raw["resources"].update(resources)
+        with pytest.raises(ConfigError, match="unknown field features.translate"):
+            parse_config(raw)
 
 
 def test_load_config_from_file(tmp_path):

@@ -81,15 +81,6 @@ def test_const_count_mismatch(re_corpus, tmp_path):
         load_re_dataset(re_corpus, const_path=const)
 
 
-def test_language_tagging(re_corpus, tmp_path):
-    tagged = load_re_dataset(re_corpus, lang="fa")
-    assert all(inst.lang == "fa" for inst in tagged)
-    with_meta = write(
-        tmp_path / "meta.conllu", "# lang = en\n" + HEAT_SENTENCE.replace("r1", "m1")
-    )
-    assert load_re_dataset(with_meta)[0].lang == "en"
-
-
 def test_missing_relation(tmp_path):
     bad = write(
         tmp_path / "bad.conllu",

@@ -51,7 +51,9 @@ from udkernels.synthetic import (
     make_re_corpus,
     write_crosslingual_re,
 )
-from udkernels.transforms import const_to_labeled, lex, parse_bracketed, syn, to_lct
+from udkernels.transforms import lex, parse_bracketed, syn, to_lct
+
+from oracle import reference_const_to_labeled
 
 # --- reference: every node pair, trees indexed afresh per call -------------
 
@@ -238,7 +240,9 @@ def synthetic_trees():
     pi_trees, _ = make_pi_corpus(n_pairs=4, seed=3)
     re_trees = make_re_corpus(n_per_class=2, seed=3)
     out = [to_lct(t) for t in pi_trees + re_trees]
-    out += [const_to_labeled(c) for t in re_trees for c in parse_bracketed(const_parse_line(t))]
+    out += [
+        reference_const_to_labeled(c) for t in re_trees for c in parse_bracketed(const_parse_line(t))
+    ]
     return out
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udkernels.combine import CompositeParams
 from udkernels.errors import ConfigError, NumericError
 from udkernels.kernels import (
     TreeKernelParams,
@@ -266,6 +268,16 @@ def test_poly_kernel_values():
         poly_kernel(u, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ConfigError):
         poly_kernel(u, v, degree=0)
+
+
+@pytest.mark.parametrize("degree", [True, 2.0, 0, "2"])
+def test_poly_kernel_refuses_each_degree_the_composite_kernel_refuses(degree):
+    # True and 2.0 equal a valid degree, and "2" compares with no int
+    message = f"^degree must be a positive integer, got {re.escape(repr(degree))}$"
+    with pytest.raises(ConfigError, match=message):
+        poly_kernel([1.0, 2.0], [3.0, 4.0], degree=degree)
+    with pytest.raises(ConfigError, match=message):
+        CompositeParams("CK2", vec_degree=degree)
 
 
 # --- the dynamic program against the enumeration oracle --------------------

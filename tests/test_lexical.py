@@ -182,8 +182,8 @@ def test_resolve_vector_direct_hit():
 
 def test_resolve_vector_via_translation():
     d = BilingualDictionary(entries={"chat": ("cat",)})
-    assert resolve_vector("chat", small_store(), d, translate_first=True).tolist() == [1.0, 0.0]
-    assert resolve_vector("chat", small_store(), d, translate_first=False) is None
+    assert resolve_vector("chat", small_store(), d).tolist() == [1.0, 0.0]
+    assert resolve_vector("chat", small_store(), None) is None
 
 
 def test_resolve_vector_multiword_average():
@@ -265,7 +265,8 @@ def test_sigma_translate_then_compare():
 def uncached_sigma(cfg, store, dictionary=None):
     """make_sigma as it was before its label cache: both vectors are
     resolved afresh on every call."""
-    translate_first = cfg.mode == "translate_then_compare"
+    if cfg.mode != "translate_then_compare":
+        dictionary = None
 
     def sigma(n1, n2):
         if n1.kind == "syntactic" and n2.kind == "syntactic":
@@ -274,8 +275,8 @@ def uncached_sigma(cfg, store, dictionary=None):
             return 0.0
         if cfg.pos_must_match and n1.pos_tag != n2.pos_tag:
             return 0.0
-        v1 = resolve_vector(n1.label, store, dictionary, translate_first, cfg.lowercase)
-        v2 = resolve_vector(n2.label, store, dictionary, translate_first, cfg.lowercase)
+        v1 = resolve_vector(n1.label, store, dictionary, cfg.lowercase)
+        v2 = resolve_vector(n2.label, store, dictionary, cfg.lowercase)
         if v1 is None or v2 is None:
             if cfg.oov_policy == "exact_match_fallback":
                 w1 = n1.label.lower() if cfg.lowercase else n1.label

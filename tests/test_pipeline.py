@@ -34,6 +34,7 @@ from udkernels.pipeline import (
 )
 from udkernels.svm import GramMatrix, predict, save_model
 from udkernels.synthetic import write_crosslingual_re, write_pi_corpus, write_re_corpus
+from udkernels.transforms import labeled_to_sexpr
 
 
 @pytest.fixture(scope="module")
@@ -436,6 +437,50 @@ def test_crosslingual_re_end_to_end(xl_paths, tmp_path):
     _, labels, _ = run_predict(cfg, model_path, None)
     report = run_eval(cfg, labels)
     assert report.accuracy >= 0.75
+
+
+@pytest.mark.parametrize("variant", ["CK1", "CK2"])
+def test_the_split_decides_translation(xl_paths, re_paths, tmp_path, variant):
+    # write_re_corpus draws the same sentences and embeddings from the same
+    # seed as write_crosslingual_re, so re_paths' test split is the
+    # pseudo-language test split before pseudo_translate_corpus; its
+    # parses serve both runs for CK1, which reads them
+    tagged = tmp_path / "tagged.conllu"
+    with open(xl_paths["test.conllu"], encoding="utf-8") as handle:
+        tagged.write_text(handle.read().replace("# sent_id", "# lang = xx\n# sent_id"))
+
+    def payloads(paths, split="test", **data):
+        if variant == "CK1":
+            data = {f"{s}_const": re_paths[f"{s}.const"] for s in ("train", "test")} | data
+        cfg = re_config(paths, variant=variant, **data)
+        prepared = prepare_split(cfg, load_resources(cfg), split)
+        return [
+            (labeled_to_sexpr(p.lct), p.pet and labeled_to_sexpr(p.pet), p.vec.tobytes())
+            for p in prepared.payloads
+        ]
+
+    def vectors(rows):
+        return [vec for *_, vec in rows]
+
+    translated = payloads(xl_paths, target_lang="xx")
+    # the dictionary maps each prefixed word to its base word, and the
+    # prefix keeps the sorted order words are summed in: the same bits
+    assert vectors(translated) == vectors(payloads(re_paths))
+    xl_tagged = {**xl_paths, "test.conllu": str(tagged)}
+    untranslated = payloads(xl_paths)
+    for data in ({}, {"target_lang": ""}, {"target_lang": "en"}):
+        assert payloads(xl_paths, **data) == untranslated
+        # a "# lang = xx" tag on every sentence changes no payload
+        assert payloads(xl_tagged, **data) == untranslated
+    assert payloads(xl_tagged, target_lang="xx") == translated
+    assert all(a != b for a, b in zip(vectors(untranslated), vectors(translated)))
+    # the train split is never translated, even where it holds the
+    # pseudo-language sentences
+    xl_train = {**xl_paths, "train.conllu": xl_paths["test.conllu"]}
+    train_const = {"train_const": re_paths["test.const"]} if variant == "CK1" else {}
+    for data in ({}, {"target_lang": "xx"}):
+        assert payloads(xl_train, "train", **train_const, **data) == untranslated
+        assert payloads(xl_paths, "train", **data) == payloads(re_paths, "train")
 
 
 def test_run_eval_prediction_file_checks(pi_paths, tmp_path):

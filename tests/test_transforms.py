@@ -20,7 +20,6 @@ from udkernels.transforms import (
     TreeIndex,
     collapse_mwe,
     const_to_bracketed,
-    const_to_labeled,
     extract_pet,
     labeled_from_sexpr,
     labeled_to_sexpr,
@@ -296,9 +295,9 @@ def test_extract_pet_span_checks():
         extract_pet(ct, (1, 1), (9, 9))
 
 
-def test_const_to_labeled_marks_leaves_lexical():
+def test_extract_pet_marks_leaves_lexical():
     (ct,) = parse_bracketed(BRACKETED)
-    lt = const_to_labeled(ct)
+    lt = extract_pet(ct, (1, 1), (4, 4))
     assert lt.kind == SYNTACTIC
     leaves = [n for n in lt.iter_nodes() if n.is_leaf()]
     assert all(n.kind == LEXICAL for n in leaves)
@@ -385,12 +384,6 @@ const_trees = st.recursive(
 @given(labeled_trees)
 def test_labeled_sexpr_roundtrip_any_labels(tree):
     assert labeled_from_sexpr(labeled_to_sexpr(tree)) == tree
-
-
-@settings(max_examples=200, deadline=None)
-@given(const_trees, st.none() | labels)
-def test_const_to_labeled_equals_the_recursive_conversion(tree, pos):
-    assert const_to_labeled(tree, pos) == reference_const_to_labeled(tree, pos)
 
 
 @settings(max_examples=200, deadline=None)
@@ -510,9 +503,6 @@ def test_writers_equal_the_reference_writer(tree):
     # is refused by both writers
     const = as_const(tree)
     assert outcome(const_to_bracketed, const) == outcome(reference_const_to_bracketed, const)
-    # and converted back, with a leaf root tagged by pos or "X"
-    for pos in (None, "", "P"):
-        assert const_to_labeled(const, pos) == reference_const_to_labeled(const, pos)
 
 
 def as_const(tree: LabeledTree) -> ConstTree:
@@ -557,10 +547,13 @@ def test_constituency_writer_and_conversion_take_a_tree_deeper_than_the_recursio
     assert const_to_bracketed(const) == text
     (again,) = parse_bracketed(text)
     assert const_to_bracketed(again) == text
-    # the conversion tags each leaf with its parent's label, N0
-    labeled = const_to_labeled(again)
+    # under a root S beside a leaf y, the chain is all inside the PET of
+    # w and y, which tags each leaf with its parent's label, N0 or S
+    (rooted,) = parse_bracketed(f"(S {text} y)")
+    pet = extract_pet(rooted, (1, 1), (3, 3))
     want = "".join(f"(N{level % 3} " for level in reversed(range(depth)))
-    assert labeled_to_sexpr(labeled) == want + "(w^N0) (x^N0)" + ")" * depth
+    assert labeled_to_sexpr(pet) == "(S " + want + "(w^N0) (x^N0)" + ")" * depth + " (y^S))"
+    assert const_to_bracketed(pet) == f"(S {text} y)"
     # a line feed at the bottom is still refused, by label
     deep = ConstTree("bad\nlabel")
     for _ in range(depth):
@@ -697,10 +690,9 @@ def test_pet_and_labeled_pet_equal_references_on_the_relation_corpus(tmp_path):
     for inst in instances:
         pet = extract_pet(inst.const_tree, inst.e1_span, inst.e2_span)
         want = reference_pet(inst.const_tree, inst.e1_span, inst.e2_span)
-        assert pet == want and const_to_bracketed(pet) == const_to_bracketed(want)
-        labeled = const_to_labeled(pet)
-        assert labeled == reference_const_to_labeled(want)
-        assert labeled_to_sexpr(labeled) == labeled_to_sexpr(reference_const_to_labeled(want))
+        assert const_to_bracketed(pet) == const_to_bracketed(want)
+        assert pet == reference_const_to_labeled(want)
+        assert labeled_to_sexpr(pet) == labeled_to_sexpr(reference_const_to_labeled(want))
 
 
 def reference_size(tree):
@@ -742,7 +734,8 @@ def pet_inputs(draw):
 def test_pet_equals_the_recursive_pruning(inputs):
     const, span1, span2 = inputs
     pet, want = extract_pet(const, span1, span2), reference_pet(const, span1, span2)
-    assert pet == want and const_to_bracketed(pet) == const_to_bracketed(want)
+    assert pet == reference_const_to_labeled(want)
+    assert const_to_bracketed(pet) == const_to_bracketed(want)
 
 
 def test_pet_size_and_leaves_take_a_parse_deeper_than_the_recursion_limit():
@@ -754,7 +747,7 @@ def test_pet_size_and_leaves_take_a_parse_deeper_than_the_recursion_limit():
     assert [leaf.label for leaf in const.leaves()] == ["w", "x", "y", "z"]
     pet = extract_pet(const, (2, 2), (3, 3))
     assert const_to_bracketed(pet) == "(S " + "(N " * depth + "x" + ")" * depth + " y)"
-    assert const_to_labeled(pet).size() == depth + 3
+    assert pet.size() == depth + 3
 
 
 @settings(max_examples=200, deadline=None)
